@@ -405,140 +405,6 @@ let report_engine_cache () =
     (cold /. Float.max warm 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* S6c: domain-pool speedup.  Wall clock via [Unix.gettimeofday] —
-   [Sys.time] is CPU time summed over domains, which would make a parallel
-   run look slower the better it scales.  Classification and the batched
-   query grid are run at pool widths 1/2/4; the taxonomy is asserted
-   identical across widths (sharding only redistributes rows), and the raw
-   numbers — including the machine's recommended domain count, without
-   which a speedup figure is meaningless — are written to
-   BENCH_oracle.json. *)
-
-let report_engine_parallel () =
-  section "S6c: domain-pool speedup (1/2/4 domains) -> BENCH_oracle.json";
-  let kb =
-    Gen.kb4
-      { Gen.default with
-        seed = 29;
-        n_concepts = 14;
-        n_individuals = 10;
-        n_tbox = 20;
-        n_abox = 24;
-        max_depth = 1;
-        inconsistency_rate = 0.1 }
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  let widths = [ 1; 2; 4 ] in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  recommended_domain_count: %d%s\n" cores
-    (if cores <= 1 then "  (single core: no real speedup is possible here)"
-     else "");
-  let classification =
-    List.map
-      (fun j ->
-        let e = Engine.of_config { Oracle.default_config with Oracle.jobs = j } kb in
-        let tax, dt = wall (fun () -> Engine.classify e) in
-        (j, tax, dt))
-      widths
-  in
-  let _, tax1, cls1 =
-    match classification with r :: _ -> r | [] -> assert false
-  in
-  List.iter
-    (fun (j, tax, dt) ->
-      if tax <> tax1 then
-        failwith
-          (Printf.sprintf "S6c: taxonomy at jobs=%d differs from jobs=1" j);
-      Printf.printf "  classify     jobs=%d  %8.3fs  speedup %.2fx\n%!" j dt
-        (cls1 /. dt))
-    classification;
-  (* the batched query grid: every (individual, atom) pair, both
-     information bits, one Oracle.check_all fan-out per run (this is the
-     path Para.retrieve / contradictions and the Cq front end share) *)
-  let grid =
-    List.map
-      (fun j ->
-        let t = Para.create ~config:{ Oracle.default_config with Oracle.jobs = j } kb in
-        let cs, dt = wall (fun () -> Para.contradictions t) in
-        (j, cs, dt))
-      widths
-  in
-  let _, grid1_answers, grid1 =
-    match grid with r :: _ -> r | [] -> assert false
-  in
-  List.iter
-    (fun (j, cs, dt) ->
-      if cs <> grid1_answers then
-        failwith
-          (Printf.sprintf "S6c: grid answers at jobs=%d differ from jobs=1" j);
-      Printf.printf "  query grid   jobs=%d  %8.3fs  speedup %.2fx\n%!" j dt
-        (grid1 /. dt))
-    grid;
-  (* a conjunctive-query batch over the same pool-backed oracle *)
-  let queries =
-    [ Cq.make ~head:[ "x" ]
-        ~body:[ Cq.Concept_atom (Concept.Atom "C0", Cq.Var "x") ];
-      Cq.make ~head:[ "x"; "y" ]
-        ~body:
-          [ Cq.Concept_atom (Concept.Atom "C0", Cq.Var "x");
-            Cq.Role_atom (Role.name "r0", Cq.Var "x", Cq.Var "y") ] ]
-  in
-  let cq =
-    List.map
-      (fun j ->
-        let t = Para.create ~config:{ Oracle.default_config with Oracle.jobs = j } kb in
-        let ans, dt = wall (fun () -> List.map (Cq.answers t) queries) in
-        (j, ans, dt))
-      widths
-  in
-  let _, cq1_answers, cq1 = match cq with r :: _ -> r | [] -> assert false in
-  List.iter
-    (fun (j, ans, dt) ->
-      if ans <> cq1_answers then
-        failwith
-          (Printf.sprintf "S6c: Cq answers at jobs=%d differ from jobs=1" j);
-      Printf.printf "  cq batch     jobs=%d  %8.3fs  speedup %.2fx\n%!" j dt
-        (cq1 /. dt))
-    cq;
-  let series name base rows =
-    Printf.sprintf "  %S: [\n%s\n  ]" name
-      (String.concat ",\n"
-         (List.map
-            (fun (j, _, dt) ->
-              Printf.sprintf
-                "    {\"jobs\": %d, \"seconds\": %.6f, \"speedup\": %.3f, \
-                 \"answers_identical\": true}"
-                j dt (base /. dt))
-            rows))
-  in
-  let detail =
-    Printf.sprintf
-      "{\n\
-      \  \"recommended_domain_count\": %d,\n\
-      \  \"kb\": {\"seed\": 29, \"concepts\": 14, \"individuals\": 10, \
-       \"tbox\": 20, \"abox\": 24},\n\
-       %s,\n\
-       %s,\n\
-       %s\n\
-       }"
-      cores
-      (series "classification" cls1 classification)
-      (series "query_grid" grid1 grid)
-      (series "cq_batch" cq1 cq)
-  in
-  write_bench "BENCH_oracle.json" ~experiment:"S6c_domain_pool"
-    ~metrics:
-      [ ("answers_identical", "1");
-        ("classify_seconds_j1", Printf.sprintf "%.6f" cls1);
-        ("query_grid_seconds_j1", Printf.sprintf "%.6f" grid1);
-        ("cq_batch_seconds_j1", Printf.sprintf "%.6f" cq1) ]
-    ~detail
-
-(* ------------------------------------------------------------------ *)
 (* S7: Dl_obs instrumentation overhead.  Two regimes matter:
 
    - disabled (the default): every hot-path hook is a single
@@ -546,8 +412,8 @@ let report_engine_parallel () =
      by a tight guard loop and scaled by the number of hook sites an
      instrumented run actually crosses;
    - enabled (a sink was requested): counters become Atomic ops and
-     spans allocate + lock, measured as wall-clock delta on the S6c
-     classification workload.
+     spans allocate + lock, measured as wall-clock delta on a
+     classification workload (a seeded 14-concept, 10-individual KB).
 
    Answers must be byte-identical either way; the taxonomy is asserted
    equal across regimes before any number is reported. *)
@@ -575,7 +441,7 @@ let report_obs_overhead () =
     List.nth a (List.length a / 2)
   in
   let runs = 5 in
-  let classify_once () = Engine.classify (Engine.of_config { Oracle.default_config with Oracle.jobs = 2 } kb) in
+  let classify_once () = Engine.classify (Engine.of_config Oracle.default_config kb) in
   let time_runs () =
     List.init runs (fun _ ->
         let tax, dt = wall classify_once in
@@ -647,7 +513,7 @@ let report_obs_overhead () =
   let enabled_overhead_pct = (t_on -. t_off) /. t_off *. 100. in
   let flight_overhead_pct = (t_flight -. t_off) /. t_off *. 100. in
   let flight_events_per_run = flight_events / runs in
-  Printf.printf "  classify (jobs=2, S6c KB), median of %d runs:\n" runs;
+  Printf.printf "  classify (seed-29 KB), median of %d runs:\n" runs;
   Printf.printf "    disabled      %8.4fs\n" t_off;
   Printf.printf "    flight armed  %8.4fs   (+%.1f%%, %d events/run)\n"
     t_flight flight_overhead_pct flight_events_per_run;
@@ -685,7 +551,7 @@ let report_obs_overhead () =
         ("answers_identical", "1") ]
     ~detail:
       "{\"kb\": {\"seed\": 29, \"concepts\": 14, \"individuals\": 10, \
-       \"tbox\": 20, \"abox\": 24}, \"workload\": \"classify jobs=2\"}"
+       \"tbox\": 20, \"abox\": 24}, \"workload\": \"classify\"}"
 
 (* ------------------------------------------------------------------ *)
 (* S8: incremental deltas vs from-scratch rebuild.  One evolving KB, a
@@ -1224,7 +1090,7 @@ let report_telemetry () =
    is written in the pessimal order (common atom first), so the
    syntactic baseline pays a full [common × individuals] role grid
    while the cost plan starts from the rare side.  Probe counts are
-   deterministic (fresh cold session per measured run, jobs = 1), so
+   deterministic (fresh cold session per measured run), so
    they double as regression anchors. *)
 let report_planner () =
   section "S12: cost-based CQ planner vs syntactic order -> BENCH_planner.json";
@@ -1265,12 +1131,9 @@ let report_planner () =
     (x, Unix.gettimeofday () -. t0)
   in
   (* each measured run pays its probes from a cold cache: fresh session,
-     single domain, compile (probe-free) outside the timed region *)
+     compile (probe-free) outside the timed region *)
   let measure ?threshold ?force ~order qry =
-    let s =
-      Session.create
-        ~config:{ Session.default_config with Session.jobs = 1 } kb
-    in
+    let s = Session.create kb in
     let p = Para.of_session s in
     let plan = Cq.compile ?threshold ?force ~order p qry in
     let answers, dt = wall (fun () -> Cq.run plan) in
@@ -1280,14 +1143,8 @@ let report_planner () =
   in
   let plan_ans, plan_dt, plan_probes, _ = measure ~order:`Cost q in
   let syn_ans, syn_dt, syn_probes, _ = measure ~order:`Syntactic q in
-  (* reference: the PR-2 staged enumerator on its own fresh session *)
-  let ref_ans =
-    let s =
-      Session.create
-        ~config:{ Session.default_config with Session.jobs = 1 } kb
-    in
-    Cq.answers_staged (Para.of_session s) q
-  in
+  (* reference: the naive cross product on its own fresh session *)
+  let ref_ans = Cq.answers_naive (Para.of_session (Session.create kb)) q in
   let identical = plan_ans = syn_ans && plan_ans = ref_ans in
   if not identical then failwith "S12: answers differ across plans";
   (* a 3-atom chain with shared join keys: fan-in makes the hash side
@@ -1332,7 +1189,7 @@ let report_planner () =
          \  \"chain_query\": \"?x <- Rare(?z), links(?y, ?z), links(?x, ?y)\",\n\
          \  \"probes\": \"oracle verdicts + cache-served checks on a fresh \
           cold session per run\",\n\
-         \  \"reference\": \"Cq.answers_staged on its own fresh session\"}"
+         \  \"reference\": \"Cq.answers_naive on its own fresh session\"}"
          n_common)
 
 (* ------------------------------------------------------------------ *)
@@ -1380,13 +1237,10 @@ let report_audit () =
     let x = f () in
     (x, Unix.gettimeofday () -. t0)
   in
-  (* every measured run pays from a cold cache: fresh single-domain
-     session, probes = verdicts + cache-served checks *)
+  (* every measured run pays from a cold cache: fresh session, probes =
+     verdicts + cache-served checks *)
   let fresh () =
-    let s =
-      Session.create
-        ~config:{ Session.default_config with Session.jobs = 1 } kb
-    in
+    let s = Session.create kb in
     (s, Para.of_session s)
   in
   let budget s =
@@ -1659,7 +1513,6 @@ let () =
   report_ablation ();
   report_engine_classification ();
   report_engine_cache ();
-  report_engine_parallel ();
   report_obs_overhead ();
   report_incremental ();
   report_serve ();

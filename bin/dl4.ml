@@ -115,23 +115,13 @@ let backend_arg =
            fails on KBs outside it.  Whatever the choice, answers are \
            identical — only the work profile changes.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Size of the oracle's domain pool.  Batched query work \
-           (classification rows, realization, retrieval grids) is sharded \
-           across $(docv) OCaml domains, each with its own tableau \
-           reasoner; answers are identical whatever the pool width.")
-
 let stats_flag =
   Arg.(
     value & flag
     & info [ "stats" ]
         ~doc:
           "Print the uniform statistics footer (the Obs registry): tableau \
-           runs and rule firings, verdict-cache hits, oracle batches, \
+           runs and rule firings, verdict-cache hits, oracle routes, \
            classification/realization work.  Identical across subcommands.")
 
 let metrics_json_arg =
@@ -148,7 +138,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome trace_event JSON timeline of the run's spans \
-           (tableau runs, oracle batches and worker shards, engine phases) \
+           (tableau runs, oracle verdicts, engine phases) \
            to $(docv); load it in about:tracing or ui.perfetto.dev.")
 
 let slow_log_arg =
@@ -173,7 +163,7 @@ let flight_arg =
     & opt (some string) None
     & info [ "flight" ] ~docv:"FILE"
         ~doc:
-          "Arm the flight recorder and dump its per-domain event rings to \
+          "Arm the flight recorder and dump its event ring to \
            $(docv) at the end of the run (and immediately on a \
            max-nodes/max-branches trip).")
 
@@ -183,9 +173,9 @@ let flight_depth_arg =
     & opt (some int) None
     & info [ "flight-depth" ] ~docv:"N"
         ~doc:
-          "Flight-recorder ring depth per domain (default 1024; the \
+          "Flight-recorder ring depth (default 1024; the \
            DL4_FLIGHT_DEPTH environment variable sets the same knob).  \
-           Rings keep the depth they were created with, so this takes \
+           The ring keeps the depth it was created with, so this takes \
            effect before any recording starts.")
 
 let obs_term =
@@ -266,12 +256,10 @@ let from_snapshot_arg =
            version skew dl4 warns and builds cold.  Cached verdicts, the \
            classification index and the cost history carry over, so \
            repeated queries pay zero tableau calls.  --cache-size, \
-           --max-nodes and --max-branches are taken from the snapshot \
-           (--jobs still applies).")
+           --max-nodes and --max-branches are taken from the snapshot.")
 
-let make_config ~jobs ~max_nodes ~max_branches ~cache_size ~no_cache ~backend =
-  { Session.jobs;
-    max_nodes;
+let make_config ~max_nodes ~max_branches ~cache_size ~no_cache ~backend =
+  { Session.max_nodes;
     max_branches;
     cache_capacity = (if no_cache then 0 else cache_size);
     backend }
@@ -280,7 +268,7 @@ let session_of ~config ~from_snapshot kb =
   match from_snapshot with
   | None -> Session.create ~config kb
   | Some path -> (
-      match Store.load_session ~jobs:config.Session.jobs ~kb path with
+      match Store.load_session ~kb path with
       | Ok s -> s
       | Error e ->
           Format.eprintf "warning: ignoring snapshot %s (%s); building cold@."
@@ -300,7 +288,7 @@ let warm_session s =
 (* ------------------------------------------------------------------ *)
 
 let check_cmd =
-  let run file classical owl max_nodes max_branches jobs backend from_snapshot
+  let run file classical owl max_nodes max_branches backend from_snapshot
       obs =
     with_obs ~cmd:"check" obs (fun () ->
         if classical || owl then begin
@@ -321,7 +309,7 @@ let check_cmd =
         else begin
           let kb = load_kb4 file in
           let config =
-            make_config ~jobs ~max_nodes ~max_branches
+            make_config ~max_nodes ~max_branches
               ~cache_size:Engine.default_cache_capacity ~no_cache:false
               ~backend
           in
@@ -348,7 +336,7 @@ let check_cmd =
           localized contradictions.")
     Term.(
       const run $ file_arg $ classical_flag $ owl_flag $ max_nodes_arg
-      $ max_branches_arg $ jobs_arg $ backend_arg $ from_snapshot_arg
+      $ max_branches_arg $ backend_arg $ from_snapshot_arg
       $ obs_term)
 
 (* Shared by `query --explain` and `explain-plan`: pretty-print the plan
@@ -434,12 +422,12 @@ let query_cmd =
              e.g. --exactly B lists the exactly-contradictory matches, \
              --exactly B,N everything undecided-or-conflicting.")
   in
-  let run file ind csrc cq explain exactly max_nodes max_branches jobs backend
+  let run file ind csrc cq explain exactly max_nodes max_branches backend
       from_snapshot obs =
     with_obs ~cmd:"query" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches
+          make_config ~max_nodes ~max_branches
             ~cache_size:Engine.default_cache_capacity ~no_cache:false ~backend
         in
         let t = Para.of_session (session_of ~config ~from_snapshot kb) in
@@ -497,7 +485,7 @@ let query_cmd =
           the designated answers of a conjunctive query (--cq).")
     Term.(
       const run $ file_arg $ individual $ concept_src $ cq_arg $ explain_flag
-      $ exactly $ max_nodes_arg $ max_branches_arg $ jobs_arg $ backend_arg
+      $ exactly $ max_nodes_arg $ max_branches_arg $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 (* dl4 audit: the contradiction census of the KB as a dl4-audit/1
@@ -531,7 +519,7 @@ let audit_cmd =
              of stdout, so a concurrent reader never sees a torn file.")
   in
   let run file top exactly out max_nodes max_branches cache_size no_cache
-      jobs backend from_snapshot obs =
+      backend from_snapshot obs =
     with_obs ~cmd:"audit" obs (fun () ->
         if top < 0 then begin
           Format.eprintf "--top must be non-negative@.";
@@ -549,7 +537,7 @@ let audit_cmd =
         in
         let kb = load_kb4 file in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches ~cache_size ~no_cache
+          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
         let t = Para.of_session (session_of ~config ~from_snapshot kb) in
@@ -578,16 +566,16 @@ let audit_cmd =
           individuals and concepts with provenance.")
     Term.(
       const run $ file_arg $ top $ exactly $ out $ max_nodes_arg
-      $ max_branches_arg $ cache_size_arg $ no_cache_flag $ jobs_arg
+      $ max_branches_arg $ cache_size_arg $ no_cache_flag
       $ backend_arg $ from_snapshot_arg $ obs_term)
 
 let classify_cmd =
-  let run file max_nodes max_branches cache_size no_cache jobs backend
+  let run file max_nodes max_branches cache_size no_cache backend
       from_snapshot obs =
     with_obs ~cmd:"classify" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches ~cache_size ~no_cache
+          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
         let e = Session.engine (session_of ~config ~from_snapshot kb) in
@@ -609,7 +597,7 @@ let classify_cmd =
           saved over the naive all-pairs loop.")
     Term.(
       const run $ file_arg $ max_nodes_arg $ max_branches_arg $ cache_size_arg
-      $ no_cache_flag $ jobs_arg $ backend_arg $ from_snapshot_arg $ obs_term)
+      $ no_cache_flag $ backend_arg $ from_snapshot_arg $ obs_term)
 
 let realize_cmd =
   let all =
@@ -620,12 +608,12 @@ let realize_cmd =
             "Also print the full Belnap truth value grid (default: only the \
              most-specific types and the contradictions).")
   in
-  let run file all max_nodes max_branches cache_size no_cache jobs backend
+  let run file all max_nodes max_branches cache_size no_cache backend
       from_snapshot obs =
     with_obs ~cmd:"realize" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches ~cache_size ~no_cache
+          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
         let e = Session.engine (session_of ~config ~from_snapshot kb) in
@@ -660,7 +648,7 @@ let realize_cmd =
           pruned through the classified hierarchy.")
     Term.(
       const run $ file_arg $ all $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ jobs_arg $ backend_arg
+      $ cache_size_arg $ no_cache_flag $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let update_cmd =
@@ -686,7 +674,7 @@ let update_cmd =
         Format.eprintf "%s: %s@." path e;
         None
   in
-  let run file deltas max_nodes max_branches cache_size no_cache jobs backend
+  let run file deltas max_nodes max_branches cache_size no_cache backend
       from_snapshot obs =
     with_obs ~cmd:"update" obs (fun () ->
         let kb = load_kb4 file in
@@ -699,7 +687,7 @@ let update_cmd =
           if List.exists Option.is_none scripts then 2
           else begin
             let config =
-              make_config ~jobs ~max_nodes ~max_branches ~cache_size ~no_cache
+              make_config ~max_nodes ~max_branches ~cache_size ~no_cache
                 ~backend
             in
             let s = session_of ~config ~from_snapshot kb in
@@ -735,7 +723,7 @@ let update_cmd =
           selectively evicted (see the per-delta stats lines).")
     Term.(
       const run $ file_arg $ delta_args $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ jobs_arg $ backend_arg
+      $ cache_size_arg $ no_cache_flag $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let transform_cmd =
@@ -795,12 +783,12 @@ let retrieve_cmd =
           ~doc:"Also print individuals with value f or BOT (default: only \
                 designated answers).")
   in
-  let run file csrc all max_nodes max_branches jobs backend from_snapshot obs =
+  let run file csrc all max_nodes max_branches backend from_snapshot obs =
     with_obs ~cmd:"retrieve" obs (fun () ->
         let kb = load_kb4 file in
         let c = load_concept csrc in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches
+          make_config ~max_nodes ~max_branches
             ~cache_size:Engine.default_cache_capacity ~no_cache:false ~backend
         in
         let t = Para.of_session (session_of ~config ~from_snapshot kb) in
@@ -817,7 +805,7 @@ let retrieve_cmd =
              every named individual.")
     Term.(
       const run $ file_arg $ concept_src $ all $ max_nodes_arg
-      $ max_branches_arg $ jobs_arg $ backend_arg $ from_snapshot_arg
+      $ max_branches_arg $ backend_arg $ from_snapshot_arg
       $ obs_term)
 
 let explain_cmd =
@@ -838,7 +826,7 @@ let explain_cmd =
       value & flag
       & info [ "all" ] ~doc:"Enumerate several justifications (up to 10).")
   in
-  let run file ind csrc all max_nodes jobs obs =
+  let run file ind csrc all max_nodes obs =
     with_obs ~cmd:"explain" obs (fun () ->
         let kb = load_kb4 file in
         match (ind, csrc) with
@@ -872,9 +860,7 @@ let explain_cmd =
               queries;
             0
         | _ ->
-            (* no query: the contradictions scan is a batched grid — give it
-               the pool; the per-candidate justification probes stay serial *)
-            let t = Para.create ~config:{ Oracle.default_config with Oracle.jobs = jobs; max_nodes = max_nodes } kb in
+            let t = Para.create ~config:{ Oracle.default_config with Oracle.max_nodes = max_nodes } kb in
             let explained = Explain.contradictions_explained ~max_nodes t in
             if explained = [] then
               Format.printf "no localized contradictions@."
@@ -893,7 +879,7 @@ let explain_cmd =
           localized contradiction when no query is given).")
     Term.(
       const run $ file_arg $ individual $ concept_src $ all $ max_nodes_arg
-      $ jobs_arg $ obs_term)
+      $ obs_term)
 
 let explain_plan_cmd =
   let cq_required =
@@ -973,12 +959,12 @@ let explain_plan_cmd =
              dl4-plan/1 JSON.")
   in
   let run file cqsrc join threshold order execute text max_nodes max_branches
-      jobs backend from_snapshot obs =
+      backend from_snapshot obs =
     with_obs ~cmd:"explain-plan" obs (fun () ->
         let kb = load_kb4 file in
         let q = load_cq cqsrc in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches
+          make_config ~max_nodes ~max_branches
             ~cache_size:Engine.default_cache_capacity ~no_cache:false ~backend
         in
         let t = Para.of_session (session_of ~config ~from_snapshot kb) in
@@ -998,7 +984,7 @@ let explain_plan_cmd =
     Term.(
       const run $ file_arg $ cq_required $ join_arg $ threshold_arg
       $ order_arg $ execute_flag $ text_flag $ max_nodes_arg
-      $ max_branches_arg $ jobs_arg $ backend_arg $ from_snapshot_arg
+      $ max_branches_arg $ backend_arg $ from_snapshot_arg
       $ obs_term)
 
 let repair_cmd =
@@ -1426,12 +1412,12 @@ let snapshot_cmd =
              atomic truth grid and the classification index — so restored \
              sessions answer atomic queries with zero tableau calls.")
   in
-  let run file out cold max_nodes max_branches cache_size no_cache jobs backend
+  let run file out cold max_nodes max_branches cache_size no_cache backend
       from_snapshot obs =
     with_obs ~cmd:"snapshot" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches ~cache_size ~no_cache
+          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
         let s = session_of ~config ~from_snapshot kb in
@@ -1454,7 +1440,7 @@ let snapshot_cmd =
           and autosave it.")
     Term.(
       const run $ file_arg $ out $ cold $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ jobs_arg $ backend_arg
+      $ cache_size_arg $ no_cache_flag $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let serve_cmd =
@@ -1556,11 +1542,11 @@ let serve_cmd =
   in
   let run file socket snapshot_to idle_save cold metrics_out metrics_interval
       access_log access_log_rotate no_telemetry drift_log max_nodes
-      max_branches cache_size no_cache jobs backend from_snapshot obs =
+      max_branches cache_size no_cache backend from_snapshot obs =
     with_obs ~cmd:"serve" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~jobs ~max_nodes ~max_branches ~cache_size ~no_cache
+          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
         let s = session_of ~config ~from_snapshot kb in
@@ -1595,7 +1581,7 @@ let serve_cmd =
       const run $ file_arg $ socket $ snapshot_to $ idle_save $ cold
       $ metrics_out $ metrics_interval $ access_log $ access_log_rotate
       $ no_telemetry $ drift_log $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ jobs_arg $ backend_arg
+      $ cache_size_arg $ no_cache_flag $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let client_cmd =

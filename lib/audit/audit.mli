@@ -33,9 +33,8 @@ type census = {
 val census : Para.t -> census
 (** Sweep the fact space as two batched oracle grids (one
     {!Para.instance_truths} call for the concept grid, one
-    {!Para.role_truths} call for the role assertions), so the domain
-    pool overlaps the tableau work and repeated questions share one
-    verdict. *)
+    {!Para.role_truths} call for the role assertions); repeated
+    questions share one verdict. *)
 
 val census_naive : Para.t -> census
 (** The per-fact reference: one sequential two-probe

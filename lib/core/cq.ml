@@ -101,59 +101,6 @@ let to_string q =
   ^ String.concat ", " (List.map atom_to_string q.body)
 
 (* ------------------------------------------------------------------ *)
-(* The PR 2 staged enumerator.  Variables are bound in [variables q]
-   order (as the naive cross product does); an atom is assigned to the
-   stage of the last variable it mentions and is evaluated the moment
-   that variable is bound, so a prefix whose running meet is already [f]
-   refutes the whole subtree of completions at once.  Demoted to a
-   differential-test reference next to the [_naive] paths now that the
-   cost-based [Plan] below owns the production path. *)
-let fold_bindings ~prune para q ~init ~f =
-  let individuals = (Kb4.signature (Para.kb para)).individuals in
-  let vars = variables q in
-  let index = Hashtbl.create 8 in
-  List.iteri (fun i v -> Hashtbl.replace index v (i + 1)) vars;
-  let stages = Array.make (List.length vars + 1) [] in
-  List.iter
-    (fun atom ->
-      let s =
-        List.fold_left
-          (fun m v -> max m (Hashtbl.find index v))
-          0 (atom_vars atom)
-      in
-      stages.(s) <- atom :: stages.(s))
-    (List.rev q.body);
-  (* the [rev] above keeps each stage in body order *)
-  let eval_stage binding acc s =
-    List.fold_left
-      (fun acc atom ->
-        if Truth.equal acc Truth.False then Truth.False
-        else Truth.conj acc (truth_of_atom para binding atom))
-      acc stages.(s)
-  in
-  let rec go out binding acc stage = function
-    | [] -> f out (List.rev binding) acc
-    | v :: rest ->
-        List.fold_left
-          (fun out a ->
-            let binding = (v, a) :: binding in
-            let acc =
-              if Truth.equal acc Truth.False then Truth.False
-              else eval_stage binding acc stage
-            in
-            if prune && Truth.equal acc Truth.False then out
-            else go out binding acc (stage + 1) rest)
-          out individuals
-  in
-  let acc0 = eval_stage [] Truth.True 0 in
-  if prune && Truth.equal acc0 Truth.False then init
-  else go init [] acc0 1 vars
-
-let all_bindings_staged para q =
-  List.rev
-    (fold_bindings ~prune:false para q ~init:[] ~f:(fun out binding v ->
-         (binding, v) :: out))
-
 let all_bindings_naive para q =
   let individuals = (Kb4.signature (Para.kb para)).individuals in
   let rec bind acc = function
@@ -184,13 +131,6 @@ let dedup_designated tuples =
   List.stable_sort
     (fun (_, v1) (_, v2) -> Truth.compare v1 v2)
     (List.rev dedup)
-
-let answers_staged para q =
-  dedup_designated
-    (List.rev
-       (fold_bindings ~prune:true para q ~init:[] ~f:(fun out binding v ->
-            if Truth.designated v then (project q binding, v) :: out
-            else out)))
 
 let answers_naive para q =
   dedup_designated
@@ -633,8 +573,8 @@ let eval_step para (step : Plan.step) vals =
 
 (* one batched oracle fan-out for a hash-join materialization: ground
    every (key, candidate) combination of the step's atom and submit the
-   whole relation as one [check_all] batch, so the domain pool overlaps
-   the work and repeated questions share one verdict *)
+   whole relation as one [check_all] batch; repeated questions share one
+   cached verdict *)
 let eval_batch para (step : Plan.step) grounds =
   let sel = selector step.Plan.p_atom in
   match base_atom step.Plan.p_atom with
@@ -811,9 +751,9 @@ let exec (plan : plan) ~prune =
     plan.Plan.pl_steps;
   !table
 
-(* Replays the staged/naive enumeration order (variables in sorted
-   order, individuals in signature order), so every strategy and atom
-   order produces byte-identical output lists. *)
+(* Replays the naive enumeration order (variables in sorted order,
+   individuals in signature order), so every strategy and atom order
+   produces byte-identical output lists. *)
 let canonical_rows (plan : plan) rows =
   let individuals = (Kb4.signature (Para.kb plan.Plan.pl_para)).Axiom.individuals in
   let rank = Hashtbl.create 32 in

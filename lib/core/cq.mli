@@ -17,9 +17,9 @@
     statistics and the session's observed verdict costs, {!run} executes
     it with an adaptive join strategy, and {!explain} renders the plan as
     a stable, JSON-serializable description.  {!answers} and
-    {!all_bindings} remain as thin wrappers; the [_staged] (PR 2) and
-    [_naive] variants are kept as differential-testing references — same
-    answers, more oracle traffic. *)
+    {!all_bindings} remain as thin wrappers; the [_naive] variants are
+    kept as differential-testing references — same answers, more oracle
+    traffic. *)
 
 type term =
   | Var of string
@@ -158,8 +158,8 @@ val run_exactly : plan -> values:Truth.t list -> (string list * Truth.t) list
     keeping exactly the rows pruning drops) and return the projected
     tuples whose body value is exactly one of [values], deduplicated by
     (tuple, value) pair, ≤t-stronger values first — byte-identical to
-    {!answers_exactly_naive} under every atom order, join strategy, jobs
-    setting and backend. *)
+    {!answers_exactly_naive} under every atom order, join strategy and
+    backend. *)
 
 val explain : plan -> Plan.view
 (** The stable plan description; includes per-step actuals once the plan
@@ -192,15 +192,6 @@ val answers_exactly_naive :
   Para.t -> values:Truth.t list -> t -> (string list * Truth.t) list
 (** Exact-value answers via the unpruned cross product — the ground-truth
     differential reference for {!answers_exactly}. *)
-
-val answers_staged : Para.t -> t -> (string list * Truth.t) list
-(** The PR 2 staged enumerator with refuted-prefix subtree pruning —
-    kept as a differential reference.  Same output as {!answers}. *)
-
-val all_bindings_staged :
-  Para.t -> t -> ((string * string) list * Truth.t) list
-(** Staged enumeration without pruning — differential reference; same
-    contents and order as {!all_bindings}. *)
 
 val answers_naive : Para.t -> t -> (string list * Truth.t) list
 (** Answers via the unpruned cross product — the ground-truth

@@ -1,5 +1,5 @@
 (* Every boolean entailment verdict of this module routes through
-   [Engine.Oracle] (the cache- and pool-owning choke point); there are no
+   [Engine.Oracle] (the cache-owning choke point); there are no
    direct tableau calls in the query paths below. *)
 
 type t = { engine : Engine.t }
@@ -41,8 +41,8 @@ let classify t = Engine.classify t.engine
 let taxonomy t = Engine.taxonomy t.engine
 
 (* Batched grid evaluation: both information bits of every pair are
-   submitted to the oracle as one batch, so the pool overlaps the tableau
-   work and repeated pairs share one verdict. *)
+   submitted to the oracle as one batch, and repeated pairs share one
+   verdict. *)
 let instance_truths t pairs =
   let sp = Obs.enter ~cat:"core" "para.grid" in
   if Obs.live sp then Obs.set_attr sp "pairs" (string_of_int (List.length pairs));

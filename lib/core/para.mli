@@ -9,11 +9,10 @@
     classical description logic remain useful" (§6).
 
     Since PR 2, every boolean entailment verdict of this module routes
-    through one {!Engine.Oracle} (reachable via {!oracle}): a shared
-    canonical-keyed verdict cache plus an optional OCaml 5 domain pool, so
-    repeated and batch query traffic (retrieval, contradiction scans,
-    conjunctive queries) pays each distinct tableau question once and can
-    overlap the tableau work across domains ([?jobs]).
+    through one {!Engine.Oracle} (reachable via {!oracle}) and its shared
+    canonical-keyed verdict cache, so repeated and batch query traffic
+    (retrieval, contradiction scans, conjunctive queries) pays each
+    distinct tableau question once.
 
     The flagship query is {!instance_truth}: the Belnap value the knowledge
     base supports for [C(a)] —
@@ -34,8 +33,8 @@ val create : ?config:Session.config -> Kb4.t -> t
 
 val of_session : Session.t -> t
 (** The paper-level query API over a session's shared stack (one oracle,
-    one cache, one pool — verdicts paid through the session's engine are
-    cache hits here and vice versa). *)
+    one cache — verdicts paid through the session's engine are cache hits
+    here and vice versa). *)
 
 val session : t -> Session.t
 (** The session facade over this instance's engine (same shared stack;
@@ -43,8 +42,8 @@ val session : t -> Session.t
 
 val of_engine : Engine.t -> t
 (** Wrap an existing engine.  The wrapper is stateless: it shares the
-    engine's oracle — verdict cache, domain pool and
-    classification/realization indexes — so a verdict or index built
+    engine's oracle — verdict cache and classification/realization
+    indexes — so a verdict or index built
     through either wrapper serves both. *)
 
 val engine : t -> Engine.t
@@ -129,8 +128,8 @@ val classify : t -> (string * string list) list
 (** Atomic concept hierarchy under internal inclusion ⊏ (the inclusion whose
     satisfaction mirrors classical ⊑ on told-positive information).
     Delegates to the engine's {!Classify} index: told-subsumer seeding plus
-    DAG-pruned search, rows sharded across the domain pool, so most pairs
-    are answered without a tableau call.  Built once and cached.  Same
+    DAG-pruned search, so most pairs are answered without a tableau
+    call.  Built once and cached.  Same
     contents as {!classify_naive}. *)
 
 val classify_naive : t -> (string * string list) list
@@ -147,8 +146,7 @@ val taxonomy : t -> (string list * string list) list
 val contradictions : t -> (string * string) list
 (** All (individual, atomic concept) pairs whose {!instance_truth} is [Both]
     — the localized contradictions of the ontology.  Quadratic in the
-    signature; evaluated as one batched grid so the domain pool shares the
-    work.  Meant for diagnosis and the evaluation harness. *)
+    signature; evaluated as one batched grid.  Meant for diagnosis and the evaluation harness. *)
 
 val truth_table : t -> individuals:string list -> concepts:Concept.t list ->
   (string * (Concept.t * Truth.t) list) list

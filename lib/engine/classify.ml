@@ -20,8 +20,7 @@ type t = { supers : (string * string list) list; stats : stats }
 
 (* ------------------------------------------------------------------ *)
 (* Preparation: everything derivable from the signature and the told
-   axioms alone.  The result is read-only, so shards of the row loop can
-   share one [prep] across domains. *)
+   axioms alone. *)
 
 type prep = {
   atoms : string list;  (* sorted, unique *)
@@ -44,7 +43,7 @@ let prepare ~atoms ~told =
     told;
   (* reflexive-transitive closure of the told graph, computed eagerly for
      every atom (iterative DFS: told cycles — equivalent atoms — are
-     allowed), so the table is read-only by the time workers see it *)
+     allowed) *)
   let closure = Hashtbl.create 16 in
   List.iter
     (fun a ->
@@ -81,19 +80,15 @@ let prepare ~atoms ~told =
   in
   { atoms; order; closure }
 
-let atoms p = p.atoms
-let order p = p.order
-
 let told_sup p a =
   Option.value ~default:SS.empty (Hashtbl.find_opt p.closure a)
 
 (* ------------------------------------------------------------------ *)
 (* The row loop: one atom's supers, with told seeding and DAG pruning.
-   [rows] walks a shard of the classification order sequentially, carrying
-   a shard-local results table so positive verdicts of earlier rows keep
-   pruning later ones.  The final supers are the exact subsumption
-   relation whatever the sharding — pruning only skips tests whose answer
-   is already implied — so shard-parallel runs stay byte-identical. *)
+   [rows] walks the classification order, carrying a results table so
+   positive verdicts of earlier rows keep pruning later ones.  Pruning
+   only skips tests whose answer is already implied, so the supers are
+   the exact subsumption relation. *)
 
 type row = {
   atom : string;
@@ -103,7 +98,7 @@ type row = {
   row_dag : int;
 }
 
-let rows p ~test shard =
+let rows p ~test =
   let results = Hashtbl.create 16 in
   List.map
     (fun a ->
@@ -142,32 +137,27 @@ let rows p ~test shard =
         row_tests = !tests;
         row_told;
         row_dag = !dag })
-    shard
+    p.order
 
-let collect p row_list =
+(* [rows] visits every atom of the signature exactly once, in [order];
+   the result lists them in signature order. *)
+let run ~atoms ~told ~test =
+  let p = prepare ~atoms ~told in
+  let row_list = rows p ~test in
   let by_atom = Hashtbl.create 16 in
   List.iter (fun r -> Hashtbl.replace by_atom r.atom r) row_list;
-  let supers =
-    List.map
-      (fun a ->
-        match Hashtbl.find_opt by_atom a with
-        | Some r -> (a, SS.elements r.row_supers)
-        | None -> invalid_arg ("Classify.collect: missing row for " ^ a))
-      p.atoms
-  in
   let n = List.length p.atoms in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 row_list in
-  { supers;
+  { supers =
+      List.map
+        (fun a -> (a, SS.elements (Hashtbl.find by_atom a).row_supers))
+        p.atoms;
     stats =
       { atoms = n;
         naive_tests = n * (n - 1);
         tableau_tests = sum (fun r -> r.row_tests);
         told_hits = sum (fun r -> r.row_told);
         dag_hits = sum (fun r -> r.row_dag) } }
-
-let run ~atoms ~told ~test =
-  let p = prepare ~atoms ~told in
-  collect p (rows p ~test p.order)
 
 let supers_fn t a = try List.assoc a t.supers with Not_found -> []
 

@@ -46,39 +46,8 @@ val run :
   test:(string -> string -> bool) ->
   t
 (** [atoms] are deduplicated and sorted; [told] pairs mentioning unknown
-    atoms are ignored.  Equivalent to
-    [collect p (rows p ~test (order p))] on [prepare ~atoms ~told]. *)
-
-(** {1 Sharded driving}
-
-    The row loop decomposes so independent shards of the classification
-    order can run on separate domains (see {!Oracle.map_batches}): [prepare]
-    precomputes the read-only told closure and order, [rows] walks one shard
-    (carrying shard-local positive propagation), [collect] reassembles rows
-    into signature order and sums the statistics.  The resulting [supers]
-    are byte-identical whatever the sharding; only the stats (how many
-    tests each pruning rule saved) depend on it. *)
-
-type prep
-(** Read-only preprocessing of the signature and told axioms; safe to share
-    across domains. *)
-
-val prepare : atoms:string list -> told:(string * string) list -> prep
-val atoms : prep -> string list
-(** Sorted, deduplicated. *)
-
-val order : prep -> string list
-(** The top-down classification order — the canonical work list to shard. *)
-
-type row
-(** One atom's computed supers plus its per-row statistics. *)
-
-val rows : prep -> test:(string -> string -> bool) -> string list -> row list
-(** Classify a shard of {!order} sequentially, in the given order. *)
-
-val collect : prep -> row list -> t
-(** Reassemble rows (one per atom of the signature, any order) into {!t}.
-    @raise Invalid_argument if an atom's row is missing. *)
+    atoms are ignored.  Atoms are classified one by one in a top-down
+    order of the told DAG (told subsumers first). *)
 
 val supers_fn : t -> string -> string list
 (** Lookup into {!t.supers} ([[]] for unknown atoms). *)

@@ -55,15 +55,8 @@ let told_subsumptions (kb : Kb4.t) =
       | _ -> [])
     kb.Kb4.tbox
 
-(* The subsumption test a row submits to the oracle, inlined from
-   [subsumes] so shard workers route through their confined [check]. *)
-let subsumption_test check a b =
-  List.for_all
-    (fun test -> not (check (Oracle.Concept_sat test)))
-    (Transform.inclusion_tests Kb4.Internal (Concept.Atom a) (Concept.Atom b))
-
-(* Registry mirrors of the per-run Classify/Realize stats, recorded at
-   collect time (the per-row counts are summed there). *)
+(* Registry mirrors of the per-run Classify/Realize stats, recorded once
+   per build. *)
 let c_cls_tests = Obs.counter "classify.tableau_tests"
 let c_cls_told = Obs.counter "classify.told_hits"
 let c_cls_dag = Obs.counter "classify.dag_hits"
@@ -77,24 +70,16 @@ let classification t =
   | None ->
       let c =
         Obs.with_span ~cat:"engine" "engine.classify" (fun () ->
-            let atoms = (Kb4.signature (kb t)).Axiom.concepts in
-            let prep =
-              Obs.with_span ~cat:"engine" "classify.prepare" (fun () ->
-                  Classify.prepare ~atoms ~told:(told_subsumptions (kb t)))
+            let c =
+              Classify.run
+                ~atoms:(Kb4.signature (kb t)).Axiom.concepts
+                ~told:(told_subsumptions (kb t)) ~test:(subsumes t)
             in
-            let shards = Oracle.shard t.oracle (Classify.order prep) in
-            let rows =
-              List.concat
-                (Oracle.map_batches t.oracle shards ~f:(fun ~check shard ->
-                     Classify.rows prep ~test:(subsumption_test check) shard))
-            in
-            Obs.with_span ~cat:"engine" "classify.collect" (fun () ->
-                let c = Classify.collect prep rows in
-                let s = c.Classify.stats in
-                Obs.add c_cls_tests s.Classify.tableau_tests;
-                Obs.add c_cls_told s.Classify.told_hits;
-                Obs.add c_cls_dag s.Classify.dag_hits;
-                c))
+            let s = c.Classify.stats in
+            Obs.add c_cls_tests s.Classify.tableau_tests;
+            Obs.add c_cls_told s.Classify.told_hits;
+            Obs.add c_cls_dag s.Classify.dag_hits;
+            c)
       in
       t.classification <- Some c;
       c
@@ -117,30 +102,19 @@ let realization t =
       let r =
         Obs.with_span ~cat:"engine" "engine.realize" (fun () ->
             let signature = Kb4.signature (kb t) in
-            let prep =
-              Obs.with_span ~cat:"engine" "realize.prepare" (fun () ->
-                  Realize.prepare ~individuals:signature.Axiom.individuals
-                    ~atoms:signature.Axiom.concepts
-                    ~supers:(Classify.supers_fn cls))
+            let r =
+              Realize.run ~individuals:signature.Axiom.individuals
+                ~atoms:signature.Axiom.concepts
+                ~supers:(Classify.supers_fn cls)
+                ~check_pos:(fun a c -> entails_instance t a (Concept.Atom c))
+                ~check_neg:(fun a c ->
+                  entails_not_instance t a (Concept.Atom c))
             in
-            let shards = Oracle.shard t.oracle (Realize.individuals prep) in
-            let rows =
-              List.concat
-                (Oracle.map_batches t.oracle shards ~f:(fun ~check shard ->
-                     Realize.rows prep
-                       ~check_pos:(fun a c ->
-                         check (Oracle.Instance (a, Concept.Atom c)))
-                       ~check_neg:(fun a c ->
-                         check (Oracle.Not_instance (a, Concept.Atom c)))
-                       shard))
-            in
-            Obs.with_span ~cat:"engine" "realize.collect" (fun () ->
-                let r = Realize.collect prep rows in
-                let s = r.Realize.stats in
-                Obs.add c_rlz_pos s.Realize.positive_checks;
-                Obs.add c_rlz_neg s.Realize.negative_checks;
-                Obs.add c_rlz_pruned s.Realize.pruned;
-                r))
+            let s = r.Realize.stats in
+            Obs.add c_rlz_pos s.Realize.positive_checks;
+            Obs.add c_rlz_neg s.Realize.negative_checks;
+            Obs.add c_rlz_pruned s.Realize.pruned;
+            r)
       in
       t.realization <- Some r;
       r
@@ -165,9 +139,6 @@ let apply t (d : Delta.t) =
 type stats = {
   cache : Verdict_cache.stats;
   tableau_calls : int;
-  jobs : int;
-  batches : int;
-  parallel_calls : int;
   routes : (string * int) list;
   classification : Classify.stats option;
   realization : Realize.stats option;
@@ -177,9 +148,6 @@ let stats (t : t) =
   let o = Oracle.stats t.oracle in
   { cache = o.Oracle.cache;
     tableau_calls = o.Oracle.tableau_calls;
-    jobs = o.Oracle.jobs;
-    batches = o.Oracle.batches;
-    parallel_calls = o.Oracle.parallel_calls;
     routes = o.Oracle.routes;
     classification = Option.map (fun c -> c.Classify.stats) t.classification;
     realization = Option.map (fun r -> r.Realize.stats) t.realization }
@@ -188,9 +156,6 @@ let pp_stats ppf s =
   Oracle.pp_stats ppf
     { Oracle.cache = s.cache;
       tableau_calls = s.tableau_calls;
-      jobs = s.jobs;
-      batches = s.batches;
-      parallel_calls = s.parallel_calls;
       routes = s.routes };
   Option.iter
     (fun c -> Format.fprintf ppf "@.classification: %a" Classify.pp_stats c)

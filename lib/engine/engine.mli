@@ -2,13 +2,12 @@
     reduction — the query-traffic front end of the stack.
 
     An {!t} is a thin index layer over one {!Oracle}: the oracle owns the
-    classical induced KB [K̄] (Definition 7), the verdict cache and the
-    domain pool; the engine adds the lazily-built classification
-    ({!Classify}) and realization ({!Realize}) indexes and drives their row
-    loops through the oracle's batched fan-out, so independent rows run on
-    separate domains when the oracle has a pool.  One-shot callers get the
-    same answers as {!Para}; repeated query traffic is served from the
-    cache and the indexes instead of re-running the tableau. *)
+    classical induced KB [K̄] (Definition 7) and the verdict cache; the
+    engine adds the lazily-built classification ({!Classify}) and
+    realization ({!Realize}) indexes, whose every test is an
+    {!Oracle.check}.  One-shot callers get the same answers as {!Para};
+    repeated query traffic is served from the cache and the indexes
+    instead of re-running the tableau. *)
 
 type t
 
@@ -20,8 +19,7 @@ val of_config : Oracle.config -> Kb4.t -> t
 val of_oracle : Oracle.t -> t
 (** Build the index layer over an existing oracle.  The wrapper adds no
     state of its own below the classification/realization indexes: it
-    shares the oracle's verdict cache and domain pool with every other
-    consumer of the same oracle (e.g. a {!Para} built over it), so a
+    shares the oracle's verdict cache with every other consumer of the same oracle (e.g. a {!Para} built over it), so a
     verdict paid through one wrapper is a cache hit through another. *)
 
 val oracle : t -> Oracle.t
@@ -57,9 +55,8 @@ val told_subsumptions : Kb4.t -> (string * string) list
 (** {1 Indexes} *)
 
 val classification : t -> Classify.t
-(** Built on first use with told seeding and DAG pruning, rows sharded
-    across the oracle's domain pool; cached.  Contents are byte-identical
-    whatever the pool width. *)
+(** Built on first use by {!Classify.run} (told seeding and DAG
+    pruning); cached. *)
 
 val classify : t -> (string * string list) list
 (** Same contents as the naive all-pairs loop ({!Para.classify_naive}). *)
@@ -67,8 +64,8 @@ val classify : t -> (string * string list) list
 val taxonomy : t -> (string list * string list) list
 
 val realization : t -> Realize.t
-(** Built on first use on top of {!classification}, individuals sharded
-    across the pool; cached. *)
+(** Built on first use by {!Realize.run} on top of {!classification};
+    cached. *)
 
 (** {1 Snapshot export / import}
 
@@ -99,9 +96,6 @@ type stats = {
   cache : Verdict_cache.stats;
   tableau_calls : int;
       (** tableau invocations actually paid (cache misses do, hits don't) *)
-  jobs : int;
-  batches : int;  (** parallel fan-outs executed by the oracle *)
-  parallel_calls : int;  (** verdicts computed off the coordinating domain *)
   routes : (string * int) list;  (** computed verdicts per backend *)
   classification : Classify.stats option;  (** [None] until built *)
   realization : Realize.stats option;

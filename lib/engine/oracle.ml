@@ -54,8 +54,6 @@ let key_of = function
 
 (* Registry mirrors of the per-instance counters below. *)
 let c_tableau_calls = Obs.counter "oracle.tableau_calls"
-let c_batches = Obs.counter "oracle.batches"
-let c_parallel_calls = Obs.counter "oracle.worker_verdicts"
 let c_slow = Obs.counter "oracle.slow_verdicts"
 let c_route_tableau = Obs.counter "oracle.route.tableau"
 let c_route_horn = Obs.counter "oracle.route.horn"
@@ -84,7 +82,6 @@ type cost = {
   c_clashes : int;
   c_blocking : int;
   c_rule_firings : int array;  (* indexed like Tableau.rule_names *)
-  c_shard : int;  (* id of the domain that computed it *)
   mutable c_hits : int;  (* cache hits served since computation *)
 }
 
@@ -144,7 +141,6 @@ let fresh_acc () =
     a_backends = Hashtbl.create 4 }
 
 type config = {
-  jobs : int;
   cache_capacity : int;
   max_nodes : int;
   max_branches : int;
@@ -154,16 +150,14 @@ type config = {
 let default_cache_capacity = 4096
 
 let default_config =
-  { jobs = 1;
-    cache_capacity = default_cache_capacity;
+  { cache_capacity = default_cache_capacity;
     max_nodes = 20_000;
     max_branches = max_int;
     backend = Backend.Tableau }
 
-(* A per-domain backend stack: the universal tableau plus (when the
-   session's routing policy and the KB's fragment allow it) a Horn
-   completion instance.  Each domain of the pool gets its own stack —
-   backends are as mutable as the reasoners they wrap. *)
+(* The backend stack: the universal tableau plus (when the session's
+   routing policy and the KB's fragment allow it) a Horn completion
+   instance. *)
 type stack = {
   s_tab : Backend.packed;
   s_horn : Backend.packed option;
@@ -201,16 +195,12 @@ type t = {
   config : config;
   primary : Reasoner.t;
   mutable stack : stack;
-      (* the coordinating domain's backends; [s_tab] wraps [primary],
-         the Horn side is rebuilt by [apply] (deltas can change both the
-         KB and its fragment eligibility) *)
-  mutable workers : stack array option;
-      (* pool stacks, length [jobs - 1]; created on first parallel batch,
-         discarded by [apply] (they are rebuilt against the updated KB) *)
+      (* [s_tab] wraps [primary]; the Horn side is rebuilt by [apply]
+         (deltas can change both the KB and its fragment eligibility) *)
   cache : bool Cache.t;
   prov : prov_entry KH.t;
       (* per-key provenance, recorded unconditionally for every computed
-         verdict; worker provenance folds in after join like verdict logs *)
+         verdict *)
   ind_index : (string, Key.t list ref) Hashtbl.t;
       (* individual name -> keys whose provenance mentions it *)
   atom_index : (string, Key.t list ref) Hashtbl.t;
@@ -220,12 +210,9 @@ type t = {
          [prov]; session totals live in [acc] and survive eviction *)
   acc : cost_acc;
   mutable tableau_calls : int;
-  mutable batches : int;
-  mutable parallel_calls : int;
 }
 
 let of_config (config : config) kb =
-  let config = { config with jobs = max 1 config.jobs } in
   let classical_kb = Transform.kb kb in
   let prov = KH.create 64 in
   let ind_index = Hashtbl.create 64 in
@@ -262,26 +249,22 @@ let of_config (config : config) kb =
     config;
     primary;
     stack = stack_of_reasoner config classical_kb primary;
-    workers = None;
     cache;
     prov;
     ind_index;
     atom_index;
     costs;
     acc = fresh_acc ();
-    tableau_calls = 0;
-    batches = 0;
-    parallel_calls = 0 }
+    tableau_calls = 0 }
 
 let kb t = t.kb
 let classical_kb t = t.classical_kb
 let reasoner t = t.primary
 let config t = t.config
-let jobs t = t.config.jobs
 
-(* The query → decision-procedure mapping that used to live here is now
-   [Backend_tableau.eval]; verdicts are computed by whichever backend
-   [route] picks from the evaluating domain's stack. *)
+(* Verdicts are computed by whichever backend [route] picks from the
+   stack; the tableau's query → decision-procedure mapping is
+   [Backend_tableau.eval]. *)
 
 let query_kind = Backend.query_kind
 let query_to_string = Backend.query_to_string
@@ -312,8 +295,6 @@ let cost_of_diff ~backend q wall_ns (s0 : Tableau.stats) (s1 : Tableau.stats) =
   { c_query = query_to_string q;
     c_kind = query_kind q;
     c_backend = backend;
-    (* worker domains read the coordinator's installed ID, so sharded
-       evals stay correlated with the request that batched them *)
     c_trace = Obs.trace_id ();
     c_wall_ns = wall_ns;
     c_runs = s1.runs - s0.runs;
@@ -327,7 +308,6 @@ let cost_of_diff ~backend q wall_ns (s0 : Tableau.stats) (s1 : Tableau.stats) =
       Array.init
         (Array.length s1.rule_firings)
         (fun i -> s1.rule_firings.(i) - s0.rule_firings.(i));
-    c_shard = (Domain.self () :> int);
     c_hits = 0 }
 
 (* [eval] with provenance and cost capture (both always on — the
@@ -376,12 +356,12 @@ let eval_obs stack q =
 (* Store a verdict's provenance and index it under every symbol it
    mentions.  With a disabled cache (capacity 0) nothing is recorded:
    no verdict can be retained, so there is nothing to invalidate, and
-   recording would grow without bound.  When a key is re-computed while
-   an entry is still live (a pool worker re-deriving a cached key, or
-   overlap across batches), only the symbols the old entry did not
-   mention are posted — the index must always cover the recorded
-   provenance; stale postings left behind are a sound over-approximation
-   (re-evicting is conservative, never wrong). *)
+   recording would grow without bound.  When a key is recorded again
+   while an entry is still live (a snapshot import over a warm cache),
+   only the symbols the old entry did not mention are posted — the
+   index must always cover the recorded provenance; stale postings left
+   behind are a sound over-approximation (re-evicting is conservative,
+   never wrong). *)
 let record_prov t k (entry : prov_entry) =
   if t.config.cache_capacity > 0 then begin
     let old = KH.find_opt t.prov k in
@@ -434,7 +414,6 @@ let slow_json t (c : cost) (p : prov_entry) =
            (fun (n, v) -> str n ^ ":" ^ string_of_int v)
            (cost_rules c))
     ^ "}");
-  field "shard" (string_of_int c.c_shard);
   field "individuals" (str_list p.individuals);
   field "concepts" (str_list p.concepts);
   field "cache_stored" (string_of_bool (t.config.cache_capacity > 0));
@@ -444,8 +423,7 @@ let slow_json t (c : cost) (p : prov_entry) =
 
 (* Account one computed verdict: per-key record (when the cache can
    retain it), session totals (always), slow-query log (when armed and
-   over threshold).  Coordinator-side only — worker costs fold in after
-   join, like verdicts and provenance. *)
+   over threshold). *)
 let record_cost t k (c : cost) (p : prov_entry) =
   let a = t.acc in
   a.a_verdicts <- a.a_verdicts + 1;
@@ -492,178 +470,9 @@ let check t q =
   Obs.set_gauge g_cache_size (float_of_int (Cache.length t.cache));
   v
 
-let worker_stacks t =
-  match t.workers with
-  | Some ws -> ws
-  | None ->
-      let ws =
-        Array.init (t.config.jobs - 1) (fun _ ->
-            stack_of_reasoner t.config t.classical_kb
-              (Reasoner.create ~max_nodes:t.config.max_nodes
-                 ~max_branches:t.config.max_branches t.classical_kb))
-      in
-      t.workers <- Some ws;
-      ws
-
-(* One worker domain: run its lane with a confined reasoner and a private
-   memo, logging every verdict it computed (with its provenance) so the
-   coordinator can fold the work into the shared cache.  The shard span
-   attaches to the coordinator's batch span via [?parent] — worker domains
-   have their own (empty) span stacks. *)
-let run_worker ?parent reasoner f lane =
-  let sp = Obs.enter ?parent ~cat:"oracle" "oracle.shard" in
-  if Obs.live sp then begin
-    Obs.set_attr sp "domain" (string_of_int (Domain.self () :> int));
-    Obs.set_attr sp "items" (string_of_int (List.length lane))
-  end;
-  let memo = KH.create 64 in
-  let log = ref [] in
-  let check q =
-    let k = key_of q in
-    match KH.find_opt memo k with
-    | Some v -> v
-    | None ->
-        let v, p, c = eval_obs reasoner q in
-        KH.add memo k v;
-        log := (k, v, p, c) :: !log;
-        v
-  in
-  let result =
-    match List.map (fun (i, item) -> (i, f ~check item)) lane with
-    | out -> Ok (out, List.rev !log)
-    | exception e -> Error e
-  in
-  Obs.exit_span sp;
-  result
-
-let map_batches t items ~f =
-  let sequential () =
-    Obs.with_span ~cat:"oracle" "oracle.batch" (fun () ->
-        List.map (fun item -> f ~check:(check t) item) items)
-  in
-  match items with
-  | [] | [ _ ] -> sequential ()
-  | _ when t.config.jobs <= 1 -> sequential ()
-  | _ ->
-      let workers = worker_stacks t in
-      let sp = Obs.enter ~cat:"oracle" "oracle.batch" in
-      if Obs.live sp then begin
-        Obs.set_attr sp "jobs" (string_of_int t.config.jobs);
-        Obs.set_attr sp "items" (string_of_int (List.length items))
-      end;
-      let lanes = Array.make (Array.length workers + 1) [] in
-      List.iteri
-        (fun i item ->
-          let l = i mod Array.length lanes in
-          lanes.(l) <- (i, item) :: lanes.(l))
-        items;
-      let lane l = List.rev lanes.(l) in
-      let domains =
-        Array.init (Array.length workers) (fun w ->
-            Domain.spawn (fun () ->
-                run_worker ~parent:sp workers.(w) f (lane (w + 1))))
-      in
-      (* coordinator lane runs against the shared cache while workers are in
-         flight; exceptions are deferred until every domain is joined *)
-      let lane0 =
-        let sp0 = Obs.enter ~parent:sp ~cat:"oracle" "oracle.shard" in
-        if Obs.live sp0 then begin
-          Obs.set_attr sp0 "domain" (string_of_int (Domain.self () :> int));
-          Obs.set_attr sp0 "items" (string_of_int (List.length (lane 0)))
-        end;
-        let r =
-          match
-            List.map (fun (i, item) -> (i, f ~check:(check t) item)) (lane 0)
-          with
-          | out -> Ok out
-          | exception e -> Error e
-        in
-        Obs.exit_span sp0;
-        r
-      in
-      let results = Array.map Domain.join domains in
-      t.batches <- t.batches + 1;
-      Obs.incr c_batches;
-      let failure = ref None in
-      let keep_first e = if !failure = None then failure := Some e in
-      let outs = ref [] in
-      Array.iter
-        (function
-          | Ok (out, log) ->
-              List.iter
-                (fun (k, v, p, c) ->
-                  t.tableau_calls <- t.tableau_calls + 1;
-                  t.parallel_calls <- t.parallel_calls + 1;
-                  Obs.incr c_tableau_calls;
-                  Obs.incr c_parallel_calls;
-                  Cache.add t.cache k v;
-                  record_prov t k p;
-                  record_cost t k c p)
-                log;
-              outs := out :: !outs
-          | Error e -> keep_first e)
-        results;
-      (match lane0 with
-      | Ok out -> outs := out :: !outs
-      | Error e -> keep_first e);
-      Obs.exit_span sp;
-      (match !failure with Some e -> raise e | None -> ());
-      List.concat !outs
-      |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
-      |> List.map snd
-
-let shard t items =
-  let jobs = t.config.jobs in
-  if jobs <= 1 then if items = [] then [] else [ items ]
-  else begin
-    let lanes = Array.make jobs [] in
-    List.iteri (fun i item -> lanes.(i mod jobs) <- item :: lanes.(i mod jobs)) items;
-    Array.to_list lanes |> List.filter_map (function [] -> None | l -> Some (List.rev l))
-  end
-
 let check_all t qs =
-  if t.config.jobs <= 1 then
-    Obs.with_span ~cat:"oracle" "oracle.check_all" (fun () ->
-        List.map (check t) qs)
-  else begin
-    let sp = Obs.enter ~cat:"oracle" "oracle.check_all" in
-    (* distinct uncached keys, in first-occurrence order *)
-    let seen = KH.create 64 in
-    let pending =
-      List.filter
-        (fun q ->
-          let k = key_of q in
-          if KH.mem seen k then false
-          else begin
-            KH.add seen k ();
-            not (Cache.mem t.cache k)
-          end)
-        qs
-    in
-    if Obs.live sp then begin
-      Obs.set_attr sp "queries" (string_of_int (List.length qs));
-      Obs.set_attr sp "pending" (string_of_int (List.length pending))
-    end;
-    let finish r = Obs.exit_span sp; r in
-    match
-      let computed = KH.create 64 in
-      List.iter
-        (fun (k, v) -> KH.replace computed k v)
-        (List.concat
-           (map_batches t (shard t pending) ~f:(fun ~check lane ->
-                List.map (fun q -> (key_of q, check q)) lane)));
-      List.map
-        (fun q ->
-          match KH.find_opt computed (key_of q) with
-          | Some v -> v
-          | None -> check t q)
-        qs
-    with
-    | r -> finish r
-    | exception e ->
-        Obs.exit_span sp;
-        raise e
-  end
+  Obs.with_span ~cat:"oracle" "oracle.check_all" (fun () ->
+      List.map (check t) qs)
 
 let provenance t q = KH.find_opt t.prov (key_of q)
 
@@ -967,8 +776,7 @@ let apply t (d : Delta.t) =
           (Delta.individuals d)
     in
     (* structural update: K in place, K̄ through the reasoner's
-       incremental prep (told indexes, absorption, hierarchy refresh),
-       pool reasoners dropped (rebuilt lazily against the new KB) *)
+       incremental prep (told indexes, absorption, hierarchy refresh) *)
     t.kb <- Delta.apply_kb4 t.kb d;
     Reasoner.apply_delta t.primary ~add_abox:cadd ~retract_abox:cretract
       ~add_tbox:ctbox;
@@ -976,7 +784,6 @@ let apply t (d : Delta.t) =
     (* re-stack: fragment eligibility can change with the KB (a delta can
        push K̄ out of — or back into — the Horn fragment) *)
     t.stack <- stack_of_reasoner t.config t.classical_kb t.primary;
-    t.workers <- None;
     let size0 = Cache.length t.cache in
     if flush then flush_all t
     else begin
@@ -1024,18 +831,12 @@ let apply t (d : Delta.t) =
 type stats = {
   cache : Verdict_cache.stats;
   tableau_calls : int;
-  jobs : int;
-  batches : int;
-  parallel_calls : int;
   routes : (string * int) list;
 }
 
 let stats (t : t) =
   { cache = Cache.stats t.cache;
     tableau_calls = t.tableau_calls;
-    jobs = t.config.jobs;
-    batches = t.batches;
-    parallel_calls = t.parallel_calls;
     routes =
       Hashtbl.fold (fun b n acc -> (b, n) :: acc) t.acc.a_backends []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b) }
@@ -1047,7 +848,4 @@ let pp_stats ppf s =
      that served everything from cache keeps the historical footer *)
   if s.routes <> [] then (
     Format.fprintf ppf "@.routed:";
-    List.iter (fun (b, n) -> Format.fprintf ppf " %s %d" b n) s.routes);
-  if s.jobs > 1 then
-    Format.fprintf ppf "@.domain pool: %d domains, %d batches, %d worker verdicts"
-      s.jobs s.batches s.parallel_calls
+    List.iter (fun (b, n) -> Format.fprintf ppf " %s %d" b n) s.routes)

@@ -6,17 +6,15 @@
     retrieval, conjunctive queries) bottoms out in a boolean question about
     the classical induced KB [K̄] of Definition 7.  An {!t} owns the one
     place those questions are answered: a canonical-keyed LRU
-    {!Verdict_cache} plus a work-sharded pool of OCaml 5 domains, one
-    classical {!Reasoner} per domain.
+    {!Verdict_cache} in front of one classical {!Reasoner} (plus the Horn
+    completion backend when routing allows it).
 
-    {b Concurrency discipline.}  The cache is {e confined to the
-    coordinating domain}: worker domains never touch it.  A worker
-    evaluates its shard against its own private reasoner with a private
-    memo table and returns a log of [(key, verdict, provenance)] triples;
-    the coordinator folds those logs into the shared cache after joining.
-    This keeps the (single-threaded, intrusive-list) LRU structure safe
-    without a lock on the hot sequential path.  All functions of this
-    module must be called from the domain that created the oracle. *)
+    {b Single owner.}  An oracle is single-domain and unsynchronized:
+    every verdict is computed on the calling domain, and the cache, the
+    provenance and cost records and the dependency indexes are updated in
+    place.  The (intrusive-list) LRU structure therefore needs no lock.
+    Callers that share an oracle across threads must serialize access to
+    it, as [dl4 serve] does by handling one request at a time. *)
 
 type t
 
@@ -42,9 +40,6 @@ type query = Backend.query =
     {!Engine.create} and {!Para.create} all route through {!of_config}. *)
 
 type config = {
-  jobs : int;
-      (** domain-pool width used by {!check_all} and {!map_batches};
-          [1] keeps everything on the calling domain *)
   cache_capacity : int;
       (** verdict-cache capacity; [0] disables caching (every verdict
           pays its tableau call) *)
@@ -63,15 +58,13 @@ type config = {
 }
 
 val default_config : config
-(** [{ jobs = 1; cache_capacity = default_cache_capacity;
+(** [{ cache_capacity = default_cache_capacity;
       max_nodes = 20_000; max_branches = max_int;
       backend = Backend.Tableau }] *)
 
 val of_config : config -> Kb4.t -> t
 (** Build an oracle over the four-valued KB: transforms it to [K̄]
-    (Definition 7) and prepares the primary reasoner.  [jobs] is clamped
-    to at least 1; worker reasoners are created lazily on the first
-    parallel batch.
+    (Definition 7) and prepares the reasoner.
     @raise Backend.Unsupported when [config.backend = Horn] and [K̄] is
     outside the Horn/EL fragment. *)
 
@@ -80,44 +73,24 @@ val kb : t -> Kb4.t
 (** The current four-valued KB — reflects every applied delta. *)
 
 val classical_kb : t -> Axiom.kb
-(** The induced [K̄] of Definition 7, shared by every reasoner of the
-    pool — reflects every applied delta. *)
+(** The induced [K̄] of Definition 7 — reflects every applied delta. *)
 
 val reasoner : t -> Reasoner.t
-(** The coordinating domain's reasoner (for non-verdict services such as
+(** The tableau reasoner over [K̄] (for non-verdict services such as
     model extraction). *)
 
 val config : t -> config
-val jobs : t -> int
 
 val check : t -> query -> bool
-(** Cached verdict for one query, evaluated on the coordinating domain. *)
+(** Cached verdict for one query. *)
 
 val check_all : t -> query list -> bool list
-(** Verdicts for a batch, in input order.  Cached keys are answered from
-    the cache; the remaining distinct keys are dealt round-robin across the
-    domain pool.  Equivalent to [List.map (check t)] (same verdicts), but
-    pays each distinct uncached key once and overlaps the tableau work. *)
-
-val map_batches : t -> 'a list -> f:(check:(query -> bool) -> 'a -> 'b) -> 'b list
-(** The pool's general fan-out: evaluate [f] on every item, in order.  With
-    [jobs = 1] (or fewer than two items) everything runs on the calling
-    domain and [check] is the cached {!check}.  Otherwise items are dealt
-    round-robin across the pool; worker items get a [check] bound to that
-    worker's confined reasoner and private memo, and the computed verdicts
-    are folded into the shared cache after the join.  [f] must route every
-    tableau question through the [check] it is given and must not touch the
-    oracle (or any other shared mutable state) directly. *)
-
-val shard : t -> 'a list -> 'a list list
-(** Deal a work list round-robin into at most [jobs] non-empty shards,
-    preserving relative order within each shard — the standard way to cut
-    row-level work (classification rows, realization individuals) into
-    {!map_batches} items. *)
+(** Verdicts for a batch, in input order: [List.map (check t)] under one
+    [oracle.check_all] span. *)
 
 (** {1 Provenance}
 
-    Every verdict actually computed (on any domain of the pool) records
+    Every verdict actually computed records
     which named individuals and user-level atomic concepts its tableau run
     touched, seeded with the query's own symbols — the dependency set that
     drives selective cache invalidation in {!apply}.  Recording is
@@ -146,14 +119,12 @@ val provenances : t -> prov_entry list
 
 (** {1 Per-verdict cost accounting}
 
-    Every verdict actually computed (on any domain of the pool) gets a
-    cost record: the diff of the computing reasoner's per-run stats cells
-    around the eval, plus wall time.  Like provenance, recording is
-    unconditional — no {!Obs} sink needs to be armed — and the per-key
-    records share the cache-residency lifetime (session totals in
-    {!cost_totals} survive eviction).  Worker-computed costs fold in
-    after the join, so all bookkeeping stays on the coordinating
-    domain.
+    Every verdict actually computed gets a cost record: the diff of the
+    computing backend's per-run stats cells around the eval, plus wall
+    time.  Like provenance, recording is unconditional — no {!Obs} sink
+    needs to be armed — and the per-key records share the
+    cache-residency lifetime (session totals in {!cost_totals} survive
+    eviction).
 
     When the {!Obs} slow-query log is armed, each computed verdict at or
     over the threshold additionally emits one JSONL record (cost,
@@ -175,7 +146,6 @@ type cost = {
   c_clashes : int;
   c_blocking : int;  (** blocking events *)
   c_rule_firings : int array;  (** indexed like [Tableau.rule_names] *)
-  c_shard : int;  (** id of the domain that computed the verdict *)
   mutable c_hits : int;  (** cache hits served since computation *)
 }
 
@@ -300,9 +270,8 @@ type apply_stats = {
 val apply : t -> Delta.t -> apply_stats
 (** Apply a delta in place: updates the four-valued KB, pushes the delta
     through the axiom-local incremental transform into [K̄] and the
-    primary reasoner's prepared state, discards pool workers (rebuilt
-    lazily), and invalidates exactly the cached verdicts the delta can
-    affect.  Subsequent queries answer against the updated KB; retained
+    reasoner's prepared state, rebuilds the backend stack, and
+    invalidates exactly the cached verdicts the delta can affect.  Subsequent queries answer against the updated KB; retained
     verdicts are served without new tableau calls. *)
 
 val pp_apply_stats : Format.formatter -> apply_stats -> unit
@@ -311,13 +280,7 @@ val pp_apply_stats : Format.formatter -> apply_stats -> unit
 
 type stats = {
   cache : Verdict_cache.stats;
-  tableau_calls : int;
-      (** tableau invocations actually paid, on any domain of the pool *)
-  jobs : int;
-  batches : int;  (** parallel fan-outs executed *)
-  parallel_calls : int;
-      (** verdicts computed off the coordinating domain (a subset of
-          [tableau_calls]) *)
+  tableau_calls : int;  (** verdict evaluations actually paid *)
   routes : (string * int) list;
       (** computed verdicts per backend since construction, sorted by
           backend name; empty until something is computed *)

@@ -27,9 +27,7 @@ type entry = {
 type t = { entries : entry list; stats : stats }
 
 (* ------------------------------------------------------------------ *)
-(* Preparation: hierarchy indexes derived from the classification.  The
-   tables are fully populated here and read-only afterwards, so one [prep]
-   is safely shared by worker domains realizing disjoint individuals. *)
+(* Preparation: hierarchy indexes derived from the classification. *)
 
 type prep = {
   individuals : string list;  (* sorted, unique *)
@@ -65,13 +63,11 @@ let prepare ~individuals ~atoms ~supers =
   in
   { individuals; atoms; order; sup; subs }
 
-let individuals p = p.individuals
 let sup_of p c = Option.value ~default:SS.empty (Hashtbl.find_opt p.sup c)
 let subs_of p c = Option.value ~default:SS.empty (Hashtbl.find_opt p.subs c)
 
 (* ------------------------------------------------------------------ *)
-(* Per-individual realization.  Individuals are mutually independent, so a
-   shard of them is a unit of domain-parallel work. *)
+(* Per-individual realization; individuals are mutually independent. *)
 
 type row = {
   entry : entry;
@@ -123,23 +119,12 @@ let realize_one p ~check_pos ~check_neg a =
     row_neg = !negative_checks;
     row_pruned = !pruned }
 
-let rows p ~check_pos ~check_neg shard =
-  List.map (realize_one p ~check_pos ~check_neg) shard
-
-let collect p row_list =
-  let by_name = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace by_name r.entry.name r) row_list;
-  let ordered =
-    List.map
-      (fun a ->
-        match Hashtbl.find_opt by_name a with
-        | Some r -> r
-        | None -> invalid_arg ("Realize.collect: missing row for " ^ a))
-      p.individuals
-  in
+let run ~individuals ~atoms ~supers ~check_pos ~check_neg =
+  let p = prepare ~individuals ~atoms ~supers in
+  let rows = List.map (realize_one p ~check_pos ~check_neg) p.individuals in
   let ni = List.length p.individuals and na = List.length p.atoms in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 ordered in
-  { entries = List.map (fun r -> r.entry) ordered;
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  { entries = List.map (fun r -> r.entry) rows;
     stats =
       { individuals = ni;
         atoms = na;
@@ -147,7 +132,3 @@ let collect p row_list =
         positive_checks = sum (fun r -> r.row_pos);
         negative_checks = sum (fun r -> r.row_neg);
         pruned = sum (fun r -> r.row_pruned) } }
-
-let run ~individuals ~atoms ~supers ~check_pos ~check_neg =
-  let p = prepare ~individuals ~atoms ~supers in
-  collect p (rows p ~check_pos ~check_neg p.individuals)

@@ -43,39 +43,4 @@ val run :
     [check_pos a c] decides positive instance support for [c(a)], [check_neg]
     negative support.  [supers] must be sound and complete for [check_pos]
     monotonicity: [c ∈ supers d] must imply [check_pos a d ⇒ check_pos a c].
-    Equivalent to [collect p (rows p … (individuals p))] on [prepare]. *)
-
-(** {1 Sharded driving}
-
-    Individuals are realized independently of each other, so shards of the
-    individual list are units of domain-parallel work (see
-    {!Oracle.map_batches}): [prepare] builds the read-only hierarchy
-    indexes, [rows] realizes one shard, [collect] reassembles entries into
-    individual order and sums the statistics.  Entries are byte-identical
-    whatever the sharding. *)
-
-type prep
-(** Read-only hierarchy indexes; safe to share across domains. *)
-
-val prepare :
-  individuals:string list ->
-  atoms:string list ->
-  supers:(string -> string list) ->
-  prep
-
-val individuals : prep -> string list
-(** Sorted, deduplicated — the canonical work list to shard. *)
-
-type row
-(** One individual's entry plus its per-row check counters. *)
-
-val rows :
-  prep ->
-  check_pos:(string -> string -> bool) ->
-  check_neg:(string -> string -> bool) ->
-  string list ->
-  row list
-
-val collect : prep -> row list -> t
-(** Reassemble rows (one per individual, any order) into {!t}.
-    @raise Invalid_argument if an individual's row is missing. *)
+    Individuals are realized one by one, in sorted order. *)

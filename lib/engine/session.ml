@@ -1,5 +1,4 @@
 type config = Oracle.config = {
-  jobs : int;
   cache_capacity : int;
   max_nodes : int;
   max_branches : int;

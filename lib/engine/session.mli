@@ -2,14 +2,14 @@
     stack for one evolving knowledge base.
 
     A {!t} bundles the four-valued KB [K], its classical induced KB [K̄],
-    the entailment {!Oracle} (verdict cache + domain pool) and the
+    the entailment {!Oracle} (owner of the verdict cache) and the
     {!Engine} indexes behind a single {!config} record — the one
     session-construction surface (the legacy per-constructor optional
     arguments were removed).  New code builds a session (or passes a
     {!config} to [of_config]) and derives the layer it needs:
 
     {[
-      let s = Session.create ~config:{ Session.default_config with jobs = 4 } kb in
+      let s = Session.create ~config:{ Session.default_config with cache_capacity = 512 } kb in
       let p = Para.of_engine (Session.engine s) in
       ...queries...
       let _ = Session.apply s delta in     (* incremental update *)
@@ -17,7 +17,6 @@
     ]} *)
 
 type config = Oracle.config = {
-  jobs : int;  (** domain-pool width, clamped to ≥ 1 *)
   cache_capacity : int;  (** verdict-cache bound; [0] disables caching *)
   max_nodes : int;  (** tableau node budget per run *)
   max_branches : int;  (** tableau branch budget per run *)
@@ -38,8 +37,8 @@ val create : ?config:config -> Kb4.t -> t
 
 val of_engine : Engine.t -> t
 val of_oracle : Oracle.t -> t
-(** Wrap an existing layer; everything (cache, pool, indexes) is shared
-    with other wrappers of the same oracle. *)
+(** Wrap an existing layer; everything (cache, indexes) is shared with
+    other wrappers of the same oracle. *)
 
 val engine : t -> Engine.t
 (** The index layer — classification, realization, cached query

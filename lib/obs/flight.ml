@@ -1,20 +1,15 @@
 (* Flight recorder (PR 5).  See flight.mli for the design contract.
 
-   Concurrency model: each domain owns one ring (found via DLS), and
-   only that domain writes to it — the registry mutex is taken once per
-   domain lifetime, at ring creation.  Dumps read rings owned by other
-   domains without synchronization; that can tear the oldest edge of a
-   ring mid-append, which is acceptable for a diagnostics snapshot and
-   irrelevant on the two paths that matter (post-trip, at-exit). *)
+   One ring for the process, appended to without a lock: dl4 reasons on
+   a single domain and the serve loop handles one request at a time. *)
 
 let schema = "dl4-flight/1"
 let on = ref false
 let default_capacity = 1024
-let max_domains = 128
 
-(* Ring depth for rings created from now on; existing rings keep the
-   depth they were allocated with ([Array.length r_events] is the
-   authoritative per-ring value everywhere below).  Seeded from
+(* Ring depth for the next ring created; an existing ring keeps the
+   depth it was allocated with ([Array.length r_events] is the
+   authoritative value everywhere below).  Seeded from
    DL4_FLIGHT_DEPTH so daemon post-mortems can be deepened without a
    recompile; the CLI's --flight-depth calls [set_capacity] before any
    ring exists. *)
@@ -44,53 +39,36 @@ let dummy_event =
     e_trace = "" }
 
 type ring = {
-  r_tid : int;
   mutable r_next : int; (* next write slot *)
   mutable r_total : int; (* events ever recorded into this ring *)
   r_events : event array;
 }
 
-let rings_mutex = Mutex.create ()
-let rings : ring list ref = ref [] (* registration order, newest first *)
-let ring_count = ref 0
-let overflow_dropped = Atomic.make 0 (* events from domains beyond max_domains *)
+(* Created on first use, at the depth current at that moment; [reset]
+   drops it so the next event starts a fresh ring. *)
+let ring : ring option ref = ref None
 let dump_path : string option ref = ref None
 
-(* The DLS value is [None] for domains that arrived after the registry
-   filled up: they drop events (counted) instead of recording. *)
-let ring_key : ring option Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock rings_mutex;
+let current () =
+  match !ring with
+  | Some r -> r
+  | None ->
       let r =
-        if !ring_count >= max_domains then None
-        else begin
-          let r =
-            {
-              r_tid = (Domain.self () :> int);
-              r_next = 0;
-              r_total = 0;
-              r_events = Array.make !capacity_ref dummy_event;
-            }
-          in
-          rings := r :: !rings;
-          incr ring_count;
-          Some r
-        end
+        { r_next = 0; r_total = 0;
+          r_events = Array.make !capacity_ref dummy_event }
       in
-      Mutex.unlock rings_mutex;
-      r)
+      ring := Some r;
+      r
 
 let record kind node other note =
-  match Domain.DLS.get ring_key with
-  | None -> Atomic.incr overflow_dropped
-  | Some r ->
-      (* stamped here, not at call sites: every recording site inherits
-         request correlation without plumbing *)
-      let e = { e_ns = now_ns () -. t0_ns; e_kind = kind; e_node = node;
-                e_other = other; e_note = note; e_trace = Obs.trace_id () } in
-      r.r_events.(r.r_next) <- e;
-      r.r_next <- (r.r_next + 1) mod Array.length r.r_events;
-      r.r_total <- r.r_total + 1
+  let r = current () in
+  (* stamped here, not at call sites: every recording site inherits
+     request correlation without plumbing *)
+  let e = { e_ns = now_ns () -. t0_ns; e_kind = kind; e_node = node;
+            e_other = other; e_note = note; e_trace = Obs.trace_id () } in
+  r.r_events.(r.r_next) <- e;
+  r.r_next <- (r.r_next + 1) mod Array.length r.r_events;
+  r.r_total <- r.r_total + 1
 
 let arm ?path () =
   (match path with Some _ -> dump_path := path | None -> ());
@@ -100,72 +78,36 @@ let disarm () = on := false
 let armed_path () = !dump_path
 
 let events_recorded () =
-  Mutex.lock rings_mutex;
-  let n = List.fold_left (fun a r -> a + r.r_total) 0 !rings in
-  Mutex.unlock rings_mutex;
-  n + Atomic.get overflow_dropped
+  match !ring with Some r -> r.r_total | None -> 0
 
-let reset () =
-  Mutex.lock rings_mutex;
-  rings := [];
-  ring_count := 0;
-  Mutex.unlock rings_mutex;
-  Atomic.set overflow_dropped 0;
-  (* the calling domain's DLS slot still points at its (now
-     unregistered) ring; give it a fresh registered one *)
-  Domain.DLS.set ring_key
-    (let r =
-       {
-         r_tid = (Domain.self () :> int);
-         r_next = 0;
-         r_total = 0;
-         r_events = Array.make !capacity_ref dummy_event;
-       }
-     in
-     Mutex.lock rings_mutex;
-     rings := [ r ];
-     ring_count := 1;
-     Mutex.unlock rings_mutex;
-     Some r)
+let reset () = ring := None
 
+(* The dl4-flight/1 shape keeps a list of per-domain rings; there is
+   exactly one, on tid 0, and nothing overflows. *)
 let dump () =
-  let rings_snapshot =
-    Mutex.lock rings_mutex;
-    let l = List.rev !rings in
-    Mutex.unlock rings_mutex;
-    l
-  in
+  let r = current () in
   let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"schema\":\"%s\",\"capacity\":%d,\"overflow_dropped\":%d,\"domains\":["
-    schema !capacity_ref (Atomic.get overflow_dropped);
-  let first_dom = ref true in
-  List.iter
-    (fun r ->
-      let capacity = Array.length r.r_events in
-      let total = r.r_total in
-      let kept = min total capacity in
-      let dropped = total - kept in
-      if not !first_dom then Buffer.add_char b ',';
-      first_dom := false;
-      Printf.bprintf b "\n{\"tid\":%d,\"total\":%d,\"dropped\":%d,\"events\":["
-        r.r_tid total dropped;
-      (* oldest-first: a wrapped ring starts at r_next *)
-      let start = if total > capacity then r.r_next else 0 in
-      let first_ev = ref true in
-      for k = 0 to kept - 1 do
-        let e = r.r_events.((start + k) mod capacity) in
-        if not !first_ev then Buffer.add_char b ',';
-        first_ev := false;
-        Printf.bprintf b "\n{\"ns\":%.0f,\"kind\":\"%s\",\"node\":%d,\"other\":%d,\"note\":\"%s\""
-          e.e_ns (Obs.json_escape e.e_kind) e.e_node e.e_other
-          (Obs.json_escape e.e_note);
-        if e.e_trace <> "" then
-          Printf.bprintf b ",\"trace\":\"%s\"" (Obs.json_escape e.e_trace);
-        Buffer.add_char b '}'
-      done;
-      Buffer.add_string b "]}")
-    rings_snapshot;
-  Buffer.add_string b "\n]}\n";
+  Printf.bprintf b
+    "{\"schema\":\"%s\",\"capacity\":%d,\"overflow_dropped\":0,\"domains\":["
+    schema !capacity_ref;
+  let capacity = Array.length r.r_events in
+  let total = r.r_total in
+  let kept = min total capacity in
+  Printf.bprintf b "\n{\"tid\":0,\"total\":%d,\"dropped\":%d,\"events\":["
+    total (total - kept);
+  (* oldest-first: a wrapped ring starts at r_next *)
+  let start = if total > capacity then r.r_next else 0 in
+  for k = 0 to kept - 1 do
+    let e = r.r_events.((start + k) mod capacity) in
+    if k > 0 then Buffer.add_char b ',';
+    Printf.bprintf b "\n{\"ns\":%.0f,\"kind\":\"%s\",\"node\":%d,\"other\":%d,\"note\":\"%s\""
+      e.e_ns (Obs.json_escape e.e_kind) e.e_node e.e_other
+      (Obs.json_escape e.e_note);
+    if e.e_trace <> "" then
+      Printf.bprintf b ",\"trace\":\"%s\"" (Obs.json_escape e.e_trace);
+    Buffer.add_char b '}'
+  done;
+  Buffer.add_string b "]}\n]}\n";
   Buffer.contents b
 
 let write_mutex = Mutex.create ()

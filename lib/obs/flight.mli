@@ -1,22 +1,16 @@
-(** Flight recorder: a bounded ring buffer of recent tableau events per
-    domain, so a run that trips [max_nodes]/[max_branches] leaves a
-    post-mortem instead of a bare exception.
+(** Flight recorder: a bounded ring buffer of recent tableau events, so
+    a run that trips [max_nodes]/[max_branches] leaves a post-mortem
+    instead of a bare exception.
 
     Design mirrors {!Obs}: one [bool ref] master gate read inline at
     every site ([if !Flight.on then Flight.record ...] is a load and a
-    branch when disarmed), and recording stays cheap when armed — each
-    domain appends to its own fixed-size ring with a single writer, so
-    the hot path takes no lock and performs no allocation beyond the
-    event record.  Rings register themselves (under a mutex, once per
-    domain) in a global table capped at {!max_domains}; domains beyond
-    the cap drop events and the drops are counted.
+    branch when disarmed), and recording stays cheap when armed — events
+    go into one fixed-size ring, so the hot path takes no lock and
+    performs no allocation beyond the event record.
 
-    The dump is a point-in-time JSON snapshot ({!schema}): per domain,
-    the retained events oldest-first with total/dropped accounting.
-    Reading a ring while its owner domain is still appending can tear
-    the oldest edge of that ring (the dump is diagnostics, not a
-    consistency protocol); dumps taken after a trip or at exit — the
-    two paths that matter — see quiescent rings. *)
+    The dump is a point-in-time JSON snapshot ({!schema}): the retained
+    events oldest-first with total/dropped accounting, listed as the one
+    entry of the schema's per-domain array. *)
 
 val schema : string
 (** ["dl4-flight/1"] — the [schema] field of every dump. *)
@@ -29,17 +23,14 @@ val default_capacity : int
     [DL4_FLIGHT_DEPTH] says otherwise. *)
 
 val capacity : unit -> int
-(** Events retained per domain ring (older events are overwritten).
-    This is the depth given to rings created {e from now on}; a ring
-    keeps the depth it was allocated with, so set it before arming. *)
+(** Events retained in the ring (older events are overwritten).  This
+    is the depth given to the ring when it is next created (on first
+    use, or after {!reset}); a ring keeps the depth it was allocated
+    with, so set it before arming. *)
 
 val set_capacity : int -> unit
-(** Change the ring depth for subsequently created rings (clamped to
-    ≥ 1).  Wired to [--flight-depth]; [DL4_FLIGHT_DEPTH] seeds the
+(** Change the ring depth for the next ring created (clamped to ≥ 1).  Wired to [--flight-depth]; [DL4_FLIGHT_DEPTH] seeds the
     initial value at module init. *)
-
-val max_domains : int
-(** Rings tracked before further domains' events are dropped. *)
 
 val arm : ?path:string -> unit -> unit
 (** Start recording.  With [path], {!trip} writes the dump there
@@ -52,8 +43,7 @@ val disarm : unit -> unit
 val armed_path : unit -> string option
 
 val record : string -> int -> int -> string -> unit
-(** [record kind node other note] appends an event to the calling
-    domain's ring.  [node]/[other] are tableau node ids ([-1] when not
+(** [record kind node other note] appends an event to the ring.  [node]/[other] are tableau node ids ([-1] when not
     applicable).  Callers must check [!on] first — the function itself
     records unconditionally so tests can drive it directly. *)
 
@@ -64,10 +54,11 @@ val trip : string -> unit
     exception escapes the process. *)
 
 val dump : unit -> string
-(** The JSON snapshot: [{"schema", "capacity", "domains": [{"tid",
-    "total", "dropped", "events": [{"ns", "kind", "node", "other",
-    "note"}...]}...]}] with events oldest-first per domain and [ns]
-    relative to process start.  Events recorded while a trace ID was
+(** The JSON snapshot: [{"schema", "capacity", "overflow_dropped",
+    "domains": [{"tid", "total", "dropped", "events": [{"ns", "kind",
+    "node", "other", "note"}...]}]}] with one [domains] entry ([tid] 0,
+    [overflow_dropped] 0), events oldest-first and [ns] relative to
+    process start.  Events recorded while a trace ID was
     installed ({!Obs.set_trace_id}) additionally carry a ["trace"]
     field, correlating ring entries with the request that caused
     them. *)
@@ -75,8 +66,8 @@ val dump : unit -> string
 val write : string -> unit
 
 val events_recorded : unit -> int
-(** Total events recorded across all rings since the last {!reset},
-    including overwritten and dropped ones. *)
+(** Total events recorded since the last {!reset}, including
+    overwritten ones. *)
 
 val env_path : string option
 (** Path from [DL4_FLIGHT] ("1" selects ["dl4.flight.json"]); when
@@ -84,5 +75,5 @@ val env_path : string option
     at exit. *)
 
 val reset : unit -> unit
-(** Drop all rings and counters.  Only call while no worker domains
-    are live. *)
+(** Drop the ring and its counters; the next event starts a fresh ring
+    at the current {!capacity}. *)

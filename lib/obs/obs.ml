@@ -5,9 +5,7 @@
    - a global metrics registry (monotone counters, gauges, log2-bucketed
      latency histograms) that every layer — tableau, transform, oracle,
      engine, core — feeds through guarded increments;
-   - hierarchical wall-clock spans with per-domain span stacks, so a
-     worker domain's shard timing nests under the coordinator's batch
-     span exactly like the verdict logs fold in after join;
+   - hierarchical wall-clock spans on one stack of open spans;
    - export sinks: a human footer for `--stats`, a flat JSON registry
      dump for `--metrics-json`, and Chrome `trace_event` JSON for
      `--trace` / about:tracing.
@@ -36,13 +34,10 @@ let with_lock m f =
 (* Trace IDs (PR 8).
 
    One opaque hex ID per unit of work — a CLI invocation or a serve
-   request.  The current ID lives in a process-global atomic rather
-   than domain-local storage on purpose: the CLI and the serve loop
-   each process exactly one request at a time, and worker domains
-   spawned for a batch must observe the coordinator's ID so their cost
-   records and flight events correlate with the request that caused
-   them.  Like the slow log, trace IDs are independent of [on]: cost
-   accounting upstream is unconditional. *)
+   request.  The current ID is process-global: the CLI and the serve
+   loop each process exactly one request at a time.  Like the slow log,
+   trace IDs are independent of [on]: cost accounting upstream is
+   unconditional. *)
 
 let trace_state = Atomic.make ""
 let trace_seq = Atomic.make 0
@@ -230,7 +225,6 @@ type span = {
   sp_parent : int;
   sp_name : string;
   sp_cat : string;
-  sp_tid : int;
   sp_start_ns : float;
   mutable sp_attrs : (string * string) list;
 }
@@ -240,7 +234,6 @@ type span_record = {
   r_parent : int;
   r_name : string;
   r_cat : string;
-  r_tid : int;
   r_start_ns : float;
   r_dur_ns : float;
   r_attrs : (string * string) list;
@@ -252,7 +245,6 @@ let none =
     sp_parent = 0;
     sp_name = "";
     sp_cat = "";
-    sp_tid = 0;
     sp_start_ns = 0.0;
     sp_attrs = [];
   }
@@ -262,26 +254,19 @@ let next_span_id = Atomic.make 1
 let records_mutex = Mutex.create ()
 let records : span_record list ref = ref [] (* newest first *)
 
-(* Each domain keeps its own stack of open spans so [enter] can default
-   the parent to the innermost open span of the calling domain. *)
-let stack_key : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* The open spans, innermost first: [enter] nests under the head. *)
+let stack : span list ref = ref []
 
-let enter ?parent ?(cat = "dl4") name =
+let enter ?(cat = "dl4") name =
   if not !on then none
   else begin
-    let stack = Domain.DLS.get stack_key in
-    let parent_id =
-      match parent with
-      | Some p -> p.sp_id
-      | None -> ( match !stack with s :: _ -> s.sp_id | [] -> 0)
-    in
+    let parent_id = match !stack with s :: _ -> s.sp_id | [] -> 0 in
     let sp =
       {
         sp_id = Atomic.fetch_and_add next_span_id 1;
         sp_parent = parent_id;
         sp_name = name;
         sp_cat = cat;
-        sp_tid = (Domain.self () :> int);
         sp_start_ns = now_ns () -. t0_ns;
         sp_attrs = [];
       }
@@ -292,12 +277,10 @@ let enter ?parent ?(cat = "dl4") name =
 
 let set_attr sp k v = if sp.sp_id <> 0 then sp.sp_attrs <- (k, v) :: sp.sp_attrs
 
-(* Close [sp]: pop it from the calling domain's stack (tolerating
-   mismatched exit orders), append an immutable record, return the
-   duration in ns. *)
+(* Close [sp]: pop it from the stack (tolerating mismatched exit
+   orders), append an immutable record, return the duration in ns. *)
 let finish sp =
   let dur = now_ns () -. t0_ns -. sp.sp_start_ns in
-  let stack = Domain.DLS.get stack_key in
   (match !stack with
   | s :: rest when s.sp_id = sp.sp_id -> stack := rest
   | l ->
@@ -309,7 +292,6 @@ let finish sp =
       r_parent = sp.sp_parent;
       r_name = sp.sp_name;
       r_cat = sp.sp_cat;
-      r_tid = sp.sp_tid;
       r_start_ns = sp.sp_start_ns;
       r_dur_ns = dur;
       r_attrs = List.rev sp.sp_attrs;
@@ -330,10 +312,10 @@ let exit_timed sp h =
     Atomic.incr h.h_buckets.(bucket_of_ns dur)
   end
 
-let with_span ?parent ?cat name f =
+let with_span ?cat name f =
   if not !on then f ()
   else begin
-    let sp = enter ?parent ?cat name in
+    let sp = enter ?cat name in
     Fun.protect ~finally:(fun () -> exit_span sp) f
   end
 
@@ -448,9 +430,9 @@ let write_metrics_json path =
     (fun () -> output_string oc (metrics_json ()))
 
 (* Chrome trace_event JSON: one complete ("ph":"X") event per span
-   record; ts/dur in microseconds; tid = the domain id that ran the
-   span.  Span ids ride along in args so checkers can rebuild the
-   tree without relying on interval containment alone. *)
+   record; ts/dur in microseconds; every span runs on tid 0.  Span ids
+   ride along in args so checkers can rebuild the tree without relying
+   on interval containment alone. *)
 let trace_json () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -461,9 +443,9 @@ let trace_json () =
       first := false;
       Buffer.add_string b
         (Printf.sprintf
-           "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
+           "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":0,\"args\":{"
            (json_escape r.r_name) (json_escape r.r_cat)
-           (r.r_start_ns /. 1e3) (r.r_dur_ns /. 1e3) r.r_tid);
+           (r.r_start_ns /. 1e3) (r.r_dur_ns /. 1e3));
       let args =
         ("id", string_of_int r.r_id)
         :: ("parent", string_of_int r.r_parent)

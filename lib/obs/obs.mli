@@ -15,16 +15,14 @@ val set_enabled : bool -> unit
 
 val reset : unit -> unit
 (** Zero every registered metric and drop all span records.  Metrics
-    stay registered.  Only call while no worker domains are live. *)
+    stay registered. *)
 
 (** {1 Trace IDs}
 
     One opaque hex ID per unit of work (a CLI invocation, a serve
     request).  The current ID is process-global — the CLI and the serve
-    loop each handle one request at a time, and worker domains must
-    see the coordinator's ID so their cost records and flight events
-    correlate with the request that caused them.  Independent of {!on},
-    like the slow log: cost accounting upstream is unconditional. *)
+    loop each handle one request at a time.  Independent of {!on}, like
+    the slow log: cost accounting upstream is unconditional. *)
 
 val new_trace_id : unit -> string
 (** Mint a fresh 16-hex-char ID (unique per process lifetime, salted
@@ -114,7 +112,6 @@ type span_record = {
   r_parent : int;  (** 0 = root *)
   r_name : string;
   r_cat : string;
-  r_tid : int;  (** domain id that ran the span *)
   r_start_ns : float;  (** relative to process start *)
   r_dur_ns : float;
   r_attrs : (string * string) list;
@@ -127,11 +124,9 @@ val none : span
 val live : span -> bool
 (** [false] exactly for {!none}; use to skip attr-string construction. *)
 
-val enter : ?parent:span -> ?cat:string -> string -> span
-(** Open a span.  Without [?parent] it nests under the innermost open
-    span of the calling domain (per-domain stacks), so spans opened
-    inside worker domains need an explicit [~parent] to attach to the
-    coordinator's batch span. *)
+val enter : ?cat:string -> string -> span
+(** Open a span, nested under the innermost open span (one process-wide
+    stack of open spans). *)
 
 val set_attr : span -> string -> string -> unit
 val exit_span : span -> unit
@@ -139,7 +134,7 @@ val exit_span : span -> unit
 val exit_timed : span -> histogram -> unit
 (** [exit_span] + record the duration into [histogram]. *)
 
-val with_span : ?parent:span -> ?cat:string -> string -> (unit -> 'a) -> 'a
+val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Run under a span when enabled; call the thunk directly otherwise. *)
 
 val spans : unit -> span_record list
@@ -161,7 +156,7 @@ val write_metrics_json : string -> unit
 
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON (complete "X" events, ts/dur in
-    microseconds, tid = domain id, span id/parent in [args]). *)
+    microseconds, tid 0, span id/parent in [args]). *)
 
 val write_trace : string -> unit
 

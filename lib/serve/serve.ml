@@ -481,9 +481,6 @@ let op_stats t _req =
      live cache counters under that key *)
   [ ("requests", jint t.requests);
     ("tableau_calls", jint s.Engine.tableau_calls);
-    ("jobs", jint s.Engine.jobs);
-    ("batches", jint s.Engine.batches);
-    ("parallel_calls", jint s.Engine.parallel_calls);
     ("routes", jobj (List.map (fun (b, n) -> (b, jint n)) s.Engine.routes)) ]
   @ telemetry_fields
   @ [ ("totals", totals_json (Session.cost_totals (session t))) ]

@@ -564,7 +564,6 @@ let w_cost b (c : Oracle.cost) =
   w_int b c.Oracle.c_clashes;
   w_int b c.Oracle.c_blocking;
   w_rules_array b c.Oracle.c_rule_firings;
-  w_int b c.Oracle.c_shard;
   w_int b c.Oracle.c_hits
 
 let r_cost r : Oracle.cost =
@@ -581,7 +580,6 @@ let r_cost r : Oracle.cost =
   let c_clashes = r_int r in
   let c_blocking = r_int r in
   let c_rule_firings = r_rules_array r in
-  let c_shard = r_int r in
   let c_hits = r_int r in
   { Oracle.c_query;
     c_kind;
@@ -596,7 +594,6 @@ let r_cost r : Oracle.cost =
     c_clashes;
     c_blocking;
     c_rule_firings;
-    c_shard;
     c_hits }
 
 let w_entry b (e : Oracle.export_entry) =
@@ -680,7 +677,6 @@ let r_classification r : Classify.t =
   { Classify.supers; stats }
 
 let w_config b (c : Oracle.config) =
-  w_int b c.Oracle.jobs;
   w_int b c.Oracle.cache_capacity;
   w_int b c.Oracle.max_nodes;
   w_int b c.Oracle.max_branches;
@@ -691,7 +687,6 @@ let w_config b (c : Oracle.config) =
     | Backend.Horn -> 2)
 
 let r_config r : Oracle.config =
-  let jobs = r_int r in
   let cache_capacity = r_int r in
   let max_nodes = r_int r in
   let max_branches = r_int r in
@@ -702,7 +697,7 @@ let r_config r : Oracle.config =
     | 2 -> Backend.Horn
     | n -> corrupt "bad backend tag %d" n
   in
-  { Oracle.jobs; cache_capacity; max_nodes; max_branches; backend }
+  { Oracle.cache_capacity; max_nodes; max_branches; backend }
 
 let w_cache_stats b (s : Verdict_cache.stats) =
   w_int b s.Verdict_cache.hits;

@@ -1,9 +1,9 @@
-(* dl4-snap/3 — the versioned on-disk snapshot container.
+(* dl4-snap/4 — the versioned on-disk snapshot container.
 
    Layout:
 
      bytes 0..7    magic "dl4-snap"
-     u32           format version (= 3)
+     u32           format version (= 4)
      u32           section count
      per section:  name (length-prefixed string), u32 payload length,
                    u32 Adler-32 of the payload
@@ -23,7 +23,9 @@
    cold build, never serve from a bad snapshot. *)
 
 let magic = "dl4-snap"
-let version = 3  (* 3: cost records carry the trace ID that paid for them *)
+(* 3: cost records carry the trace ID that paid for them;
+   4: the config loses the pool width and cost records the shard id *)
+let version = 4
 
 type snapshot = {
   s_config : Oracle.config;
@@ -194,7 +196,7 @@ let load path =
 (* ------------------------------------------------------------------ *)
 (* Restore *)
 
-let restore ?jobs ?kb s =
+let restore ?jobs:_ ?kb s =
   (* [kb]: the KB the caller is actually asking to reason over.  A
      snapshot only transfers state between sessions over the {e same}
      KB — warm verdicts against a different KB are silent wrong
@@ -208,11 +210,7 @@ let restore ?jobs ?kb s =
     Error
       (Corrupt "stored classical KB is not the transform of the stored KB")
   else begin
-    let config =
-      { s.s_config with
-        Oracle.jobs = Option.value jobs ~default:s.s_config.Oracle.jobs }
-    in
-    let session = Session.create ~config s.s_kb in
+    let session = Session.create ~config:s.s_config s.s_kb in
     let oracle = Session.oracle session in
     ignore (Oracle.import_entries oracle s.s_entries : int);
     Oracle.import_totals oracle s.s_totals;
@@ -223,8 +221,8 @@ let restore ?jobs ?kb s =
     Ok session
   end
 
-let load_session ?jobs ?kb path =
-  match load path with Error e -> Error e | Ok s -> restore ?jobs ?kb s
+let load_session ?kb path =
+  match load path with Error e -> Error e | Ok s -> restore ?kb s
 
 (* ------------------------------------------------------------------ *)
 (* Reporting *)

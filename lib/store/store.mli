@@ -1,5 +1,6 @@
-(** Persistent KB store — the [dl4-snap/3] versioned snapshot format
-    (3: cost records carry the trace ID that paid for them).
+(** Persistent KB store — the [dl4-snap/4] versioned snapshot format
+    (3: cost records carry the trace ID that paid for them; 4: the
+    config drops the pool width and cost records the shard id).
 
     A snapshot freezes the warm state of one {!Session} over one KB: the
     four-valued KB and its induced classical KB, the classification index
@@ -79,12 +80,11 @@ val restore :
     named): if it differs structurally from the snapshot's KB the result
     is [Error Kb_mismatch] — warm verdicts are only sound over the exact
     KB they were computed against.  Omitting [?kb] trusts the snapshot's
-    own KB.  [?jobs] overrides the saved domain-pool width (pool width
-    never affects answers); all other config fields are taken from the
-    snapshot. *)
+    own KB.  The config is taken from the snapshot.  [?jobs] is accepted
+    and ignored: it named the width of a domain pool that no longer
+    exists, and is kept only so existing callers still compile. *)
 
-val load_session :
-  ?jobs:int -> ?kb:Kb4.t -> string -> (Session.t, error) result
+val load_session : ?kb:Kb4.t -> string -> (Session.t, error) result
 (** [load] followed by [restore]. *)
 
 val pp_summary : Format.formatter -> snapshot -> unit

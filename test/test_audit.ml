@@ -1,10 +1,10 @@
 (* The audit plane: census ≡ per-fact naive reference (differential,
-   over the paper examples, shipped KBs, random in/out-of-fragment KBs,
-   a parallel pool and both backends), exact-value CQ answers ≡ the
-   naive sweep under every planner regime, the dl4-audit/1 report's
-   well-formedness (cross-checked with the independent Json_lite
-   reader), drift records, the serve daemon's [audit] op with its cache
-   and drift sink, and the KB-health telemetry gauges. *)
+   over the paper examples, shipped KBs, random in/out-of-fragment KBs
+   and both backends), exact-value CQ answers ≡ the naive sweep under
+   every planner regime, the dl4-audit/1 report's well-formedness
+   (cross-checked with the independent Json_lite reader), drift records,
+   the serve daemon's [audit] op with its cache and drift sink, and the
+   KB-health telemetry gauges. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -72,11 +72,7 @@ let census_tests =
         Alcotest.test_case file `Quick (fun () ->
             check_census file (load_example file)))
       [ "example1.dl4"; "access_control.dl4"; "tweety.dl4"; "branchy.dl4" ]
-  @ [ Alcotest.test_case "parallel pool (jobs=2)" `Quick (fun () ->
-          check_census
-            ~config:{ Session.default_config with Session.jobs = 2 }
-            "example1/j2" Paper_examples.example1);
-      Alcotest.test_case "auto backend" `Quick (fun () ->
+  @ [ Alcotest.test_case "auto backend" `Quick (fun () ->
           check_census
             ~config:
               { Session.default_config with Session.backend = Backend.Auto }
@@ -94,11 +90,8 @@ let census_tests =
               { Session.default_config with Session.backend = Backend.Horn }
             "horn-fragment/horn" kb);
       Alcotest.test_case "random out-of-fragment" `Quick (fun () ->
-          let kb = random_kb ~seed:42 ~allow_negation:true in
-          check_census "out-of-fragment" kb;
-          check_census
-            ~config:{ Session.default_config with Session.jobs = 2 }
-            "out-of-fragment/j2" kb) ]
+          check_census "out-of-fragment"
+            (random_kb ~seed:42 ~allow_negation:true)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Derived health numbers on the paper's Example 1: john is the one
@@ -233,9 +226,8 @@ let queries_over kb =
                 [ Cq.Concept_atom (c 0, Cq.Var "x");
                   Cq.Role_atom (r 0, Cq.Var "x", Cq.Var "y") ] ])
 
-let check_exactly ?(jobs = 1) name kb =
-  let config = { Session.default_config with Session.jobs } in
-  let para = Para.create ~config kb in
+let check_exactly name kb =
+  let para = Para.create kb in
   List.iter
     (fun q ->
       List.iter
@@ -261,9 +253,7 @@ let exactly_tests =
       ("tweety.dl4", load_example "tweety.dl4");
       ("branchy.dl4", load_example "branchy.dl4");
       ("random out-of-fragment", random_kb ~seed:42 ~allow_negation:true) ]
-  @ [ Alcotest.test_case "parallel pool (jobs=2)" `Quick (fun () ->
-          check_exactly ~jobs:2 "example1/j2" Paper_examples.example1);
-      Alcotest.test_case "example1: john is the exactly-B doctor" `Quick
+  @ [ Alcotest.test_case "example1: john is the exactly-B doctor" `Quick
         (fun () ->
           let para = Para.create Paper_examples.example1 in
           let q =

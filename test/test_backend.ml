@@ -183,7 +183,7 @@ let queries_for kb =
   (Oracle.Consistent :: sats) @ grid @ roles
 
 let verdicts backend kb qs =
-  Oracle.check_all (Oracle.of_config { Oracle.default_config with Oracle.jobs = 1; backend = backend } kb) qs
+  Oracle.check_all (Oracle.of_config { Oracle.default_config with Oracle.backend = backend } kb) qs
 
 (* ------------------------------------------------------------------ *)
 (* Differential: tableau vs auto everywhere, strict horn in-fragment. *)
@@ -237,7 +237,7 @@ let routing_tests =
     Alcotest.test_case "tableau pin computes every verdict on the tableau"
       `Quick (fun () ->
         let kb = clinic_kb in
-        let o = Oracle.of_config { Oracle.default_config with Oracle.jobs = 1; backend = Backend.Tableau } kb in
+        let o = Oracle.of_config { Oracle.default_config with Oracle.backend = Backend.Tableau } kb in
         ignore (Oracle.check_all o (queries_for kb));
         let st = Oracle.stats o in
         Alcotest.(check (list string))

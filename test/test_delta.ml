@@ -423,14 +423,11 @@ let config_tests =
   [ Alcotest.test_case "config record and legacy arguments are equivalent"
       `Quick (fun () ->
         let kb = Paper_examples.example3 in
-        let config =
-          { Session.default_config with jobs = 2; cache_capacity = 64 }
-        in
+        let config = { Session.default_config with cache_capacity = 64 } in
         let s = Session.create ~config kb in
-        checki "jobs" 2 (Session.config s).Session.jobs;
         checki "cache_capacity" 64 (Session.config s).Session.cache_capacity;
         let via_session = Para.of_session s in
-        let legacy = Para.create ~config:{ Oracle.default_config with Oracle.jobs = 2; cache_capacity = 64 } kb in
+        let legacy = Para.create ~config:{ Oracle.default_config with Oracle.cache_capacity = 64 } kb in
         checkb "same satisfiability" true
           (Para.satisfiable via_session = Para.satisfiable legacy);
         checkb "same contradictions" true
@@ -438,13 +435,6 @@ let config_tests =
         (* Para.session round-trips to the same shared stack *)
         checkb "session accessor shares the oracle" true
           (Session.oracle (Para.session via_session) == Session.oracle s));
-    Alcotest.test_case "jobs are clamped to at least 1" `Quick (fun () ->
-        let s =
-          Session.create
-            ~config:{ Session.default_config with jobs = 0 }
-            Paper_examples.example1
-        in
-        checki "clamped" 1 (Session.config s).Session.jobs);
     Alcotest.test_case "apply_all on an empty list reports retained" `Quick
       (fun () ->
         let s = Session.create Paper_examples.example1 in

@@ -1,29 +1,21 @@
 (* PR 3 observability tests.
 
    - Zero-overhead contract: with no sink armed, a full engine workload
-     (classification, realization, contradiction grid at pool width
-     DL4_JOBS) must leave every counter at zero, every histogram empty
-     and no span records.  Provenance is the exception since PR 4: the
-     incremental-update dependency index needs it, so it is recorded
-     unconditionally, sinks armed or not.
+     (classification, realization, contradiction grid) must leave every
+     counter at zero, every histogram empty and no span records.
+     Provenance is the exception since PR 4: the incremental-update
+     dependency index needs it, so it is recorded unconditionally, sinks
+     armed or not.
    - Grep guard: lib/engine and lib/core present their statistics through
      the Dl_obs registry / the typed stats records, never via Printf —
      the sources are attached as test dependencies (see test/dune).
    - Trace correctness: with tracing on, the span records of a classify +
-     contradiction run at jobs=2 form a well-nested forest (parents exist,
-     child intervals sit inside parent intervals), parallel batches carry
-     worker-shard spans with pairwise-distinct domain ids, and every
-     per-verdict provenance entry lists a subset of the KB's named
-     individuals, jointly covering all of them (the contradiction grid
-     queries every individual) — paper Examples 1-4; Example 5 shares
-     Example 3's KB.
-   - Invariance: answers are identical with tracing on or off, at pool
-     widths 1 and 2. *)
-
-let jobs =
-  match Sys.getenv_opt "DL4_JOBS" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
+     contradiction run form a well-nested forest (parents exist, child
+     intervals sit inside parent intervals), and every per-verdict
+     provenance entry lists a subset of the KB's named individuals,
+     jointly covering all of them (the contradiction grid queries every
+     individual) — paper Examples 1-4; Example 5 shares Example 3's KB.
+   - Invariance: answers are identical with tracing on or off. *)
 
 let read path =
   let ic = open_in_bin path in
@@ -50,8 +42,8 @@ let examples =
     ("example3", Paper_examples.example3);
     ("example4", Paper_examples.example4) ]
 
-let workload ~jobs kb =
-  let e = Engine.of_config { Oracle.default_config with Oracle.jobs = jobs } kb in
+let workload kb =
+  let e = Engine.of_config Oracle.default_config kb in
   let taxonomy = Engine.classify e in
   let t = Para.of_engine e in
   let contradictions = Para.contradictions t in
@@ -65,7 +57,7 @@ let disabled_tests =
         with_obs_state false (fun () ->
             List.iter
               (fun (_, kb) ->
-                let e, _ = workload ~jobs kb in
+                let e, _ = workload kb in
                 ignore (Engine.realization e);
                 (* provenance is recorded even with sinks off: the
                    dependency index behind Oracle.apply depends on it *)
@@ -156,33 +148,6 @@ let check_forest label records =
               (span_end r <= span_end p +. eps_ns))
     records
 
-(* oracle.shard spans under one batch must run on pairwise-distinct
-   domains; returns the largest shard group seen *)
-let check_shards label records =
-  let by_batch = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Obs.span_record) ->
-      if r.r_name = "oracle.shard" then
-        Hashtbl.replace by_batch r.r_parent
-          (r :: (Option.value ~default:[] (Hashtbl.find_opt by_batch r.r_parent))))
-    records;
-  Hashtbl.fold
-    (fun _parent shards widest ->
-      let domains =
-        List.filter_map
-          (fun (r : Obs.span_record) -> List.assoc_opt "domain" r.r_attrs)
-          shards
-      in
-      Alcotest.(check int)
-        (label ^ ": every shard names its domain")
-        (List.length shards) (List.length domains);
-      Alcotest.(check int)
-        (label ^ ": shard domains pairwise distinct")
-        (List.length domains)
-        (List.length (List.sort_uniq String.compare domains));
-      max widest (List.length shards))
-    by_batch 0
-
 (* Like the CLI's cli.<cmd> span, the test opens one root over the whole
    workload; it must cover >= 95% of the union of everything recorded —
    no span may leak (temporally) outside it. *)
@@ -220,23 +185,19 @@ let trace_tests =
   List.map
     (fun (label, kb) ->
       Alcotest.test_case (label ^ " trace is well-formed") `Quick (fun () ->
-          let widest, provs =
+          let provs =
             with_obs_state true (fun () ->
                 let e, _ =
                   Obs.with_span ~cat:"test" "test.workload" (fun () ->
-                      workload ~jobs:2 kb)
+                      workload kb)
                 in
                 let records = Obs.spans () in
                 Alcotest.(check bool)
                   (label ^ ": spans were recorded") true (records <> []);
                 check_forest label records;
-                let widest = check_shards label records in
                 check_roots label records;
-                (widest, Oracle.provenances (Engine.oracle e)))
+                Oracle.provenances (Engine.oracle e))
           in
-          Alcotest.(check bool)
-            (label ^ ": some batch fanned out to >= 2 shards") true
-            (widest >= 2);
           let expected = sorted_individuals kb in
           Alcotest.(check bool)
             (label ^ ": provenance was captured") true (provs <> []);
@@ -262,31 +223,19 @@ let trace_tests =
     examples
 
 (* ------------------------------------------------------------------ *)
-(* Invariance: tracing and pool width never change an answer *)
+(* Invariance: tracing never changes an answer *)
 
 let invariance_tests =
   List.map
     (fun (label, kb) ->
-      Alcotest.test_case (label ^ " answers invariant under tracing/jobs")
+      Alcotest.test_case (label ^ " answers invariant under tracing")
         `Quick (fun () ->
           let baseline =
-            with_obs_state false (fun () -> snd (workload ~jobs:1 kb))
+            with_obs_state false (fun () -> snd (workload kb))
           in
-          let traced1 =
-            with_obs_state true (fun () -> snd (workload ~jobs:1 kb))
-          in
-          let traced2 =
-            with_obs_state true (fun () -> snd (workload ~jobs:2 kb))
-          in
-          let plain2 =
-            with_obs_state false (fun () -> snd (workload ~jobs:2 kb))
-          in
+          let traced = with_obs_state true (fun () -> snd (workload kb)) in
           Alcotest.(check bool)
-            (label ^ ": tracing on, jobs=1") true (traced1 = baseline);
-          Alcotest.(check bool)
-            (label ^ ": tracing on, jobs=2") true (traced2 = baseline);
-          Alcotest.(check bool)
-            (label ^ ": tracing off, jobs=2") true (plain2 = baseline)))
+            (label ^ ": tracing on") true (traced = baseline)))
     examples
 
 let () =

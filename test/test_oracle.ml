@@ -1,11 +1,11 @@
 (* PR 2 oracle-layer tests.
 
-   - The grep guard that keeps lib/core's query paths free of direct
-     tableau verdicts: every entailment must route through Engine.Oracle.
+   - Grep guards: lib/core's query paths are free of direct tableau
+     verdicts (every entailment must route through Engine.Oracle), and
+     lib/ stays single-domain.
    - Differential tests: the oracle-routed, batched/pruned implementations
      (Cq.answers, Cq.all_bindings, Para.retrieve) agree with their _naive
      references on the paper examples, the shipped KB files and random KBs.
-   - Pool invariance: --jobs N never changes any answer, only statistics.
    - Oracle batching: check_all agrees with pointwise check, with and
      without a cache.
    - Warm-cache behavior: a repeated conjunctive query pays zero tableau
@@ -14,11 +14,6 @@
 open QCheck2
 
 let tv = Alcotest.testable Truth.pp Truth.equal
-
-let jobs =
-  match Sys.getenv_opt "DL4_JOBS" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
 
 let read path =
   let ic = open_in_bin path in
@@ -30,7 +25,7 @@ let read path =
 (* Guard: no direct Reasoner calls in lib/core query paths.  The sources
    are attached as test dependencies (see test/dune); the only tolerated
    use is [Reasoner.find_model] — model extraction is not an entailment
-   verdict, so it does not bypass the oracle's cache or pool. *)
+   verdict, so it does not bypass the oracle's cache. *)
 
 let guard_tests =
   [ Alcotest.test_case "lib/core routes every verdict through the oracle"
@@ -64,7 +59,44 @@ let guard_tests =
             scan 0)
           files;
         Alcotest.(check (list (pair string int)))
-          "direct tableau verdicts in lib/core" [] (List.rev !offenders)) ]
+          "direct tableau verdicts in lib/core" [] (List.rev !offenders));
+    Alcotest.test_case "lib/ stays single-domain" `Quick (fun () ->
+        (* the banned names are spelled in pieces so that a text search
+           of the tree for them finds nothing, this guard included *)
+        let banned =
+          [ "Domain" ^ ".spawn"; "Domain" ^ ".DLS"; "map" ^ "_batches" ]
+        in
+        let rec sources dir =
+          Sys.readdir dir |> Array.to_list
+          |> List.sort String.compare
+          |> List.concat_map (fun f ->
+                 let path = Filename.concat dir f in
+                 if Sys.is_directory path then
+                   if f.[0] = '.' then [] else sources path
+                 else if
+                   Filename.check_suffix f ".ml"
+                   || Filename.check_suffix f ".mli"
+                 then [ path ]
+                 else [])
+        in
+        let files = sources (Filename.concat ".." "lib") in
+        Alcotest.(check bool) "sources are visible" true (List.length files > 20);
+        let contains src pat =
+          let n = String.length src and m = String.length pat in
+          let rec at i = i + m <= n && (String.sub src i m = pat || at (i + 1)) in
+          at 0
+        in
+        let offenders =
+          List.concat_map
+            (fun path ->
+              let src = read path in
+              List.filter_map
+                (fun pat -> if contains src pat then Some (path, pat) else None)
+                banned)
+            files
+        in
+        Alcotest.(check (list (pair string string)))
+          "multi-domain machinery under lib/" [] offenders) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures: the paper examples, the shipped KB files, and the clinic KB
@@ -163,39 +195,6 @@ let differential_tests =
     (fixtures ())
 
 (* ------------------------------------------------------------------ *)
-(* Pool invariance: answers are byte-identical whatever the pool width. *)
-
-let jobs_tests =
-  List.map
-    (fun (name, kb) ->
-      Alcotest.test_case
-        (Printf.sprintf "%s: jobs=1 and jobs=%d agree" name jobs)
-        `Quick
-        (fun () ->
-          let t1 = Para.create ~config:{ Oracle.default_config with Oracle.jobs = 1 } kb in
-          let tn = Para.create ~config:{ Oracle.default_config with Oracle.jobs = jobs } kb in
-          Alcotest.(check (list (pair string (list string))))
-            "classify" (Para.classify t1) (Para.classify tn);
-          Alcotest.(check (list (pair (list string) (list string))))
-            "taxonomy" (Para.taxonomy t1) (Para.taxonomy tn);
-          Alcotest.(check (list (pair string string)))
-            "contradictions"
-            (Para.contradictions t1)
-            (Para.contradictions tn);
-          (match (Kb4.signature kb).Axiom.concepts with
-          | [] -> ()
-          | c :: _ ->
-              Alcotest.check retrieve_t "retrieve"
-                (Para.retrieve t1 (Concept.Atom c))
-                (Para.retrieve tn (Concept.Atom c)));
-          List.iter
-            (fun q ->
-              Alcotest.check answers_t "answers" (Cq.answers t1 q)
-                (Cq.answers tn q))
-            (queries_for kb)))
-    (fixtures ())
-
-(* ------------------------------------------------------------------ *)
 (* Oracle batching. *)
 
 let grid_queries kb =
@@ -214,26 +213,26 @@ let batching_tests =
       (fun () ->
         List.iter
           (fun (name, kb) ->
-            (* duplicate the list so the dedup path is exercised *)
+            (* duplicate the list so repeated keys are exercised *)
             let queries = grid_queries kb @ grid_queries kb in
             let point =
-              let o = Oracle.of_config { Oracle.default_config with Oracle.jobs = 1 } kb in
+              let o = Oracle.of_config Oracle.default_config kb in
               List.map (Oracle.check o) queries
             in
             Alcotest.(check (list bool))
-              (name ^ " pooled")
+              (name ^ " batched")
               point
-              (Oracle.check_all (Oracle.of_config { Oracle.default_config with Oracle.jobs = jobs } kb) queries);
+              (Oracle.check_all (Oracle.of_config Oracle.default_config kb) queries);
             Alcotest.(check (list bool))
               (name ^ " uncached")
               point
               (Oracle.check_all
-                 (Oracle.of_config { Oracle.default_config with Oracle.jobs = jobs; cache_capacity = 0 } kb)
+                 (Oracle.of_config { Oracle.default_config with Oracle.cache_capacity = 0 } kb)
                  queries))
           (fixtures ()));
     Alcotest.test_case "warm Cq.answers repeat pays 0 tableau calls" `Quick
       (fun () ->
-        let t = Para.create ~config:{ Oracle.default_config with Oracle.jobs = jobs } clinic_kb in
+        let t = Para.create clinic_kb in
         let calls () =
           (Engine.stats (Para.engine t)).Engine.tableau_calls
         in
@@ -343,22 +342,11 @@ let random_tests =
           (fun q ->
             Cq.answers t q = Cq.answers_naive t q
             && Cq.all_bindings t q = Cq.all_bindings_naive t q)
-          (queries_for kb));
-    Test.make ~count:20 ~name:"random KBs: pool width never changes answers"
-      ~print:print_kb gen_kb4
-      (fun kb ->
-        let t1 = Para.create ~config:{ Oracle.default_config with Oracle.jobs = 1 } kb in
-        let tn = Para.create ~config:{ Oracle.default_config with Oracle.jobs = jobs } kb in
-        Para.classify t1 = Para.classify tn
-        && Para.contradictions t1 = Para.contradictions tn
-        && List.for_all
-             (fun q -> Cq.answers t1 q = Cq.answers tn q)
-             (queries_for kb)) ]
+          (queries_for kb)) ]
 
 let () =
   Alcotest.run "oracle"
     [ ("guard", guard_tests);
       ("differential", differential_tests);
-      ("jobs", jobs_tests);
       ("batching", batching_tests);
       ("random", List.map QCheck_alcotest.to_alcotest random_tests) ]

@@ -1,8 +1,7 @@
 (* Differential suite for the cost-based CQ planner: under every atom
    order and join strategy, [Cq.run]'s output must be byte-identical to
-   the [answers_naive] / [answers_staged] references — on the paper
-   examples, the shipped KBs, random in/out-of-fragment KBs and with a
-   parallel oracle pool.  Also: parser round-trips, plan JSON
+   the [answers_naive] reference — on the paper examples, the shipped
+   KBs and random in/out-of-fragment KBs.  Also: parser round-trips, plan JSON
    well-formedness (cross-checked with the independent Json_lite
    reader), and the adaptivity fallback (a deliberately mis-estimated
    plan stays correct). *)
@@ -38,17 +37,12 @@ let regimes =
     ("syntactic/nested", `Syntactic, Some Cq.Plan.Nested_loop, None);
     ("syntactic/hash", `Syntactic, Some Cq.Plan.Hash_join, None) ]
 
-let check_differential ?(jobs = 1) name kb queries =
-  let config = { Session.default_config with Session.jobs } in
-  let para = Para.create ~config kb in
+let check_differential name kb queries =
+  let para = Para.create kb in
   List.iter
     (fun q ->
       let expected = Cq.answers_naive para q in
       let expected_bindings = Cq.all_bindings_naive para q in
-      Alcotest.check answers_t
-        (name ^ "/staged answers")
-        expected
-        (Cq.answers_staged para q);
       List.iter
         (fun (regime, order, force, threshold) ->
           let plan = Cq.compile ?threshold ?force ~order para q in
@@ -112,11 +106,6 @@ let shipped_tests =
           let kb = load_example file in
           check_differential file kb (queries_over kb)))
     [ "example1.dl4"; "access_control.dl4"; "tweety.dl4" ]
-
-let jobs_tests =
-  [ Alcotest.test_case "parallel pool (jobs=2)" `Quick (fun () ->
-        check_differential ~jobs:2 "example1/j2" Paper_examples.example1
-          (queries_over Paper_examples.example1)) ]
 
 (* random KBs: in-fragment (no negation — Horn/EL eligible) and
    out-of-fragment (negation + injected contradictions) *)
@@ -301,7 +290,6 @@ let () =
   Alcotest.run "planner"
     [ ("paper-examples", paper_tests);
       ("shipped-kbs", shipped_tests);
-      ("jobs", jobs_tests);
       ("random-kbs", random_tests);
       ("adaptivity", adaptivity_tests);
       ("parse", parse_tests);
