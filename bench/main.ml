@@ -409,8 +409,13 @@ let report_engine_cache () =
 
    - disabled (the default): every hot-path hook is a single
      [if !Obs.on] test, so the per-operation cost is measured directly
-     by a tight guard loop and scaled by the number of hook sites an
-     instrumented run actually crosses;
+     by a tight guard loop and scaled by the registry's counter total
+     after an enabled run.  That estimate now overstates the disarmed
+     cost: the tableau's event sites no longer test [Obs.on] at all —
+     its tableau.* counters are folded from each run's stats diff once,
+     when the run ends — yet their totals still count as guard
+     crossings here.  The gate and its arithmetic are kept as an upper
+     bound;
    - enabled (a sink was requested): counters become Atomic ops and
      spans allocate + lock, measured as wall-clock delta on a
      classification workload (a seeded 14-concept, 10-individual KB).
@@ -1245,7 +1250,8 @@ let report_audit () =
   in
   let budget s =
     let totals = Session.cost_totals s in
-    (totals.Oracle.verdicts + totals.Oracle.cache_served, totals.Oracle.runs)
+    ( totals.Oracle.verdicts + totals.Oracle.cache_served,
+      totals.Oracle.work.Tableau.runs )
   in
   (* census: batched grids vs the per-fact reference *)
   let s1, p1 = fresh () in

@@ -167,24 +167,13 @@ let flight_arg =
            $(docv) at the end of the run (and immediately on a \
            max-nodes/max-branches trip).")
 
-let flight_depth_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "flight-depth" ] ~docv:"N"
-        ~doc:
-          "Flight-recorder ring depth (default 1024; the \
-           DL4_FLIGHT_DEPTH environment variable sets the same knob).  \
-           The ring keeps the depth it was created with, so this takes \
-           effect before any recording starts.")
-
 let obs_term =
-  let pack stats metrics trace slow_log slow_ms flight flight_depth =
-    (stats, metrics, trace, slow_log, slow_ms, flight, flight_depth)
+  let pack stats metrics trace slow_log slow_ms flight =
+    (stats, metrics, trace, slow_log, slow_ms, flight)
   in
   Term.(
     const pack $ stats_flag $ metrics_json_arg $ trace_arg $ slow_log_arg
-    $ slow_ms_arg $ flight_arg $ flight_depth_arg)
+    $ slow_ms_arg $ flight_arg)
 
 (* Run a subcommand under a root span with the observability sinks the
    user asked for.  Arming happens before any KB is loaded, so the root
@@ -192,11 +181,9 @@ let obs_term =
    wall time of the invocation.  Sinks flush on every path, including a
    tableau resource-limit trip (exit 3): a truncated run is exactly the
    one whose footer, metrics and flight dump are worth reading. *)
-let with_obs ~cmd (stats, metrics, trace, slow_log, slow_ms, flight, flight_depth)
-    run =
+let with_obs ~cmd (stats, metrics, trace, slow_log, slow_ms, flight) run =
   if stats || metrics <> None || trace <> None then Obs.set_enabled true;
   Option.iter (fun p -> Obs.arm_slow_log ~threshold_ms:slow_ms p) slow_log;
-  Option.iter Flight.set_capacity flight_depth;
   Option.iter (fun p -> Flight.arm ~path:p ()) flight;
   (* one trace ID per CLI invocation: every cost record, span, slow-log
      line and flight event of this run carries it.  The serve loop
@@ -593,8 +580,10 @@ let classify_cmd =
        ~doc:
          "Reduced taxonomy under internal inclusion: equivalence classes \
           with their direct super-classes.  Classification is told-subsumer \
-          seeded and DAG-pruned; the stats line reports the tableau calls \
-          saved over the naive all-pairs loop.")
+          seeded and DAG-pruned; with --stats, the footer's \
+          classify.tableau_tests counter shows the tableau calls paid and \
+          classify.told_hits/classify.dag_hits the pairs answered without \
+          one.")
     Term.(
       const run $ file_arg $ max_nodes_arg $ max_branches_arg $ cache_size_arg
       $ no_cache_flag $ backend_arg $ from_snapshot_arg $ obs_term)

@@ -10,12 +10,6 @@ type stats = {
 
 let tableau_calls_saved s = s.naive_tests - s.tableau_tests
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d atoms: %d tableau calls (naive %d; saved %d = %d told + %d dag)"
-    s.atoms s.tableau_tests s.naive_tests (tableau_calls_saved s) s.told_hits
-    s.dag_hits
-
 type t = { supers : (string * string list) list; stats : stats }
 
 (* ------------------------------------------------------------------ *)

@@ -31,8 +31,6 @@ type stats = {
 val tableau_calls_saved : stats -> int
 (** [naive_tests - tableau_tests]. *)
 
-val pp_stats : Format.formatter -> stats -> unit
-
 type t = {
   supers : (string * string list) list;
       (** for each atom (sorted), its sorted atomic subsumers, self excluded

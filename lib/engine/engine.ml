@@ -151,15 +151,3 @@ let stats (t : t) =
     routes = o.Oracle.routes;
     classification = Option.map (fun c -> c.Classify.stats) t.classification;
     realization = Option.map (fun r -> r.Realize.stats) t.realization }
-
-let pp_stats ppf s =
-  Oracle.pp_stats ppf
-    { Oracle.cache = s.cache;
-      tableau_calls = s.tableau_calls;
-      routes = s.routes };
-  Option.iter
-    (fun c -> Format.fprintf ppf "@.classification: %a" Classify.pp_stats c)
-    s.classification;
-  Option.iter
-    (fun r -> Format.fprintf ppf "@.realization: %a" Realize.pp_stats r)
-    s.realization

@@ -66,7 +66,7 @@ type prov_entry = { individuals : string list; concepts : string list }
 
 (* Per-verdict cost record: the tableau work one computed verdict paid,
    attributed at the check/check_all boundary.  Recorded unconditionally
-   (like provenance) by diffing the computing reasoner's stats cells
+   (like provenance) by diffing the computing backend's stats cells
    around the eval — no Obs sink needs to be armed. *)
 type cost = {
   c_query : string;  (* printable form of the query *)
@@ -74,21 +74,9 @@ type cost = {
   c_backend : string;  (* which decision procedure computed it *)
   c_trace : string;  (* trace ID of the request that paid for it *)
   c_wall_ns : float;
-  c_runs : int;  (* tableau runs the verdict needed *)
-  c_nodes : int;
-  c_merges : int;
-  c_branches : int;
-  c_backtracks : int;
-  c_clashes : int;
-  c_blocking : int;
-  c_rule_firings : int array;  (* indexed like Tableau.rule_names *)
+  c_work : Tableau.stats;  (* the eval's diff of the backend's cells *)
   mutable c_hits : int;  (* cache hits served since computation *)
 }
-
-let cost_rules c =
-  Array.to_list
-    (Array.mapi (fun i n -> (Tableau.rule_names.(i), n)) c.c_rule_firings)
-  |> List.filter (fun (_, n) -> n > 0)
 
 (* Session-level aggregate, maintained independently of cache eviction
    so long sessions keep honest totals while per-key records stay
@@ -98,14 +86,7 @@ type cost_totals = {
   cache_served : int;  (* checks answered from the cache *)
   slow : int;  (* verdicts at or over the slow-log threshold *)
   wall_ns : float;
-  runs : int;
-  nodes : int;
-  merges : int;
-  branches : int;
-  backtracks : int;
-  clashes : int;
-  blocking : int;
-  rule_firings : (string * int) list;  (* non-zero, by rule name *)
+  work : Tableau.stats;  (* the sum of every computed verdict's c_work *)
   backends : (string * int) list;  (* computed verdicts per backend *)
 }
 
@@ -114,14 +95,7 @@ type cost_acc = {
   mutable a_served : int;
   mutable a_slow : int;
   mutable a_wall : float;
-  mutable a_runs : int;
-  mutable a_nodes : int;
-  mutable a_merges : int;
-  mutable a_branches : int;
-  mutable a_backtracks : int;
-  mutable a_clashes : int;
-  mutable a_blocking : int;
-  a_rules : int array;
+  a_work : Tableau.stats;
   a_backends : (string, int) Hashtbl.t;
 }
 
@@ -130,14 +104,7 @@ let fresh_acc () =
     a_served = 0;
     a_slow = 0;
     a_wall = 0.0;
-    a_runs = 0;
-    a_nodes = 0;
-    a_merges = 0;
-    a_branches = 0;
-    a_backtracks = 0;
-    a_clashes = 0;
-    a_blocking = 0;
-    a_rules = Array.make (Array.length Tableau.rule_names) 0;
+    a_work = Tableau.fresh_stats ();
     a_backends = Hashtbl.create 4 }
 
 type config = {
@@ -289,27 +256,6 @@ let seed_prov p q =
       Tableau.prov_add_ind p a;
       Tableau.prov_add_ind p b
 
-(* The cost of one eval: the diff of the computing backend's stats
-   cells around the run, plus wall time. *)
-let cost_of_diff ~backend q wall_ns (s0 : Tableau.stats) (s1 : Tableau.stats) =
-  { c_query = query_to_string q;
-    c_kind = query_kind q;
-    c_backend = backend;
-    c_trace = Obs.trace_id ();
-    c_wall_ns = wall_ns;
-    c_runs = s1.runs - s0.runs;
-    c_nodes = s1.nodes_created - s0.nodes_created;
-    c_merges = s1.merges - s0.merges;
-    c_branches = s1.branches_explored - s0.branches_explored;
-    c_backtracks = s1.backtracks - s0.backtracks;
-    c_clashes = s1.clashes - s0.clashes;
-    c_blocking = s1.blocking_events - s0.blocking_events;
-    c_rule_firings =
-      Array.init
-        (Array.length s1.rule_firings)
-        (fun i -> s1.rule_firings.(i) - s0.rule_firings.(i));
-    c_hits = 0 }
-
 (* [eval] with provenance and cost capture (both always on — the
    dependency index needs every verdict's provenance, and the cost
    records feed the slow-query log which is independent of Obs arming)
@@ -329,7 +275,13 @@ let eval_obs stack q =
   let finish v =
     let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     ignore (v : bool);
-    cost_of_diff ~backend q wall_ns s0 (Backend.stats b)
+    { c_query = query_to_string q;
+      c_kind = query_kind q;
+      c_backend = backend;
+      c_trace = Obs.trace_id ();
+      c_wall_ns = wall_ns;
+      c_work = Tableau.diff_stats s0 (Backend.stats b);
+      c_hits = 0 }
   in
   if not !Obs.on then
     let v = Backend.eval ~prov b q in
@@ -399,20 +351,21 @@ let slow_json t (c : cost) (p : prov_entry) =
   field "query" (str c.c_query);
   field "kind" (str c.c_kind);
   field "backend" (str c.c_backend);
+  let w = c.c_work in
   field "wall_ms" (Obs.json_float (c.c_wall_ns /. 1e6));
-  field "runs" (string_of_int c.c_runs);
-  field "nodes" (string_of_int c.c_nodes);
-  field "merges" (string_of_int c.c_merges);
-  field "branches" (string_of_int c.c_branches);
-  field "backtracks" (string_of_int c.c_backtracks);
-  field "clashes" (string_of_int c.c_clashes);
-  field "blocking" (string_of_int c.c_blocking);
+  field "runs" (string_of_int w.runs);
+  field "nodes" (string_of_int w.nodes_created);
+  field "merges" (string_of_int w.merges);
+  field "branches" (string_of_int w.branches_explored);
+  field "backtracks" (string_of_int w.backtracks);
+  field "clashes" (string_of_int w.clashes);
+  field "blocking" (string_of_int w.blocking_events);
   field "rules"
     ("{"
     ^ String.concat ","
         (List.map
            (fun (n, v) -> str n ^ ":" ^ string_of_int v)
-           (cost_rules c))
+           (Tableau.rule_counts w))
     ^ "}");
   field "individuals" (str_list p.individuals);
   field "concepts" (str_list p.concepts);
@@ -431,16 +384,7 @@ let record_cost t k (c : cost) (p : prov_entry) =
     (1 + Option.value ~default:0 (Hashtbl.find_opt a.a_backends c.c_backend));
   Obs.incr (if String.equal c.c_backend "horn" then c_route_horn else c_route_tableau);
   a.a_wall <- a.a_wall +. c.c_wall_ns;
-  a.a_runs <- a.a_runs + c.c_runs;
-  a.a_nodes <- a.a_nodes + c.c_nodes;
-  a.a_merges <- a.a_merges + c.c_merges;
-  a.a_branches <- a.a_branches + c.c_branches;
-  a.a_backtracks <- a.a_backtracks + c.c_backtracks;
-  a.a_clashes <- a.a_clashes + c.c_clashes;
-  a.a_blocking <- a.a_blocking + c.c_blocking;
-  Array.iteri
-    (fun i n -> a.a_rules.(i) <- a.a_rules.(i) + n)
-    c.c_rule_firings;
+  Tableau.add_stats ~into:a.a_work c.c_work;
   if t.config.cache_capacity > 0 then KH.replace t.costs k c;
   if c.c_wall_ns /. 1e6 >= Obs.slow_threshold_ms () then begin
     a.a_slow <- a.a_slow + 1;
@@ -491,17 +435,7 @@ let cost_totals t =
     cache_served = a.a_served;
     slow = a.a_slow;
     wall_ns = a.a_wall;
-    runs = a.a_runs;
-    nodes = a.a_nodes;
-    merges = a.a_merges;
-    branches = a.a_branches;
-    backtracks = a.a_backtracks;
-    clashes = a.a_clashes;
-    blocking = a.a_blocking;
-    rule_firings =
-      Array.to_list
-        (Array.mapi (fun i n -> (Tableau.rule_names.(i), n)) a.a_rules)
-      |> List.filter (fun (_, n) -> n > 0);
+    work = Tableau.copy_stats a.a_work;
     backends =
       Hashtbl.fold (fun b n acc -> (b, n) :: acc) a.a_backends []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b) }
@@ -554,32 +488,13 @@ let import_entries t es =
   List.iter (import_entry t) es;
   Cache.length t.cache
 
-let rule_index =
-  let tbl = Hashtbl.create 32 in
-  Array.iteri (fun i n -> Hashtbl.replace tbl n i) Tableau.rule_names;
-  fun name -> Hashtbl.find_opt tbl name
-
 let import_totals t (s : cost_totals) =
   let a = t.acc in
   a.a_verdicts <- a.a_verdicts + s.verdicts;
   a.a_served <- a.a_served + s.cache_served;
   a.a_slow <- a.a_slow + s.slow;
   a.a_wall <- a.a_wall +. s.wall_ns;
-  a.a_runs <- a.a_runs + s.runs;
-  a.a_nodes <- a.a_nodes + s.nodes;
-  a.a_merges <- a.a_merges + s.merges;
-  a.a_branches <- a.a_branches + s.branches;
-  a.a_backtracks <- a.a_backtracks + s.backtracks;
-  a.a_clashes <- a.a_clashes + s.clashes;
-  a.a_blocking <- a.a_blocking + s.blocking;
-  List.iter
-    (fun (name, n) ->
-      (* rule names unknown to this build (a snapshot from a different
-         rule set) are dropped — the per-rule split is diagnostic only *)
-      match rule_index name with
-      | Some i -> a.a_rules.(i) <- a.a_rules.(i) + n
-      | None -> ())
-    s.rule_firings;
+  Tableau.add_stats ~into:a.a_work s.work;
   List.iter
     (fun (b, n) ->
       Hashtbl.replace a.a_backends b
@@ -591,18 +506,6 @@ let restore_cache_stats t (s : Verdict_cache.stats) =
     ~misses:s.Verdict_cache.misses ~evictions:s.Verdict_cache.evictions
 
 let cache_stats t = Cache.stats t.cache
-
-let pp_cost ppf (c : cost) =
-  Format.fprintf ppf "%8.2f ms  %6d nodes  %5d branches  %4d clashes  %s"
-    (c.c_wall_ns /. 1e6) c.c_nodes c.c_branches c.c_clashes c.c_query
-
-let pp_cost_totals ppf (s : cost_totals) =
-  Format.fprintf ppf
-    "%d verdicts computed (%.2f ms tableau wall), %d served from cache, %d \
-     slow@ %d runs, %d nodes, %d branches, %d backtracks, %d clashes, %d \
-     merges, %d blocking events"
-    s.verdicts (s.wall_ns /. 1e6) s.cache_served s.slow s.runs s.nodes
-    s.branches s.backtracks s.clashes s.merges s.blocking
 
 (* ------------------------------------------------------------------ *)
 (* Incremental update *)
@@ -840,12 +743,3 @@ let stats (t : t) =
     routes =
       Hashtbl.fold (fun b n acc -> (b, n) :: acc) t.acc.a_backends []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b) }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "cache: %a@.tableau calls paid: %d" Verdict_cache.pp_stats
-    s.cache s.tableau_calls;
-  (* route split only when something actually routed — a warm session
-     that served everything from cache keeps the historical footer *)
-  if s.routes <> [] then (
-    Format.fprintf ppf "@.routed:";
-    List.iter (fun (b, n) -> Format.fprintf ppf " %s %d" b n) s.routes)

@@ -120,11 +120,13 @@ val provenances : t -> prov_entry list
 (** {1 Per-verdict cost accounting}
 
     Every verdict actually computed gets a cost record: the diff of the
-    computing backend's per-run stats cells around the eval, plus wall
-    time.  Like provenance, recording is unconditional — no {!Obs} sink
-    needs to be armed — and the per-key records share the
-    cache-residency lifetime (session totals in {!cost_totals} survive
-    eviction).
+    computing backend's {!Tableau.stats} cells around the eval
+    ({!Tableau.diff_stats}), plus wall time.  The work vector is the
+    tableau's own record, carried unchanged from the hook sites through
+    cost records and session totals into snapshots.  Like provenance,
+    recording is unconditional — no {!Obs} sink needs to be armed — and
+    the per-key records share the cache-residency lifetime (session
+    totals in {!cost_totals} survive eviction).
 
     When the {!Obs} slow-query log is armed, each computed verdict at or
     over the threshold additionally emits one JSONL record (cost,
@@ -138,19 +140,13 @@ type cost = {
       (** trace ID current when the verdict was computed ([""] when no
           request context was installed, see {!Obs.set_trace_id}) *)
   c_wall_ns : float;
-  c_runs : int;  (** tableau runs the verdict needed *)
-  c_nodes : int;  (** completion-graph nodes created *)
-  c_merges : int;
-  c_branches : int;  (** nondeterministic alternatives explored *)
-  c_backtracks : int;
-  c_clashes : int;
-  c_blocking : int;  (** blocking events *)
-  c_rule_firings : int array;  (** indexed like [Tableau.rule_names] *)
+  c_work : Tableau.stats;
+      (** the work the verdict paid: runs, nodes, merges, branches,
+          backtracks, clashes (and their causes), blocking events and
+          rule firings.  The Horn backend fills only [runs] and
+          [clashes]. *)
   mutable c_hits : int;  (** cache hits served since computation *)
 }
-
-val cost_rules : cost -> (string * int) list
-(** Non-zero rule firings by rule name. *)
 
 val cost : t -> query -> cost option
 (** The cost record of a currently retained verdict ([None] under the
@@ -164,14 +160,9 @@ type cost_totals = {
   cache_served : int;  (** checks answered from the cache *)
   slow : int;  (** computed verdicts at/over the slow-log threshold *)
   wall_ns : float;  (** total eval wall time *)
-  runs : int;
-  nodes : int;
-  merges : int;
-  branches : int;
-  backtracks : int;
-  clashes : int;
-  blocking : int;
-  rule_firings : (string * int) list;  (** non-zero, by rule name *)
+  work : Tableau.stats;
+      (** the sum of every computed verdict's [c_work] (a copy: later
+          verdicts do not change it) *)
   backends : (string * int) list;
       (** verdicts computed per backend, sorted by name *)
 }
@@ -181,8 +172,6 @@ val cost_totals : t -> cost_totals
     eviction and KB deltas (deltas reset verdicts, not history). *)
 
 val query_to_string : query -> string
-val pp_cost : Format.formatter -> cost -> unit
-val pp_cost_totals : Format.formatter -> cost_totals -> unit
 
 (** {1 Snapshot export / import}
 
@@ -222,8 +211,7 @@ val import_entries : t -> export_entry list -> int
 
 val import_totals : t -> cost_totals -> unit
 (** Fold saved session totals into this oracle's accumulator, so a
-    re-warmed session continues the saved session's work history.  Rule
-    names unknown to this build are dropped. *)
+    re-warmed session continues the saved session's work history. *)
 
 val cache_stats : t -> Verdict_cache.stats
 
@@ -287,4 +275,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -9,15 +9,6 @@ type stats = {
   pruned : int;
 }
 
-let checks_saved s =
-  s.naive_checks - s.positive_checks - s.negative_checks
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d individuals x %d atoms: %d+%d instance checks (naive %d; %d pruned)"
-    s.individuals s.atoms s.positive_checks s.negative_checks s.naive_checks
-    s.pruned
-
 type entry = {
   name : string;
   types : (string * Truth.t) list;

@@ -18,9 +18,6 @@ type stats = {
   pruned : int;           (** positive checks answered through the hierarchy *)
 }
 
-val checks_saved : stats -> int
-val pp_stats : Format.formatter -> stats -> unit
-
 type entry = {
   name : string;
   types : (string * Truth.t) list;

@@ -33,8 +33,5 @@ let apply_all t ds =
         recheck_calls = acc.Oracle.recheck_calls + s.Oracle.recheck_calls })
     (apply t Delta.empty) ds
 
-let stats t = Engine.stats t.engine
-let pp_stats = Engine.pp_stats
-let cost t q = Oracle.cost (oracle t) q
 let costs t = Oracle.costs (oracle t)
 let cost_totals t = Oracle.cost_totals (oracle t)

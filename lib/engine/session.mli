@@ -62,15 +62,12 @@ val apply_all : t -> Delta.t list -> Oracle.apply_stats
     [evicted]/[recheck_calls] and OR the flush/flip flags; [retained] is
     the final value. *)
 
-val stats : t -> Engine.stats
-val pp_stats : Format.formatter -> Engine.stats -> unit
-
 (** {1 Cost accounting}
 
     Session views of the oracle's per-verdict cost layer (see
-    {!Oracle.cost}): always on, survives deltas at the totals level. *)
+    {!Oracle.cost}): always on, survives deltas at the totals level.
+    Both views carry the tableau's own work record, {!Tableau.stats}. *)
 
-val cost : t -> Oracle.query -> Oracle.cost option
 val costs : t -> Oracle.cost list
 (** Retained per-verdict cost records, most expensive first. *)
 

@@ -6,10 +6,6 @@ type stats = {
   capacity : int;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf "%d hits / %d misses / %d evictions (%d/%d entries)"
-    s.hits s.misses s.evictions s.size s.capacity
-
 (* Registry mirrors, aggregated over every cache instance in the
    process.  Per-instance counts stay in each instance's [stats]. *)
 let c_hits = Obs.counter "cache.hits"

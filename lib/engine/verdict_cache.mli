@@ -17,8 +17,6 @@ type stats = {
   capacity : int;
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 module Make (K : Hashtbl.HashedType) : sig
   type 'v t
 

@@ -5,22 +5,7 @@
 
 let schema = "dl4-flight/1"
 let on = ref false
-let default_capacity = 1024
-
-(* Ring depth for the next ring created; an existing ring keeps the
-   depth it was allocated with ([Array.length r_events] is the
-   authoritative value everywhere below).  Seeded from
-   DL4_FLIGHT_DEPTH so daemon post-mortems can be deepened without a
-   recompile; the CLI's --flight-depth calls [set_capacity] before any
-   ring exists. *)
-let capacity_ref =
-  ref
-    (match Option.bind (Sys.getenv_opt "DL4_FLIGHT_DEPTH") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> default_capacity)
-
-let capacity () = !capacity_ref
-let set_capacity n = capacity_ref := max 1 n
+let capacity = 1024
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 let t0_ns = now_ns ()
@@ -44,8 +29,8 @@ type ring = {
   r_events : event array;
 }
 
-(* Created on first use, at the depth current at that moment; [reset]
-   drops it so the next event starts a fresh ring. *)
+(* Created on first use; [reset] drops it so the next event starts a
+   fresh ring. *)
 let ring : ring option ref = ref None
 let dump_path : string option ref = ref None
 
@@ -55,7 +40,7 @@ let current () =
   | None ->
       let r =
         { r_next = 0; r_total = 0;
-          r_events = Array.make !capacity_ref dummy_event }
+          r_events = Array.make capacity dummy_event }
       in
       ring := Some r;
       r
@@ -67,7 +52,7 @@ let record kind node other note =
   let e = { e_ns = now_ns () -. t0_ns; e_kind = kind; e_node = node;
             e_other = other; e_note = note; e_trace = Obs.trace_id () } in
   r.r_events.(r.r_next) <- e;
-  r.r_next <- (r.r_next + 1) mod Array.length r.r_events;
+  r.r_next <- (r.r_next + 1) mod capacity;
   r.r_total <- r.r_total + 1
 
 let arm ?path () =
@@ -89,8 +74,7 @@ let dump () =
   let b = Buffer.create 4096 in
   Printf.bprintf b
     "{\"schema\":\"%s\",\"capacity\":%d,\"overflow_dropped\":0,\"domains\":["
-    schema !capacity_ref;
-  let capacity = Array.length r.r_events in
+    schema capacity;
   let total = r.r_total in
   let kept = min total capacity in
   Printf.bprintf b "\n{\"tid\":0,\"total\":%d,\"dropped\":%d,\"events\":["

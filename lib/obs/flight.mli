@@ -5,8 +5,10 @@
     Design mirrors {!Obs}: one [bool ref] master gate read inline at
     every site ([if !Flight.on then Flight.record ...] is a load and a
     branch when disarmed), and recording stays cheap when armed — events
-    go into one fixed-size ring, so the hot path takes no lock and
-    performs no allocation beyond the event record.
+    go into one fixed {!capacity}-slot ring, so the hot path takes no
+    lock and performs no allocation beyond the event record.  Each
+    tableau hook site records its event from the same call that bumps
+    its {!Tableau.stats} cell.
 
     The dump is a point-in-time JSON snapshot ({!schema}): the retained
     events oldest-first with total/dropped accounting, listed as the one
@@ -18,19 +20,9 @@ val schema : string
 val on : bool ref
 (** Master gate, read inline by instrumentation sites. *)
 
-val default_capacity : int
-(** [1024] — the ring depth when neither {!set_capacity} nor
-    [DL4_FLIGHT_DEPTH] says otherwise. *)
-
-val capacity : unit -> int
-(** Events retained in the ring (older events are overwritten).  This
-    is the depth given to the ring when it is next created (on first
-    use, or after {!reset}); a ring keeps the depth it was allocated
-    with, so set it before arming. *)
-
-val set_capacity : int -> unit
-(** Change the ring depth for the next ring created (clamped to ≥ 1).  Wired to [--flight-depth]; [DL4_FLIGHT_DEPTH] seeds the
-    initial value at module init. *)
+val capacity : int
+(** [1024] — the fixed ring depth: the events retained (older events
+    are overwritten) and the dump's ["capacity"] field. *)
 
 val arm : ?path:string -> unit -> unit
 (** Start recording.  With [path], {!trip} writes the dump there
@@ -75,5 +67,5 @@ val env_path : string option
     at exit. *)
 
 val reset : unit -> unit
-(** Drop the ring and its counters; the next event starts a fresh ring
-    at the current {!capacity}. *)
+(** Drop the ring and its counters; the next event starts a fresh
+    ring. *)

@@ -1,4 +1,4 @@
-(* Telemetry: a mergeable per-op request registry (PR 8).
+(* Telemetry: a per-op request registry.
 
    Where [Obs] is the process-global metrics spine armed by DL4_TRACE,
    this module is a value: a registry instance the serve loop owns and
@@ -7,10 +7,9 @@
    geometry as [Obs] so [Obs.quantile_of_buckets] reads it), route
    counters keyed by backend, and cache/tableau work counters.
 
-   Registries merge ([merge]) so sharded or restarted accumulations
-   can be folded together, and render two ways: a single-line JSON
-   object for the NDJSON [metrics] serve op, and a Prometheus-style
-   text exposition for [--metrics-out] scraping. *)
+   A registry renders two ways: a single-line JSON object for the
+   NDJSON [metrics] serve op, and a Prometheus-style text exposition
+   for [--metrics-out] scraping. *)
 
 let buckets = 64
 
@@ -95,28 +94,6 @@ let record t ~op ~ok ~wall_ns ?(routes = []) ?(strategies = [])
 
 let set_kb_health t h = with_lock t (fun () -> t.kb <- Some h)
 let kb_health t = with_lock t (fun () -> t.kb)
-
-let merge ~into src =
-  (* lock ordering: callers never merge in both directions concurrently *)
-  with_lock src (fun () ->
-      with_lock into (fun () ->
-          Hashtbl.iter
-            (fun op s ->
-              let d = op_stats into op in
-              d.s_requests <- d.s_requests + s.s_requests;
-              d.s_errors <- d.s_errors + s.s_errors;
-              d.s_sum_ns <- d.s_sum_ns +. s.s_sum_ns;
-              Array.iteri
-                (fun i c -> d.s_buckets.(i) <- d.s_buckets.(i) + c)
-                s.s_buckets;
-              Hashtbl.iter (fun b n -> add_route d b n) s.s_routes;
-              Hashtbl.iter (fun st n -> add_strategy d st n) s.s_strategies;
-              d.s_cache_served <- d.s_cache_served + s.s_cache_served;
-              d.s_tableau_calls <- d.s_tableau_calls + s.s_tableau_calls)
-            src.ops;
-          (* the KB snapshot is a gauge, not a sum: the destination's
-             (newer) snapshot wins when both carry one *)
-          if into.kb = None then into.kb <- src.kb))
 
 (* ------------------------------------------------------------------ *)
 (* Read side: immutable views *)

@@ -1,13 +1,13 @@
-(** A mergeable per-op request registry: the live metrics plane behind
-    the serve daemon.
+(** A per-op request registry: the live metrics plane behind the serve
+    daemon.
 
     Unlike {!Obs} (process-global, armed by [DL4_TRACE]) a [Telemetry.t]
     is a value owned by whoever serves requests.  One {!record} call per
     request accumulates, per op: request/error counts, a log2 latency
     histogram in {!Obs.bucket_of_ns} geometry, route counters keyed by
-    backend, and cache/tableau work counters.  Registries {!merge}, and
-    render as single-line JSON (the NDJSON [metrics] serve op) or as a
-    Prometheus text exposition ([--metrics-out]). *)
+    backend, and cache/tableau work counters.  A registry renders as
+    single-line JSON (the NDJSON [metrics] serve op) or as a Prometheus
+    text exposition ([--metrics-out]). *)
 
 type t
 
@@ -30,12 +30,6 @@ val record :
     join-strategy picks (["nested_loop"] / ["hash_join"]) executed
     during the request; [cache_served] / [tableau_calls] are the
     marginal cache and tableau work.  Thread-safe. *)
-
-val merge : into:t -> t -> unit
-(** Fold every op of the source registry into [into] (counts and
-    buckets add, routes union-add).  The source is left unchanged.
-    The destination keeps its own KB-health snapshot when it has one
-    (it is a gauge, not a sum). *)
 
 (** {1 KB health}
 

@@ -448,15 +448,16 @@ let cache_json (c : Verdict_cache.stats) =
       ("capacity", jint c.Verdict_cache.capacity) ]
 
 let totals_json (s : Oracle.cost_totals) =
+  let w = s.Oracle.work in
   jobj
     [ ("verdicts", jint s.Oracle.verdicts);
       ("cache_served", jint s.Oracle.cache_served);
       ("slow", jint s.Oracle.slow);
       ("wall_ns", jnum s.Oracle.wall_ns);
-      ("runs", jint s.Oracle.runs);
-      ("nodes", jint s.Oracle.nodes);
-      ("branches", jint s.Oracle.branches);
-      ("clashes", jint s.Oracle.clashes);
+      ("runs", jint w.Tableau.runs);
+      ("nodes", jint w.Tableau.nodes_created);
+      ("branches", jint w.Tableau.branches_explored);
+      ("clashes", jint w.Tableau.clashes);
       ( "backends",
         jobj (List.map (fun (b, n) -> (b, jint n)) s.Oracle.backends) ) ]
 

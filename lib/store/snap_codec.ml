@@ -529,26 +529,35 @@ let r_prov r : Oracle.prov_entry =
   let concepts = r_list r r_string in
   { Oracle.individuals; concepts }
 
-(* Cost records persist rule firings as (name, count) pairs rather than
-   the live int-array-indexed-like-[Tableau.rule_names] shape, so a
-   snapshot survives a rule-set reorder (unknown names drop on load). *)
+(* The work vector of cost records and totals: the seven scalar cells
+   in their dl4-snap/4 order, then the non-zero named cells as
+   (name, count) pairs — rule firings under their rule names, clash
+   causes under "clash.<cause>".  Names, not the live array indices,
+   keep a snapshot readable across a reordered rule set: unknown names
+   drop on load (a file from a build without clash causes reads with
+   them all zero). *)
 
-let w_rules_array b (a : int array) =
-  let named =
-    Array.to_list (Array.mapi (fun i n -> (Tableau.rule_names.(i), n)) a)
-    |> List.filter (fun (_, n) -> n <> 0)
-  in
-  w_list b (w_pair w_string w_int) named
+let w_work b (s : Tableau.stats) =
+  w_int b s.Tableau.runs;
+  w_int b s.Tableau.nodes_created;
+  w_int b s.Tableau.merges;
+  w_int b s.Tableau.branches_explored;
+  w_int b s.Tableau.backtracks;
+  w_int b s.Tableau.clashes;
+  w_int b s.Tableau.blocking_events;
+  w_list b (w_pair w_string w_int) (Tableau.named_counts s)
 
-let r_rules_array r =
-  let named = r_list r (r_pair r_string r_int) in
-  let a = Array.make (Array.length Tableau.rule_names) 0 in
-  List.iter
-    (fun (name, n) ->
-      Array.iteri (fun i rn -> if rn = name then a.(i) <- a.(i) + n)
-        Tableau.rule_names)
-    named;
-  a
+let r_work r =
+  let s = Tableau.fresh_stats () in
+  s.Tableau.runs <- r_int r;
+  s.Tableau.nodes_created <- r_int r;
+  s.Tableau.merges <- r_int r;
+  s.Tableau.branches_explored <- r_int r;
+  s.Tableau.backtracks <- r_int r;
+  s.Tableau.clashes <- r_int r;
+  s.Tableau.blocking_events <- r_int r;
+  List.iter (Tableau.add_named s) (r_list r (r_pair r_string r_int));
+  s
 
 let w_cost b (c : Oracle.cost) =
   w_string b c.Oracle.c_query;
@@ -556,14 +565,7 @@ let w_cost b (c : Oracle.cost) =
   w_string b c.Oracle.c_backend;
   w_string b c.Oracle.c_trace; (* new in dl4-snap/3 *)
   w_float b c.Oracle.c_wall_ns;
-  w_int b c.Oracle.c_runs;
-  w_int b c.Oracle.c_nodes;
-  w_int b c.Oracle.c_merges;
-  w_int b c.Oracle.c_branches;
-  w_int b c.Oracle.c_backtracks;
-  w_int b c.Oracle.c_clashes;
-  w_int b c.Oracle.c_blocking;
-  w_rules_array b c.Oracle.c_rule_firings;
+  w_work b c.Oracle.c_work;
   w_int b c.Oracle.c_hits
 
 let r_cost r : Oracle.cost =
@@ -572,29 +574,9 @@ let r_cost r : Oracle.cost =
   let c_backend = r_string r in
   let c_trace = r_string r in
   let c_wall_ns = r_float r in
-  let c_runs = r_int r in
-  let c_nodes = r_int r in
-  let c_merges = r_int r in
-  let c_branches = r_int r in
-  let c_backtracks = r_int r in
-  let c_clashes = r_int r in
-  let c_blocking = r_int r in
-  let c_rule_firings = r_rules_array r in
+  let c_work = r_work r in
   let c_hits = r_int r in
-  { Oracle.c_query;
-    c_kind;
-    c_backend;
-    c_trace;
-    c_wall_ns;
-    c_runs;
-    c_nodes;
-    c_merges;
-    c_branches;
-    c_backtracks;
-    c_clashes;
-    c_blocking;
-    c_rule_firings;
-    c_hits }
+  { Oracle.c_query; c_kind; c_backend; c_trace; c_wall_ns; c_work; c_hits }
 
 let w_entry b (e : Oracle.export_entry) =
   w_query b e.Oracle.x_query;
@@ -614,14 +596,7 @@ let w_cost_totals b (s : Oracle.cost_totals) =
   w_int b s.Oracle.cache_served;
   w_int b s.Oracle.slow;
   w_float b s.Oracle.wall_ns;
-  w_int b s.Oracle.runs;
-  w_int b s.Oracle.nodes;
-  w_int b s.Oracle.merges;
-  w_int b s.Oracle.branches;
-  w_int b s.Oracle.backtracks;
-  w_int b s.Oracle.clashes;
-  w_int b s.Oracle.blocking;
-  w_list b (w_pair w_string w_int) s.Oracle.rule_firings;
+  w_work b s.Oracle.work;
   w_list b (w_pair w_string w_int) s.Oracle.backends
 
 let r_cost_totals r : Oracle.cost_totals =
@@ -629,28 +604,9 @@ let r_cost_totals r : Oracle.cost_totals =
   let cache_served = r_int r in
   let slow = r_int r in
   let wall_ns = r_float r in
-  let runs = r_int r in
-  let nodes = r_int r in
-  let merges = r_int r in
-  let branches = r_int r in
-  let backtracks = r_int r in
-  let clashes = r_int r in
-  let blocking = r_int r in
-  let rule_firings = r_list r (r_pair r_string r_int) in
+  let work = r_work r in
   let backends = r_list r (r_pair r_string r_int) in
-  { Oracle.verdicts;
-    cache_served;
-    slow;
-    wall_ns;
-    runs;
-    nodes;
-    merges;
-    branches;
-    backtracks;
-    clashes;
-    blocking;
-    rule_firings;
-    backends }
+  { Oracle.verdicts; cache_served; slow; wall_ns; work; backends }
 
 let w_classify_stats b (s : Classify.stats) =
   w_int b s.Classify.atoms;

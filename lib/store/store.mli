@@ -63,8 +63,11 @@ val capture : Session.t -> snapshot
 
 val to_string : snapshot -> string
 val of_string : string -> (snapshot, error) result
-(** Inverse pair: [of_string (to_string s) = Ok s] (up to the documented
-    rule-name remapping in cost records).  [of_string] never raises. *)
+(** Inverse pair: [of_string (to_string s) = Ok s], exactly — cost
+    records and totals included.  The work vectors ({!Tableau.stats})
+    travel as seven scalar cells then named [(name, count)] pairs for
+    rule firings and ["clash.<cause>"] clash causes; names this build
+    does not know are dropped on decode.  [of_string] never raises. *)
 
 val save : snapshot -> string -> (unit, error) result
 (** Write atomically: the bytes land in [path ^ ".tmp"] and are renamed

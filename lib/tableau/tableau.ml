@@ -16,13 +16,15 @@ end
 
 module EMap = Map.Make (EKey)
 
-(* Rule kinds, indexed: the per-run stats array, the registry counters
-   and the flight-recorder event kinds all share this enumeration. *)
+(* Rule kinds and clash causes, indexed: the per-run stats arrays, the
+   registry counters, the flight-recorder event kinds and the named
+   pairs of a snapshot all share these two enumerations. *)
 let rule_names =
   [| "gci"; "and"; "or_unit"; "unfold"; "forall"; "forall_trans";
      "one_of"; "not_one_of"; "exists"; "at_least" |]
 
-let n_rule_kinds = Array.length rule_names
+let clash_names =
+  [| "bottom"; "atomic"; "nominal"; "at_most"; "distinct"; "merge"; "data" |]
 
 type stats = {
   mutable runs : int;
@@ -33,6 +35,7 @@ type stats = {
   mutable backtracks : int;
   mutable blocking_events : int;
   rule_firings : int array; (* indexed like [rule_names] *)
+  clash_causes : int array; (* indexed like [clash_names] *)
 }
 
 let fresh_stats () =
@@ -43,23 +46,37 @@ let fresh_stats () =
     clashes = 0;
     backtracks = 0;
     blocking_events = 0;
-    rule_firings = Array.make n_rule_kinds 0 }
+    rule_firings = Array.make (Array.length rule_names) 0;
+    clash_causes = Array.make (Array.length clash_names) 0 }
 
-let copy_stats s = { s with rule_firings = Array.copy s.rule_firings }
+let copy_stats s =
+  { s with
+    rule_firings = Array.copy s.rule_firings;
+    clash_causes = Array.copy s.clash_causes }
 
-(* ------------------------------------------------------------------ *)
-(* Observability: registry metrics (all gated on [Obs.on]) and
-   per-run provenance. *)
+let diff_stats s0 s1 =
+  let sub a1 a0 = Array.mapi (fun i n -> n - a0.(i)) a1 in
+  { runs = s1.runs - s0.runs;
+    branches_explored = s1.branches_explored - s0.branches_explored;
+    nodes_created = s1.nodes_created - s0.nodes_created;
+    merges = s1.merges - s0.merges;
+    clashes = s1.clashes - s0.clashes;
+    backtracks = s1.backtracks - s0.backtracks;
+    blocking_events = s1.blocking_events - s0.blocking_events;
+    rule_firings = sub s1.rule_firings s0.rule_firings;
+    clash_causes = sub s1.clash_causes s0.clash_causes }
 
-let c_runs = Obs.counter "tableau.runs"
-let c_sat = Obs.counter "tableau.sat"
-let c_unsat = Obs.counter "tableau.unsat"
-let c_nodes = Obs.counter "tableau.nodes_created"
-let c_merges = Obs.counter "tableau.merges"
-let c_branches = Obs.counter "tableau.branches"
-let c_backtracks = Obs.counter "tableau.backtracks"
-let c_blocks = Obs.counter "tableau.blocking_events"
-let h_run = Obs.histogram "tableau.run_ns"
+let add_stats ~into s =
+  let add a b = Array.iteri (fun i n -> a.(i) <- a.(i) + n) b in
+  into.runs <- into.runs + s.runs;
+  into.branches_explored <- into.branches_explored + s.branches_explored;
+  into.nodes_created <- into.nodes_created + s.nodes_created;
+  into.merges <- into.merges + s.merges;
+  into.clashes <- into.clashes + s.clashes;
+  into.backtracks <- into.backtracks + s.backtracks;
+  into.blocking_events <- into.blocking_events + s.blocking_events;
+  add into.rule_firings s.rule_firings;
+  add into.clash_causes s.clash_causes
 
 (* rule firings by rule name — indices into [rule_names] *)
 let r_gci = 0
@@ -72,13 +89,9 @@ let r_one_of = 6
 let r_not_one_of = 7
 let r_exists = 8
 let r_at_least = 9
-let c_rules = Array.map (fun n -> Obs.counter ("tableau.rule." ^ n)) rule_names
 let f_rules = Array.map (fun n -> "rule." ^ n) rule_names (* flight kinds *)
 
-(* clash causes *)
-let clash_names =
-  [| "bottom"; "atomic"; "nominal"; "at_most"; "distinct"; "merge"; "data" |]
-
+(* clash causes — indices into [clash_names] *)
 let x_bottom = 0
 let x_atomic = 1
 let x_nominal = 2
@@ -86,8 +99,42 @@ let x_at_most = 3
 let x_distinct = 4
 let x_merge = 5
 let x_data = 6
+let clash_kinds = Array.map (fun n -> "clash." ^ n) clash_names
+
+(* The named half of a stats record: rule firings under their rule
+   names, then clash causes under "clash.<cause>" (also their flight
+   kinds).  Zero cells are omitted; unknown names are dropped on the way
+   back in, so persisted pairs survive a reordered or reduced rule set. *)
+let nonzero names a =
+  List.filter (fun (_, n) -> n <> 0)
+    (List.combine (Array.to_list names) (Array.to_list a))
+
+let rule_counts s = nonzero rule_names s.rule_firings
+let named_counts s = rule_counts s @ nonzero clash_kinds s.clash_causes
+
+let add_named s (name, n) =
+  let bump names a =
+    Array.iteri (fun i m -> if String.equal m name then a.(i) <- a.(i) + n) names
+  in
+  bump rule_names s.rule_firings;
+  bump clash_kinds s.clash_causes
+
+(* ------------------------------------------------------------------ *)
+(* Observability: the tableau.* registry metrics.  Hook sites never
+   touch them: [completed_state_prep] folds each run's stats diff into
+   the counters once, when the run ends with its span live. *)
+
+let c_runs = Obs.counter "tableau.runs"
+let c_sat = Obs.counter "tableau.sat"
+let c_unsat = Obs.counter "tableau.unsat"
+let c_nodes = Obs.counter "tableau.nodes_created"
+let c_merges = Obs.counter "tableau.merges"
+let c_branches = Obs.counter "tableau.branches"
+let c_backtracks = Obs.counter "tableau.backtracks"
+let c_blocks = Obs.counter "tableau.blocking_events"
+let c_rules = Array.map (fun n -> Obs.counter ("tableau.rule." ^ n)) rule_names
 let c_clashes = Array.map (fun n -> Obs.counter ("tableau.clash." ^ n)) clash_names
-let f_clashes = Array.map (fun n -> "clash." ^ n) clash_names
+let h_run = Obs.histogram "tableau.run_ns"
 
 (* Per-run provenance: the named individuals and (demangled) atomic
    concepts a tableau run touched.  Fresh query artefacts use names
@@ -152,25 +199,41 @@ type ctx = {
   prov : prov option;  (* provenance sink for this run, if requested *)
 }
 
-(* One site per diagnostic event: the registry counter (gated on
-   [Obs.on]), the per-run stats cell (unconditional — cost records need
-   it with no sink armed) and the flight ring (gated on [Flight.on])
-   move together. *)
+(* One call per diagnostic event: it bumps the run's stats cell
+   (unconditionally — cost records need it with no sink armed) and,
+   when the flight recorder is armed, records the event.  The registry
+   counters are folded from the stats when the run ends. *)
 
 let fired_rule ctx ri x =
-  Obs.incr c_rules.(ri);
-  ctx.stats.rule_firings.(ri) <- ctx.stats.rule_firings.(ri) + 1;
+  let a = ctx.stats.rule_firings in
+  a.(ri) <- a.(ri) + 1;
   if !Flight.on then Flight.record f_rules.(ri) x (-1) ""
 
 let clash_hit ctx ci x =
-  Obs.incr c_clashes.(ci);
-  ctx.stats.clashes <- ctx.stats.clashes + 1;
-  if !Flight.on then Flight.record f_clashes.(ci) x (-1) ""
+  let s = ctx.stats in
+  s.clashes <- s.clashes + 1;
+  s.clash_causes.(ci) <- s.clash_causes.(ci) + 1;
+  if !Flight.on then Flight.record clash_kinds.(ci) x (-1) ""
 
 let backtracked ctx x =
-  Obs.incr c_backtracks;
   ctx.stats.backtracks <- ctx.stats.backtracks + 1;
   if !Flight.on then Flight.record "backtrack" x (-1) ""
+
+let node_created ctx x =
+  ctx.stats.nodes_created <- ctx.stats.nodes_created + 1;
+  if !Flight.on then Flight.record "node" x (-1) ""
+
+let merged ctx src dst =
+  ctx.stats.merges <- ctx.stats.merges + 1;
+  if !Flight.on then Flight.record "merge" src dst ""
+
+let block_event ctx x =
+  ctx.stats.blocking_events <- ctx.stats.blocking_events + 1;
+  if !Flight.on then Flight.record "block" x (-1) ""
+
+let branched ctx x other note =
+  ctx.stats.branches_explored <- ctx.stats.branches_explored + 1;
+  if !Flight.on then Flight.record "branch" x other note
 
 (* ------------------------------------------------------------------ *)
 (* State accessors *)
@@ -233,9 +296,7 @@ let new_node ctx st ~parent ~labels:lbls =
     if !Flight.on then Flight.trip msg;
     raise (Resource_limit msg)
   end;
-  ctx.stats.nodes_created <- ctx.stats.nodes_created + 1;
-  Obs.incr c_nodes;
-  if !Flight.on then Flight.record "node" st.next_id (-1) "";
+  node_created ctx st.next_id;
   let id = st.next_id in
   let n = { labels = CSet.empty; parent; data_asserted = [] } in
   let st =
@@ -395,9 +456,7 @@ let rec merge ctx st ~src ~dst =
   else if ISet.mem dst (subtree st src) then merge ctx st ~src:dst ~dst:src
   else if are_distinct st src dst then None
   else begin
-    ctx.stats.merges <- ctx.stats.merges + 1;
-    Obs.incr c_merges;
-    if !Flight.on then Flight.record "merge" src dst "";
+    merged ctx src dst;
     let doomed = ISet.remove src (subtree st src) in
     let st = remove_nodes st doomed in
     let nsrc = node st src and ndst = node st dst in
@@ -823,11 +882,7 @@ let blocked_checker ctx st =
           | None -> false
           | Some px -> is_blocked px || directly_blocked x
         in
-        if b then begin
-          Obs.incr c_blocks;
-          ctx.stats.blocking_events <- ctx.stats.blocking_events + 1;
-          if !Flight.on then Flight.record "block" x (-1) ""
-        end;
+        if b then block_event ctx x;
         Hashtbl.add memo x b;
         b
   in
@@ -957,11 +1012,7 @@ let rec expand ctx st =
             let rec try_branches negs = function
               | [] -> None
               | d :: rest -> (
-                  ctx.stats.branches_explored <-
-                    ctx.stats.branches_explored + 1;
-                  Obs.incr c_branches;
-                  if !Flight.on then
-                    Flight.record "branch" x (List.length rest) "or";
+                  branched ctx x (List.length rest) "or";
                   match expand ctx (add_labels st x (d :: negs)) with
                   | Some _ as r -> r
                   | None ->
@@ -972,9 +1023,7 @@ let rec expand ctx st =
         | Some (Merge_pairs pairs) ->
             List.find_map
               (fun (src, dst) ->
-                ctx.stats.branches_explored <- ctx.stats.branches_explored + 1;
-                Obs.incr c_branches;
-                if !Flight.on then Flight.record "branch" src dst "merge";
+                branched ctx src dst "merge";
                 prov_record_node ctx st src;
                 prov_record_node ctx st dst;
                 match merge ctx st ~src ~dst with
@@ -992,9 +1041,7 @@ let rec expand ctx st =
         | Some (Nominal_choice (x, os)) ->
             List.find_map
               (fun o ->
-                ctx.stats.branches_explored <- ctx.stats.branches_explored + 1;
-                Obs.incr c_branches;
-                if !Flight.on then Flight.record "branch" x (-1) "nominal";
+                branched ctx x (-1) "nominal";
                 match expand ctx (add_labels st x [ Concept.One_of [ o ] ]) with
                 | Some _ as r -> r
                 | None ->
@@ -1266,22 +1313,37 @@ let absorbable_lhs (ax : Axiom.tbox_axiom) =
 
 let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
     ?(stats = fresh_stats ()) ?prov prep extra =
-  Obs.incr c_runs;
-  stats.runs <- stats.runs + 1;
+  (* The run's work reaches the registry as one fold of its stats diff,
+     when it ends — normally or by a [Resource_limit] trip — and only
+     when its span is live: a disarmed run copies and folds nothing.
+     [fold] refers to globals only, so building it allocates nothing. *)
+  let fold s0 s1 =
+    let d = diff_stats s0 s1 in
+    Obs.add c_runs d.runs;
+    Obs.add c_nodes d.nodes_created;
+    Obs.add c_merges d.merges;
+    Obs.add c_branches d.branches_explored;
+    Obs.add c_backtracks d.backtracks;
+    Obs.add c_blocks d.blocking_events;
+    Array.iteri (fun i n -> Obs.add c_rules.(i) n) d.rule_firings;
+    Array.iteri (fun i n -> Obs.add c_clashes.(i) n) d.clash_causes;
+    d
+  in
   let sp = Obs.enter ~cat:"tableau" "tableau.run" in
+  let before = if Obs.live sp then Some (copy_stats stats) else None in
+  stats.runs <- stats.runs + 1;
   if !Flight.on then Flight.record "run.start" (-1) (-1) "";
-  let b0 = stats.branches_explored
-  and n0 = stats.nodes_created
-  and m0 = stats.merges in
   let finish outcome =
-    if Obs.live sp then begin
-      Obs.set_attr sp "nodes" (string_of_int (stats.nodes_created - n0));
-      Obs.set_attr sp "branches" (string_of_int (stats.branches_explored - b0));
-      Obs.set_attr sp "merges" (string_of_int (stats.merges - m0));
-      Obs.set_attr sp "sat"
-        (match outcome with Some _ -> "true" | None -> "false");
-      Obs.incr (match outcome with Some _ -> c_sat | None -> c_unsat)
-    end;
+    (match before with
+    | None -> ()
+    | Some s0 ->
+        let d = fold s0 stats in
+        Obs.set_attr sp "nodes" (string_of_int d.nodes_created);
+        Obs.set_attr sp "branches" (string_of_int d.branches_explored);
+        Obs.set_attr sp "merges" (string_of_int d.merges);
+        Obs.set_attr sp "sat"
+          (match outcome with Some _ -> "true" | None -> "false");
+        Obs.incr (match outcome with Some _ -> c_sat | None -> c_unsat));
     if !Flight.on then
       Flight.record "run.end" (-1) (-1)
         (match outcome with Some _ -> "sat" | None -> "unsat");
@@ -1315,7 +1377,11 @@ let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
       finish outcome;
       r
   | exception e ->
-      if Obs.live sp then Obs.set_attr sp "exn" (Printexc.to_string e);
+      (match before with
+      | None -> ()
+      | Some s0 ->
+          ignore (fold s0 stats : stats);
+          Obs.set_attr sp "exn" (Printexc.to_string e));
       Obs.exit_timed sp h_run;
       raise e
 

@@ -35,20 +35,31 @@ val rule_names : string array
     [stats.rule_firings], the ["tableau.rule.<name>"] registry counters
     and the flight recorder's ["rule.<name>"] event kinds. *)
 
+val clash_names : string array
+(** The clash causes, in the index order used by [stats.clash_causes],
+    the ["tableau.clash.<cause>"] registry counters and the flight
+    recorder's ["clash.<cause>"] event kinds. *)
+
 type stats = {
   mutable runs : int;  (** tableau runs started *)
   mutable branches_explored : int;
   mutable nodes_created : int;
   mutable merges : int;
-  mutable clashes : int;  (** all causes, including merge/data clashes *)
+  mutable clashes : int;
+      (** all causes; the Horn backend bumps it without a cause *)
   mutable backtracks : int;
   mutable blocking_events : int;
   rule_firings : int array;  (** indexed like {!rule_names} *)
+  clash_causes : int array;  (** indexed like {!clash_names} *)
 }
-(** Per-run work accounting.  Unlike the registry counters (gated on
-    [Obs.on]), these cells are bumped unconditionally: the oracle's
-    per-verdict cost records diff them around each run, with no sink
-    armed. *)
+(** The one record of tableau work.  Each hook site of a run is one
+    call that bumps its cell, unconditionally (a clash bumps [clashes]
+    and its cause), and records one flight event when {!Flight.on}.
+    Everything else is derived from these cells: the oracle's
+    per-verdict cost records and session totals hold diffs and sums of
+    them, snapshots persist them, and the ["tableau.*"] registry
+    counters are folded from a run's diff once, when the run ends with
+    its span live — so a disarmed run pays for nothing but the cells. *)
 
 type prov
 (** Per-run provenance accumulator — the dependency set of a verdict, fed
@@ -158,5 +169,26 @@ val kb_model :
 val fresh_stats : unit -> stats
 
 val copy_stats : stats -> stats
-(** A snapshot (deep copy, including the firing array) — the "before"
-    half of a per-run diff. *)
+(** A snapshot (deep copy, including both arrays) — the "before" half
+    of a per-run diff. *)
+
+val diff_stats : stats -> stats -> stats
+(** [diff_stats s0 s1] is [s1 - s0], cell by cell: the work done between
+    the two snapshots. *)
+
+val add_stats : into:stats -> stats -> unit
+(** Add every cell of the second record into [into]. *)
+
+val rule_counts : stats -> (string * int) list
+(** The non-zero rule firings as [(rule name, count)], in
+    {!rule_names} order. *)
+
+val named_counts : stats -> (string * int) list
+(** The named cells as pairs: the non-zero rule firings
+    ({!rule_counts}), then the non-zero clash causes under
+    ["clash.<cause>"] names, each in index order.  The seven scalar
+    cells are not included. *)
+
+val add_named : stats -> string * int -> unit
+(** Add one pair of the {!named_counts} shape into its cell.  Names this
+    build does not know are dropped. *)

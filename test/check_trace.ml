@@ -13,164 +13,8 @@
      nested or disjoint — never partially overlapping.
 
    Exit 0 on success (prints a one-line summary), 1 with diagnostics
-   otherwise.  The parser below is a minimal recursive-descent JSON
-   reader: the container ships no JSON library, and the subset Dl_obs
-   emits (objects, arrays, strings, numbers) is small. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then (pos := !pos + m; v)
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape");
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail "bad \\u escape"
-            in
-            (* BMP only; Dl_obs never emits astral characters *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-        | _ -> fail "bad escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+   otherwise.  JSON is read with Dl_obs's [Json_lite], like the other
+   validators. *)
 
 (* ------------------------------------------------------------------ *)
 (* Validation *)
@@ -193,11 +37,11 @@ let err fmt =
       if !errors <= 25 then Printf.eprintf "error: %s\n" msg)
     fmt
 
-let field obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
+let field obj k = Json_lite.member k obj
 
 let num_field ctx obj k =
   match field obj k with
-  | Some (Num f) -> Some f
+  | Some (Json_lite.Num f) -> Some f
   | Some _ ->
       err "%s: field %S is not a number" ctx k;
       None
@@ -207,7 +51,7 @@ let num_field ctx obj k =
 
 let str_field ctx obj k =
   match field obj k with
-  | Some (Str v) -> Some v
+  | Some (Json_lite.Str v) -> Some v
   | Some _ ->
       err "%s: field %S is not a string" ctx k;
       None
@@ -233,8 +77,8 @@ let event_of_json i j =
     match field j "args" with
     | Some args -> (
         match field args k with
-        | Some (Num f) -> int_of_float f
-        | Some (Str s) -> ( try int_of_string s with _ -> 0)
+        | Some (Json_lite.Num f) -> int_of_float f
+        | Some (Json_lite.Str s) -> ( try int_of_string s with _ -> 0)
         | _ -> 0)
     | None -> 0
   in
@@ -324,14 +168,15 @@ let () =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   let root =
-    try parse contents
-    with Parse_error msg ->
-      Printf.eprintf "error: %s: invalid JSON: %s\n" path msg;
-      exit 1
+    match Json_lite.parse contents with
+    | Ok j -> j
+    | Error msg ->
+        Printf.eprintf "error: %s: invalid JSON: %s\n" path msg;
+        exit 1
   in
   let events =
     match field root "traceEvents" with
-    | Some (Arr evs) -> List.mapi event_of_json evs
+    | Some (Json_lite.Arr evs) -> List.mapi event_of_json evs
     | Some _ ->
         err "%s: \"traceEvents\" is not an array" path;
         []

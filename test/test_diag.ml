@@ -123,7 +123,7 @@ let flight_tests =
   [ Alcotest.test_case "ring wraps and dump stays well-formed" `Quick
       (fun () ->
         Flight.reset ();
-        let n = Flight.capacity () + 137 in
+        let n = Flight.capacity + 137 in
         for i = 1 to n do
           Flight.record "test.ev" i (-1) (string_of_int i)
         done;
@@ -131,21 +131,23 @@ let flight_tests =
         Alcotest.(check string)
           "schema" Flight.schema
           (Option.value ~default:"" (Json_lite.to_str (mem "schema" j)));
+        Alcotest.(check int) "dump reports the depth" Flight.capacity
+          (int_of_float (num (mem "capacity" j)));
         let doms = arr (mem "domains" j) in
         Alcotest.(check int) "one ring" 1 (List.length doms);
         let d = List.hd doms in
         Alcotest.(check int) "total" n (int_of_float (num (mem "total" d)));
         Alcotest.(check int)
-          "dropped" (n - Flight.capacity ())
+          "dropped" (n - Flight.capacity)
           (int_of_float (num (mem "dropped" d)));
         let events = arr (mem "events" d) in
-        Alcotest.(check int) "retained = capacity" (Flight.capacity ())
+        Alcotest.(check int) "retained = capacity" Flight.capacity
           (List.length events);
         (* oldest-first: the first retained event is the (dropped+1)-th
            recorded one, and ns never decreases *)
         let first = List.hd events in
         Alcotest.(check string)
-          "oldest retained" (string_of_int (n - Flight.capacity () + 1))
+          "oldest retained" (string_of_int (n - Flight.capacity + 1))
           (Option.value ~default:"" (Json_lite.to_str (mem "note" first)));
         let _ =
           List.fold_left
@@ -167,27 +169,6 @@ let flight_tests =
         Alcotest.(check int) "two events" 2 (List.length events);
         Alcotest.(check int) "no dropped" 0
           (int_of_float (num (mem "dropped" d)));
-        Flight.reset ());
-    Alcotest.test_case "ring depth is configurable" `Quick (fun () ->
-        let saved = Flight.capacity () in
-        Flight.set_capacity 16;
-        Flight.reset ();
-        for i = 1 to 20 do
-          Flight.record "cfg.ev" i (-1) (string_of_int i)
-        done;
-        let j = json_of_string (Flight.dump ()) in
-        Alcotest.(check int) "dump reports new depth" 16
-          (int_of_float (num (mem "capacity" j)));
-        let d = List.hd (arr (mem "domains" j)) in
-        let events = arr (mem "events" d) in
-        Alcotest.(check int) "retained = configured depth" 16
-          (List.length events);
-        Alcotest.(check string)
-          "oldest retained is the 5th"
-          "5"
-          (Option.value ~default:""
-             (Json_lite.to_str (mem "note" (List.hd events))));
-        Flight.set_capacity saved;
         Flight.reset ());
     Alcotest.test_case "trip writes an armed dump" `Quick (fun () ->
         let path = tmp_path ".flight.json" in
@@ -300,7 +281,8 @@ let cost_tests =
         (match Oracle.cost o q with
         | None -> Alcotest.fail "no cost recorded"
         | Some c ->
-            Alcotest.(check bool) "runs >= 1" true (c.Oracle.c_runs >= 1);
+            Alcotest.(check bool) "runs >= 1" true
+              (c.Oracle.c_work.Tableau.runs >= 1);
             Alcotest.(check bool) "wall >= 0" true (c.Oracle.c_wall_ns >= 0.0);
             Alcotest.(check int) "no hits yet" 0 c.Oracle.c_hits;
             Alcotest.(check string) "kind" "instance" c.Oracle.c_kind);
@@ -360,6 +342,82 @@ let cost_tests =
           = List.length (Oracle.provenances (Session.oracle s)))) ]
 
 (* ------------------------------------------------------------------ *)
+(* Registry folded from the stats cells: with Obs on, every tableau.*
+   work counter equals the reasoner's cell after a run ends, normally or
+   by a resource-limit trip. *)
+
+let registry_matches_cells label (st : Tableau.stats) =
+  let count name = Obs.count (Obs.counter name) in
+  let check name cell =
+    Alcotest.(check int) (label ^ " " ^ name) cell (count name)
+  in
+  check "tableau.runs" st.Tableau.runs;
+  check "tableau.nodes_created" st.Tableau.nodes_created;
+  check "tableau.merges" st.Tableau.merges;
+  check "tableau.branches" st.Tableau.branches_explored;
+  check "tableau.backtracks" st.Tableau.backtracks;
+  check "tableau.blocking_events" st.Tableau.blocking_events;
+  Array.iteri
+    (fun i r -> check ("tableau.rule." ^ r) st.Tableau.rule_firings.(i))
+    Tableau.rule_names;
+  Array.iteri
+    (fun i c -> check ("tableau.clash." ^ c) st.Tableau.clash_causes.(i))
+    Tableau.clash_names;
+  Alcotest.(check int)
+    (label ^ " clash causes sum to clashes")
+    st.Tableau.clashes
+    (Array.fold_left
+       (fun acc c -> acc + count ("tableau.clash." ^ c))
+       0 Tableau.clash_names)
+
+let tableau_session ?(max_branches = max_int) kb =
+  Session.create
+    ~config:
+      { Session.default_config with
+        Session.backend = Backend.Tableau;
+        max_branches }
+    kb
+
+let cells s = Reasoner.stats (Oracle.reasoner (Session.oracle s))
+
+let registry_tests =
+  [ Alcotest.test_case "tableau counters equal the stats cells" `Quick
+      (fun () ->
+        with_obs_state true (fun () ->
+            let s = tableau_session Paper_examples.example1 in
+            let p = Para.of_session s in
+            ignore (Para.satisfiable p : bool);
+            ignore (Para.contradictions p : (string * string) list);
+            ignore (Engine.classification (Session.engine s) : Classify.t);
+            let st = cells s in
+            Alcotest.(check bool) "runs happened" true (st.Tableau.runs > 0);
+            Alcotest.(check bool) "clashes happened" true
+              (st.Tableau.clashes > 0);
+            registry_matches_cells "example1" st));
+    Alcotest.test_case "counters equal the cells after a branch-limit trip"
+      `Quick (fun () ->
+        with_obs_state true (fun () ->
+            let kb =
+              Surface.parse_kb4_exn
+                (read
+                   (Filename.concat
+                      (Filename.concat ".." "examples")
+                      "kb/branchy.dl4"))
+            in
+            let s = tableau_session ~max_branches:50 kb in
+            let p = Para.of_session s in
+            (match
+               ignore (Para.satisfiable p : bool);
+               ignore (Para.contradictions p : (string * string) list)
+             with
+            | () -> Alcotest.fail "branchy.dl4 did not trip max_branches"
+            | exception Tableau.Resource_limit _ -> ());
+            let st = cells s in
+            Alcotest.(check bool) "the trip explored branches" true
+              (st.Tableau.branches_explored > 50);
+            registry_matches_cells "branchy" st)) ]
+
+(* ------------------------------------------------------------------ *)
 (* Gauges and registry round-trips *)
 
 let gauge_tests =
@@ -406,4 +464,5 @@ let () =
       ("flight", flight_tests);
       ("slow_log", slow_tests);
       ("costs", cost_tests);
+      ("registry", registry_tests);
       ("gauges", gauge_tests) ]

@@ -88,8 +88,8 @@ let roundtrip_case (name, kb) =
       checki "verdict totals carried over" t1.Oracle.verdicts
         t2.Oracle.verdicts;
       checki "rule-firing totals carried over"
-        (List.fold_left (fun a (_, n) -> a + n) 0 t1.Oracle.rule_firings)
-        (List.fold_left (fun a (_, n) -> a + n) 0 t2.Oracle.rule_firings);
+        (Array.fold_left ( + ) 0 t1.Oracle.work.Tableau.rule_firings)
+        (Array.fold_left ( + ) 0 t2.Oracle.work.Tableau.rule_firings);
       (* cache stats carried over (plus the hits the requery just paid) *)
       let c1 = Oracle.cache_stats (Session.oracle s1) in
       let c2 = Oracle.cache_stats (Session.oracle s2) in
@@ -122,7 +122,12 @@ let string_tests =
               List.map (fun e -> e.Oracle.x_query) es
             in
             checkb "entry order preserved" true
-              (queries snap.Store.s_entries = queries snap2.Store.s_entries));
+              (queries snap.Store.s_entries = queries snap2.Store.s_entries);
+            checkb "totals identical" true
+              (snap.Store.s_totals = snap2.Store.s_totals);
+            let costs es = List.map (fun e -> e.Oracle.x_cost) es in
+            checkb "cost records identical" true
+              (costs snap.Store.s_entries = costs snap2.Store.s_entries));
     Alcotest.test_case "provenance survives the round trip" `Quick (fun () ->
         let s = warm_session Paper_examples.example1 in
         let snap = Store.capture s in
@@ -140,6 +145,54 @@ let string_tests =
         checkb "not a full flush" true (not st.Oracle.flushed);
         checkb "independent verdicts retained" true (st.Oracle.retained > 0))
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden file: test/golden/tweety.snap was written by
+   `dl4 snapshot examples/kb/tweety.dl4 --backend tableau` before cost
+   records and totals carried Tableau.stats.  The dl4-snap/4 bytes must
+   not move: decoding and re-encoding reproduces the file exactly, and it
+   still restores warm. *)
+
+let read path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let golden_tests =
+  [ Alcotest.test_case "tweety.snap re-encodes byte-identically" `Quick
+      (fun () ->
+        let bytes = read (Filename.concat "golden" "tweety.snap") in
+        let snap =
+          match Store.of_string bytes with
+          | Ok s -> s
+          | Error e -> Alcotest.failf "decode: %s" (Store.error_to_string e)
+        in
+        let work =
+          List.filter_map (fun e -> e.Oracle.x_cost) snap.Store.s_entries
+          |> List.map (fun c -> c.Oracle.c_work)
+        in
+        (* the file exercises the named pairs and the clash cell *)
+        checkb "rule firings recorded" true
+          (List.exists (fun w -> Tableau.rule_counts w <> []) work);
+        checkb "clashes recorded" true
+          (List.exists (fun w -> w.Tableau.clashes > 0) work);
+        checkb "same bytes back" true (String.equal bytes (Store.to_string snap)));
+    Alcotest.test_case "tweety.snap restores with zero tableau calls" `Quick
+      (fun () ->
+        let kb =
+          Surface.parse_kb4_exn
+            (read (Filename.concat (Filename.concat ".." "examples") "kb/tweety.dl4"))
+        in
+        let snap =
+          match Store.load (Filename.concat "golden" "tweety.snap") with
+          | Ok s -> s
+          | Error e -> Alcotest.failf "load: %s" (Store.error_to_string e)
+        in
+        let s = restored_exn ~kb snap in
+        let g = grid s in
+        checkb "grid answered" true (g <> []);
+        checki "restore and requery are free" 0 (tableau_calls s)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rejection: corrupt, truncated, wrong-version, mismatched files never
@@ -228,4 +281,5 @@ let () =
   Alcotest.run "store"
     [ ("roundtrip", roundtrip_tests);
       ("string", string_tests);
+      ("golden", golden_tests);
       ("rejection", rejection_tests) ]

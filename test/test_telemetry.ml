@@ -70,24 +70,6 @@ let registry_tests =
             checki "two buckets filled" 2
               (List.length qry.Telemetry.v_buckets)
         | l -> Alcotest.failf "expected 2 ops, got %d" (List.length l));
-    Alcotest.test_case "merge adds counts, buckets and routes" `Quick
-      (fun () ->
-        let a = Telemetry.create () and b = Telemetry.create () in
-        Telemetry.record a ~op:"query" ~ok:true ~wall_ns:1000.0
-          ~routes:[ ("horn", 1) ] ();
-        Telemetry.record b ~op:"query" ~ok:true ~wall_ns:1000.0
-          ~routes:[ ("horn", 2); ("tableau", 5) ] ();
-        Telemetry.record b ~op:"stats" ~ok:true ~wall_ns:50.0 ();
-        Telemetry.merge ~into:a b;
-        checki "merged requests" 3 (Telemetry.requests a);
-        let qry =
-          List.find (fun v -> v.Telemetry.v_op = "query") (Telemetry.view a)
-        in
-        checkb "routes union-add" true
-          (qry.Telemetry.v_routes = [ ("horn", 3); ("tableau", 5) ]);
-        checkb "same-bucket counts add" true
-          (List.exists (fun (_, c) -> c = 2) qry.Telemetry.v_buckets);
-        checki "source unchanged" 2 (Telemetry.requests b));
     Alcotest.test_case "json rendering round-trips through Json_lite" `Quick
       (fun () ->
         let t = Telemetry.create () in
@@ -202,17 +184,7 @@ let prom_tests =
         checkb "prometheus nested_loop sample" true
           (List.mem
              "dl4_planner_strategy_total{op=\"query\",strategy=\"nested_loop\"} 1"
-             lines);
-        let other = Telemetry.create () in
-        Telemetry.record other ~op:"query" ~ok:true ~wall_ns:1.0
-          ~strategies:[ ("nested_loop", 4) ] ();
-        Telemetry.merge ~into:t other;
-        let qry =
-          List.find (fun v -> v.Telemetry.v_op = "query") (Telemetry.view t)
-        in
-        checkb "merge union-adds strategies" true
-          (qry.Telemetry.v_strategies
-          = [ ("hash_join", 3); ("nested_loop", 5) ]));
+             lines));
     Alcotest.test_case "atomic write leaves no tmp file" `Quick (fun () ->
         let t = Telemetry.create () in
         Telemetry.record t ~op:"check" ~ok:true ~wall_ns:42.0 ();
