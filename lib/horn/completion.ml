@@ -30,7 +30,8 @@ type t = {
   max_nodes : int;
   (* interning *)
   atom_ids : (string, int) Hashtbl.t;
-  atom_names : (int, string) Hashtbl.t;
+  prov_names : (int, string) Hashtbl.t;
+      (* atom -> its [Tableau.prov_atom_name], for atoms that have one *)
   mutable n_atoms : int;
   role_ids : (string, int) Hashtbl.t;
   mutable n_roles : int;
@@ -62,6 +63,9 @@ type t = {
   work : work Queue.t;
   mutable inconsistent : bool;
   stats : Tableau.stats;
+  (* provenance regions (see [harvest]) *)
+  mutable epoch : int;
+  regions : (int, int * Tableau.prov) Hashtbl.t;  (* key -> epoch, region *)
 }
 
 let stats t = t.stats
@@ -75,11 +79,11 @@ let atom t name =
       let i = t.n_atoms in
       t.n_atoms <- i + 1;
       Hashtbl.replace t.atom_ids name i;
-      Hashtbl.replace t.atom_names i name;
+      Option.iter (Hashtbl.replace t.prov_names i) (Tableau.prov_atom_name name);
       i
 
 (* Fresh definitional atoms carry ':' — unreachable from surface
-   identifiers and skipped by [Tableau.prov_add_atom]. *)
+   identifiers, and without a [Tableau.prov_atom_name]. *)
 let fresh_atom t =
   let n = t.fresh_count in
   t.fresh_count <- n + 1;
@@ -156,10 +160,14 @@ let edge_set tbl r =
       Hashtbl.replace tbl r s;
       s
 
+(* [add_atom], [add_edge] and [new_ctx] bump [epoch] on every change a
+   provenance region can see: a context, an edge, or a membership of an
+   atom with a provenance name. *)
 let add_atom t x a =
   let c = ctx t x in
   if not (Hashtbl.mem c.c_s a) then begin
     Hashtbl.replace c.c_s a ();
+    if Hashtbl.mem t.prov_names a then t.epoch <- t.epoch + 1;
     let o = slot t.occ a in
     o := x :: !o;
     if a = t.bot then begin
@@ -180,6 +188,7 @@ let add_edge t x r0 y =
       let outs = edge_set (ctx t x).c_out s in
       if not (Hashtbl.mem outs y) then begin
         Hashtbl.replace outs y ();
+        t.epoch <- t.epoch + 1;
         Hashtbl.replace (edge_set (ctx t y).c_in s) x ();
         Queue.push (W_edge (x, s, y)) t.work
       end)
@@ -193,6 +202,7 @@ let new_ctx t kind =
             t.max_nodes));
   let id = t.n_ctxs in
   t.n_ctxs <- id + 1;
+  t.epoch <- t.epoch + 1;
   Hashtbl.replace t.ctxs id
     { c_id = id;
       c_kind = kind;
@@ -376,7 +386,7 @@ let create ~max_nodes (kb : Axiom.kb) =
   let t =
     { max_nodes;
       atom_ids = Hashtbl.create 256;
-      atom_names = Hashtbl.create 256;
+      prov_names = Hashtbl.create 256;
       n_atoms = 0;
       role_ids = Hashtbl.create 32;
       n_roles = 0;
@@ -402,7 +412,9 @@ let create ~max_nodes (kb : Axiom.kb) =
       fresh_count = 0;
       work = Queue.create ();
       inconsistent = false;
-      stats = Tableau.fresh_stats () }
+      stats = Tableau.fresh_stats ();
+      epoch = 0;
+      regions = Hashtbl.create 128 }
   in
   let top = atom t "horn:top" and bot = atom t "horn:bot" in
   assert (top = t.top && bot = t.bot);
@@ -452,49 +464,71 @@ let create ~max_nodes (kb : Axiom.kb) =
    A verdict's dependency region is the out-edge closure of its query
    contexts: S-sets are determined by a context's own seeds plus its
    successors' regions, so symbols outside the region cannot change the
-   verdict.  Atoms are recorded through [prov_add_atom] (demangles ⁺/⁻,
-   skips ':'-fresh definitional atoms), individuals through reached
-   [Ind] contexts. *)
+   verdict.  Atoms are recorded under their interned provenance name,
+   individuals through reached [Ind] contexts.
 
-let harvest t prov roots =
-  match prov with
-  | None -> ()
-  | Some p ->
-      let seen = Hashtbl.create 64 in
-      let q = Queue.create () in
-      let push x =
-        if not (Hashtbl.mem seen x) then begin
-          Hashtbl.replace seen x ();
-          Queue.push x q
-        end
-      in
-      List.iter push roots;
-      while not (Queue.is_empty q) do
-        let c = ctx t (Queue.pop q) in
-        (match c.c_kind with
-        | Ind a -> Tableau.prov_add_ind p a
-        | Root | Canon | Probe -> ());
-        Hashtbl.iter
-          (fun a () -> Tableau.prov_add_atom p (Hashtbl.find t.atom_names a))
-          c.c_s;
-        Hashtbl.iter (fun _ tgts -> Hashtbl.iter (fun y () -> push y) tgts) c.c_out
-      done
+   A walk reads only contexts, edges and provenance-named memberships,
+   and each of those bumps [epoch]; so a region memoized at the current
+   epoch is exact, and a verdict pays one set union per root instead of
+   a walk.  Keys are root contexts, plus [named] for the named set: the
+   root and every individual context, one walk with one visited set.
+   The memo lives and dies with [t]. *)
+
+let named = -1
 
 let named_roots t =
   t.root :: Hashtbl.fold (fun _ id acc -> id :: acc) t.ind_ctx []
+
+let walk t roots =
+  let p = Tableau.fresh_prov () in
+  let seen = Hashtbl.create 64 in
+  let q = Queue.create () in
+  let push x =
+    if not (Hashtbl.mem seen x) then begin
+      Hashtbl.replace seen x ();
+      Queue.push x q
+    end
+  in
+  List.iter push roots;
+  while not (Queue.is_empty q) do
+    let c = ctx t (Queue.pop q) in
+    (match c.c_kind with
+    | Ind a -> Tableau.prov_add_ind p a
+    | Root | Canon | Probe -> ());
+    Hashtbl.iter
+      (fun a () ->
+        Option.iter (Tableau.prov_add_concept p) (Hashtbl.find_opt t.prov_names a))
+      c.c_s;
+    Hashtbl.iter (fun _ tgts -> Hashtbl.iter (fun y () -> push y) tgts) c.c_out
+  done;
+  p
+
+let harvest t prov key =
+  match prov with
+  | None -> ()
+  | Some into ->
+      let region =
+        match Hashtbl.find_opt t.regions key with
+        | Some (e, r) when e = t.epoch -> r
+        | _ ->
+            let r = walk t (if key = named then named_roots t else [ key ]) in
+            Hashtbl.replace t.regions key (t.epoch, r);
+            r
+      in
+      Tableau.prov_union ~into region
 
 (* ---- queries ---- *)
 
 let consistent ?prov t =
   saturate t;
-  harvest t prov (named_roots t);
+  harvest t prov named;
   not t.inconsistent
 
 let entails_instance ?prov t a c =
   let g = below t c in
   saturate t;
   if t.inconsistent then begin
-    harvest t prov (named_roots t);
+    harvest t prov named;
     true
   end
   else begin
@@ -505,7 +539,7 @@ let entails_instance ?prov t a c =
       | Some id -> id
       | None -> t.root
     in
-    harvest t prov [ x ];
+    harvest t prov x;
     Hashtbl.mem (ctx t x).c_s g
   end
 
@@ -570,7 +604,7 @@ let concept_satisfiable ?prov t c =
   | Some branches ->
       saturate t;
       if t.inconsistent then begin
-        harvest t prov (named_roots t);
+        harvest t prov named;
         false
       end
       else
@@ -578,7 +612,7 @@ let concept_satisfiable ?prov t c =
           (fun (pos, negs) ->
             let x = probe t pos in
             saturate t;
-            harvest t prov [ x ];
+            harvest t prov x;
             let s = (ctx t x).c_s in
             (not (Hashtbl.mem s t.bot))
             && not (List.exists (fun n -> Hashtbl.mem s (atom t n)) negs))
@@ -587,7 +621,7 @@ let concept_satisfiable ?prov t c =
 let role_edge ?prov t a r b =
   saturate t;
   if t.inconsistent then begin
-    harvest t prov (named_roots t);
+    harvest t prov named;
     true
   end
   else
@@ -596,13 +630,14 @@ let role_edge ?prov t a r b =
         Hashtbl.find_opt t.ind_ctx (find t b) )
     with
     | Some xa, Some xb -> (
-        harvest t prov [ xa; xb ];
+        harvest t prov xa;
+        harvest t prov xb;
         match Hashtbl.find_opt (ctx t xa).c_out (role t r) with
         | None -> false
         | Some tgts -> Hashtbl.mem tgts xb)
     | _ ->
         (* an unknown individual has no entailed edges in a consistent KB *)
-        harvest t prov (named_roots t);
+        harvest t prov named;
         false
 
 let role_inert t r =

@@ -18,7 +18,20 @@
     told role hierarchy and transitivity) complete on eligible KBs.
 
     Termination and size are polynomial: atoms × contexts memberships
-    and role-labelled edges are both finite and monotone. *)
+    and role-labelled edges are both finite and monotone.
+
+    {b Provenance.}  Each query below takes an optional sink and
+    records into it the region of its query contexts: every context
+    reachable over out-edges, giving the reached named individuals and
+    each member atom's {!Tableau.prov_atom_name} (interned once, with
+    the atom).  One root for {!entails_instance} and each probe of
+    {!concept_satisfiable}, two for {!role_edge}; {!consistent}, a role
+    edge with an unknown endpoint and every verdict on an inconsistent
+    K̄ record the named set (the anonymous root plus every individual
+    context).  Regions are memoized: an epoch counter is bumped on every
+    new context, edge and provenance-named membership, so a region
+    walked at the current epoch is reused exactly and a verdict pays one
+    {!Tableau.prov_union} per root.  The memo lives as long as [t]. *)
 
 type t
 

@@ -284,4 +284,10 @@ and pp_atomic ppf c =
   | Not _ -> pp ppf c
   | _ -> Format.fprintf ppf "(%a)" pp c
 
-let to_string c = Format.asprintf "%a" pp c
+(* Atomic concepts skip the [Format] round trip: every computed verdict's
+   cost record renders its query, mostly an atom. *)
+let to_string = function
+  | Top -> "Top"
+  | Bottom -> "Bottom"
+  | Atom a -> a
+  | c -> Format.asprintf "%a" pp c

@@ -83,6 +83,8 @@ val pp_atomic : Format.formatter -> t -> unit
 (** Like {!pp} but parenthesizes non-atomic concepts, for embedding. *)
 
 val to_string : t -> string
+(** The {!pp} rendering.  [Top], [Bottom] and atoms are returned
+    directly, without a [Format] round trip. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -151,11 +151,17 @@ let prov_concepts p = NSet.elements p.p_atoms
 let prov_add_ind p a =
   if not (String.contains a ':') then p.p_inds <- NSet.add a p.p_inds
 
-let prov_add_atom p a =
+let prov_atom_name a =
   match Mangle.atom_origin a with
-  | Mangle.Pos x | Mangle.Neg x -> p.p_atoms <- NSet.add x p.p_atoms
-  | Mangle.Plain s ->
-      if not (String.contains s ':') then p.p_atoms <- NSet.add s p.p_atoms
+  | Mangle.Pos x | Mangle.Neg x -> Some x
+  | Mangle.Plain s -> if String.contains s ':' then None else Some s
+
+let prov_add_concept p x = p.p_atoms <- NSet.add x p.p_atoms
+let prov_add_atom p a = Option.iter (prov_add_concept p) (prov_atom_name a)
+
+let prov_union ~into p =
+  into.p_inds <- NSet.union into.p_inds p.p_inds;
+  into.p_atoms <- NSet.union into.p_atoms p.p_atoms
 
 type node = {
   labels : CSet.t;

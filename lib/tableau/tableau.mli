@@ -95,10 +95,28 @@ val prov_add_ind : prov -> string -> unit
     Used by the oracle to seed a verdict's provenance with the query's own
     subjects before the run. *)
 
+val prov_atom_name : string -> string option
+(** The user-level name an atomic concept of K̄ is recorded under:
+    [A⁺] and [A⁻] give [A], other names give themselves, and plain names
+    containing [':'] (fresh query and definitional artefacts) give
+    [None].  The one demangling rule: {!prov_add_atom} applies it, and
+    the completion engine applies it once per atom when it interns the
+    atom. *)
+
 val prov_add_atom : prov -> string -> unit
-(** Manually record an atomic concept, demangled to its user-level origin
-    ([A⁺]/[A⁻] both record [A]; plain names containing [':'] are
-    ignored). *)
+(** Manually record an atomic concept under its {!prov_atom_name}
+    (nothing when that is [None]). *)
+
+val prov_add_concept : prov -> string -> unit
+(** Record a name {!prov_atom_name} already produced, as is (re-applying
+    the rule is not the identity: an OWL local name may itself end in
+    [-] or contain [':']). *)
+
+val prov_union : into:prov -> prov -> unit
+(** [prov_union ~into p] adds every individual and concept of [p] to
+    [into] — a set union of both halves; [p] is unchanged.  How the
+    completion engine hands a memoized region to a verdict's sink
+    without re-adding its names one by one. *)
 
 (** {1 Prepared (cached) preprocessing}
 

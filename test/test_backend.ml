@@ -299,27 +299,151 @@ let gen_body =
   Gen.oneof
     [ gen_el; Gen.map2 (fun a b -> Concept.Or (a, b)) gen_el gen_el ]
 
+(* An occasional [A ⊑ ⊥] makes K̄ classically inconsistent once some
+   individual is an [A]; [Same] merges completion contexts. *)
+let gen_horn_tbox =
+  Gen.frequency
+    [ ( 6,
+        Gen.map2
+          (fun c d -> Kb4.Concept_inclusion (Kb4.Internal, c, d))
+          gen_body gen_el );
+      ( 1,
+        Gen.map
+          (fun a -> Kb4.Concept_inclusion (Kb4.Internal, a, Concept.Bottom))
+          gen_atom ) ]
+
 let gen_horn_abox =
-  Gen.oneof
-    [ Gen.map2 (fun a c -> Axiom.Instance_of (a, c)) gen_ind gen_lit;
-      Gen.map2
-        (fun a b -> Axiom.Role_assertion (a, Role.name "r", b))
-        gen_ind gen_ind ]
+  Gen.frequency
+    [ (4, Gen.map2 (fun a c -> Axiom.Instance_of (a, c)) gen_ind gen_lit);
+      ( 4,
+        Gen.map2
+          (fun a b -> Axiom.Role_assertion (a, Role.name "r", b))
+          gen_ind gen_ind );
+      (1, Gen.map2 (fun a b -> Axiom.Same (a, b)) gen_ind gen_ind) ]
 
 let gen_horn_kb4 =
   let open Gen in
   let* n_tbox = int_bound 3 in
-  let* tbox =
-    list_repeat n_tbox
-      (map2
-         (fun c d -> Kb4.Concept_inclusion (Kb4.Internal, c, d))
-         gen_body gen_el)
-  in
+  let* tbox = list_repeat n_tbox gen_horn_tbox in
   let* n_abox = int_range 1 5 in
   let* abox = list_repeat n_abox gen_horn_abox in
   return (Kb4.make ~tbox ~abox)
 
 let print_kb = Surface.kb4_to_string
+
+(* ------------------------------------------------------------------ *)
+(* Provenance differential.  A verdict's recorded provenance drives
+   cache invalidation, the audit report, the slow log and snapshots, so
+   it must not depend on what the backend instance answered before: on
+   one Horn-pinned oracle checking a query list in order, each query's
+   [Oracle.provenance] equals what a fresh oracle records for that query
+   alone.  Complex instance concepts (which add definitional atoms at
+   query time) and satisfiability probes (which add contexts) come
+   first, ahead of the atomic grid, the role queries and [Consistent]. *)
+
+let horn_oracle kb =
+  Oracle.of_config
+    { Oracle.default_config with Oracle.backend = Backend.Horn }
+    kb
+
+let prov_queries kb =
+  let s = Kb4.signature kb in
+  let inds = s.Axiom.individuals in
+  let atom c = Concept.Atom c and r = Role.name "r" in
+  let complex =
+    List.concat_map
+      (fun a ->
+        [ Oracle.Instance (a, Concept.And (atom "A", Concept.Exists (r, atom "B")));
+          Oracle.Instance (a, Concept.Exists (r, atom "A")) ])
+      inds
+  in
+  (* [Concept_sat] takes a classical concept over K̄'s vocabulary *)
+  let pos c = Concept.Atom (Mangle.pos_atom c)
+  and neg c = Concept.Atom (Mangle.neg_atom c)
+  and rp = Role.name (Mangle.plus_role "r") in
+  let sats =
+    [ Oracle.Concept_sat (pos "A");
+      Oracle.Concept_sat (Concept.And (pos "A", neg "B"));
+      Oracle.Concept_sat (Concept.Exists (rp, pos "C"));
+      Oracle.Concept_sat (Concept.And (pos "B", Concept.Not (pos "C")));
+      Oracle.Concept_sat (Concept.Or (pos "A", Concept.Exists (rp, neg "A"))) ]
+  in
+  let grid =
+    List.concat_map
+      (fun a ->
+        List.concat_map
+          (fun c -> [ Oracle.Instance (a, atom c); Oracle.Not_instance (a, atom c) ])
+          s.Axiom.concepts)
+      inds
+  in
+  let roles =
+    List.concat_map
+      (fun a ->
+        List.concat_map
+          (fun b -> [ Oracle.Role_pos (a, r, b); Oracle.Role_neg (a, r, b) ])
+          inds)
+      inds
+  in
+  complex @ sats @ grid @ roles @ [ Oracle.Consistent ]
+
+let provenance_alone kb q =
+  let o = horn_oracle kb in
+  ignore (Oracle.check o q : bool);
+  Oracle.provenance o q
+
+let provenance_in_order kb =
+  let qs = prov_queries kb in
+  let o = horn_oracle kb in
+  List.for_all
+    (fun q ->
+      ignore (Oracle.check o q : bool);
+      Oracle.provenance o q = provenance_alone kb q)
+    qs
+
+let prov_of o q =
+  ignore (Oracle.check o q : bool);
+  match Oracle.provenance o q with
+  | Some e -> e
+  | None -> Alcotest.fail "computed verdict has no provenance"
+
+(* A delta that extends a region: after [r(b, c)] and [c : C] arrive,
+   the recomputed [Instance (a, A)] must record the new individual and
+   the atom that derived it. *)
+let delta_region_test =
+  Alcotest.test_case "delta-extended region is recorded" `Quick (fun () ->
+      let kb = parse "some r.C < D.\nsome r.D < A.\nr(a, b).\n" in
+      let o = horn_oracle kb in
+      let q = Oracle.Instance ("a", Concept.Atom "A") in
+      Alcotest.(check bool) "before the delta" false (Oracle.check o q);
+      let d =
+        match Delta.parse "+ r(b, c).\n+ c : C.\n" with
+        | Ok d -> d
+        | Error e -> Alcotest.fail e
+      in
+      ignore (Oracle.apply o d : Oracle.apply_stats);
+      Alcotest.(check bool) "evicted by the delta" true
+        (Oracle.provenance o q = None);
+      Alcotest.(check bool) "after the delta" true (Oracle.check o q);
+      let e = prov_of o q in
+      Alcotest.(check bool) "records c" true (List.mem "c" e.Oracle.individuals);
+      Alcotest.(check bool) "records C" true (List.mem "C" e.Oracle.concepts))
+
+(* Regions the in-order property cannot tell apart, pinned directly: a
+   role verdict records both endpoints' regions, even when the second is
+   unreachable from the first, and on an inconsistent K̄ every verdict
+   records the named set, the clash included. *)
+let region_tests =
+  [ Alcotest.test_case "role verdict records both endpoint regions" `Quick
+      (fun () ->
+        let o = horn_oracle (parse "r(a, b).\nc : C.\n") in
+        let e = prov_of o (Oracle.Role_pos ("a", Role.name "r", "c")) in
+        Alcotest.(check bool) "records C" true (List.mem "C" e.Oracle.concepts));
+    Alcotest.test_case "inconsistent KB records the named set" `Quick
+      (fun () ->
+        let o = horn_oracle (parse "A < Bottom.\na : A.\nb : B.\n") in
+        let e = prov_of o (Oracle.Instance ("b", Concept.Atom "C")) in
+        Alcotest.(check bool) "records a" true (List.mem "a" e.Oracle.individuals);
+        Alcotest.(check bool) "records A" true (List.mem "A" e.Oracle.concepts)) ]
 
 let random_tests =
   [ Test.make ~count:60 ~name:"random KBs: auto = tableau" ~print:print_kb
@@ -332,7 +456,10 @@ let random_tests =
       (fun kb ->
         let qs = queries_for kb in
         eligible4 kb
-        && verdicts Backend.Horn kb qs = verdicts Backend.Tableau kb qs) ]
+        && verdicts Backend.Horn kb qs = verdicts Backend.Tableau kb qs);
+    Test.make ~count:60
+      ~name:"random Horn KBs: in-order provenance = first-walk provenance"
+      ~print:print_kb gen_horn_kb4 provenance_in_order ]
 
 let () =
   Alcotest.run "backend"
@@ -340,4 +467,5 @@ let () =
       ("fragment", fragment_tests);
       ("differential", differential_tests);
       ("routing", routing_tests);
+      ("provenance", delta_region_test :: region_tests);
       ("random", List.map QCheck_alcotest.to_alcotest random_tests) ]

@@ -164,6 +164,57 @@ let mangle_tests =
         Alcotest.(check bool) "A" false (Mangle.is_mangled "A"))
   ]
 
+(* [Concept.to_string] renders atomic concepts directly and everything
+   else through [pp]: both spellings must agree byte for byte. *)
+let gen_concept =
+  let open QCheck2.Gen in
+  let gen_name =
+    oneofl [ "A"; "B"; "Doctor"; Mangle.pos_atom "A"; Mangle.neg_atom "B"; "horn:3" ]
+  in
+  let gen_role =
+    map2
+      (fun r inv -> if inv then Role.inv (Role.name r) else Role.name r)
+      (oneofl [ "r"; Mangle.plus_role "s" ])
+      bool
+  in
+  let gen_data =
+    oneofl
+      [ Datatype.Int_type;
+        Datatype.Int_range (Some 1, None);
+        Datatype.One_of [ Datatype.Str "x"; Datatype.Bool true ];
+        Datatype.Complement Datatype.String_type ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaves =
+           [ return Top;
+             return Bottom;
+             map (fun a -> Atom a) gen_name;
+             map (fun os -> One_of os) (list_size (int_range 1 2) (oneofl [ "a"; "b" ]));
+             map2 (fun k r -> At_least (k, r)) (int_bound 3) gen_role;
+             map2 (fun k r -> At_most (k, r)) (int_bound 3) gen_role;
+             map2 (fun u d -> Data_exists (u, d)) (oneofl [ "age"; "name" ]) gen_data;
+             map2 (fun u d -> Data_forall (u, d)) (oneofl [ "age" ]) gen_data;
+             map2 (fun k u -> Data_at_least (k, u)) (int_bound 2) (oneofl [ "age" ]);
+             map2 (fun k u -> Data_at_most (k, u)) (int_bound 2) (oneofl [ "age" ]) ]
+         in
+         if n = 0 then oneof leaves
+         else
+           oneof
+             (leaves
+             @ [ map (fun c -> Not c) (self (n - 1));
+                 map2 (fun x y -> And (x, y)) (self (n - 1)) (self (n - 1));
+                 map2 (fun x y -> Or (x, y)) (self (n - 1)) (self (n - 1));
+                 map2 (fun r c -> Exists (r, c)) gen_role (self (n - 1));
+                 map2 (fun r c -> Forall (r, c)) gen_role (self (n - 1)) ]))
+
+let printing_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"to_string = asprintf pp"
+         ~print:(Format.asprintf "%a" Concept.pp) gen_concept (fun c ->
+           String.equal (Concept.to_string c) (Format.asprintf "%a" Concept.pp c)))
+  ]
+
 let () =
   Alcotest.run "syntax"
     [ ("roles", role_tests);
@@ -172,4 +223,5 @@ let () =
       ("measures", measure_tests);
       ("signatures", signature_tests);
       ("kb4", kb4_tests);
-      ("mangle", mangle_tests) ]
+      ("mangle", mangle_tests);
+      ("printing", printing_tests) ]
