@@ -64,6 +64,33 @@ let h_eval = Obs.histogram "oracle.eval_ns"
    verdict — the dependency set for selective cache invalidation. *)
 type prov_entry = { individuals : string list; concepts : string list }
 
+(* Verdicts whose recorded provenance is equal share one group, and the
+   dependency index posts groups, not keys: a census of thousands of
+   verdicts over a few hundred distinct entries posts each entry once,
+   and a verdict leaving the cache only leaves its group's key set. *)
+module Entry = struct
+  type t = prov_entry
+
+  let equal a b =
+    List.equal String.equal a.individuals b.individuals
+    && List.equal String.equal a.concepts b.concepts
+
+  (* One traversal of both lists.  The limits reach ~120 symbols; the
+     default 10 would put every entry sharing its first few names in one
+     bucket. *)
+  let hash (e : t) = Hashtbl.hash_param 256 256 e
+end
+
+module EH = Hashtbl.Make (Entry)
+
+module IH = Hashtbl.Make (Int)
+
+type group = {
+  g_id : int;  (* the group's key in every posting table *)
+  g_entry : prov_entry;
+  g_keys : unit KH.t;  (* the resident verdicts that recorded [g_entry] *)
+}
+
 (* Per-verdict cost record: the tableau work one computed verdict paid,
    attributed at the check/check_all boundary.  Recorded unconditionally
    (like provenance) by diffing the computing backend's stats cells
@@ -165,13 +192,15 @@ type t = {
       (* [s_tab] wraps [primary]; the Horn side is rebuilt by [apply]
          (deltas can change both the KB and its fragment eligibility) *)
   cache : bool Cache.t;
-  prov : prov_entry KH.t;
-      (* per-key provenance, recorded unconditionally for every computed
-         verdict *)
-  ind_index : (string, Key.t list ref) Hashtbl.t;
-      (* individual name -> keys whose provenance mentions it *)
-  atom_index : (string, Key.t list ref) Hashtbl.t;
-      (* user-level atomic concept -> keys whose provenance mentions it *)
+  prov : group KH.t;
+      (* resident key -> the group of its provenance, recorded
+         unconditionally for every computed verdict *)
+  groups : group EH.t;  (* each distinct recorded entry, interned once *)
+  mutable next_group : int;
+  ind_index : (string, group IH.t) Hashtbl.t;
+      (* individual name -> groups whose entry mentions it, by id *)
+  atom_index : (string, group IH.t) Hashtbl.t;
+      (* user-level atomic concept -> groups whose entry mentions it *)
   costs : cost KH.t;
       (* per-key cost records, lifetime tied to cache residency like
          [prov]; session totals live in [acc] and survive eviction *)
@@ -179,50 +208,69 @@ type t = {
   mutable tableau_calls : int;
 }
 
+let post index sym g =
+  match Hashtbl.find_opt index sym with
+  | Some gs -> IH.replace gs g.g_id g
+  | None ->
+      let gs = IH.create 4 in
+      IH.replace gs g.g_id g;
+      Hashtbl.replace index sym gs
+
+let unpost index sym g =
+  match Hashtbl.find_opt index sym with
+  | None -> ()
+  | Some gs ->
+      IH.remove gs g.g_id;
+      if IH.length gs = 0 then Hashtbl.remove index sym
+
+(* A group without keys leaves the intern table and every posting. *)
+let drop_group t g =
+  EH.remove t.groups g.g_entry;
+  List.iter (fun s -> unpost t.ind_index s g) g.g_entry.individuals;
+  List.iter (fun s -> unpost t.atom_index s g) g.g_entry.concepts
+
+(* The one way a key loses its provenance: a capacity eviction, an
+   explicit eviction and a re-record all come through here, so the
+   indexes hold exactly the resident keys' groups. *)
+let detach t k =
+  match KH.find_opt t.prov k with
+  | None -> ()
+  | Some g ->
+      KH.remove t.prov k;
+      KH.remove g.g_keys k;
+      if KH.length g.g_keys = 0 then drop_group t g
+
 let of_config (config : config) kb =
   let classical_kb = Transform.kb kb in
-  let prov = KH.create 64 in
-  let ind_index = Hashtbl.create 64 in
-  let atom_index = Hashtbl.create 64 in
-  (* Provenance lifetime is tied to cache residency: when the LRU makes
-     room (a capacity eviction, not an explicit invalidation), the
-     evicted key's provenance entry and index postings go with it.
-     Without this, a capacity-evicted key recomputed after a delta would
-     keep its pre-delta provenance, and the dependency index would
-     under-approximate it — breaking the invalidation contract. *)
-  let unpost index sym k =
-    match Hashtbl.find_opt index sym with
-    | None -> ()
-    | Some keys ->
-        keys := List.filter (fun k' -> not (Key.equal k' k)) !keys;
-        if !keys = [] then Hashtbl.remove index sym
-  in
-  let cache = Cache.create ~capacity:config.cache_capacity in
-  let costs = KH.create 64 in
-  Cache.on_evict cache (fun k ->
-      KH.remove costs k;
-      match KH.find_opt prov k with
-      | None -> ()
-      | Some e ->
-          KH.remove prov k;
-          List.iter (fun s -> unpost ind_index s k) e.individuals;
-          List.iter (fun s -> unpost atom_index s k) e.concepts);
   let primary =
     Reasoner.create ~max_nodes:config.max_nodes
       ~max_branches:config.max_branches classical_kb
   in
-  { kb;
-    classical_kb;
-    config;
-    primary;
-    stack = stack_of_reasoner config classical_kb primary;
-    cache;
-    prov;
-    ind_index;
-    atom_index;
-    costs;
-    acc = fresh_acc ();
-    tableau_calls = 0 }
+  let t =
+    { kb;
+      classical_kb;
+      config;
+      primary;
+      stack = stack_of_reasoner config classical_kb primary;
+      cache = Cache.create ~capacity:config.cache_capacity;
+      prov = KH.create 64;
+      groups = EH.create 64;
+      next_group = 0;
+      ind_index = Hashtbl.create 64;
+      atom_index = Hashtbl.create 64;
+      costs = KH.create 64;
+      acc = fresh_acc ();
+      tableau_calls = 0 }
+  in
+  (* Provenance lifetime is tied to cache residency: when the LRU makes
+     room, the evicted key's cost record and provenance go with it.
+     Without this, a capacity-evicted key recomputed after a delta would
+     keep its pre-delta provenance, and the dependency index would
+     under-approximate it — breaking the invalidation contract. *)
+  Cache.on_evict t.cache (fun k ->
+      KH.remove t.costs k;
+      detach t k);
+  t
 
 let kb t = t.kb
 let classical_kb t = t.classical_kb
@@ -305,33 +353,33 @@ let eval_obs stack q =
         raise e
   end
 
-(* Store a verdict's provenance and index it under every symbol it
-   mentions.  With a disabled cache (capacity 0) nothing is recorded:
+(* Store a verdict's provenance: join the group of an equal entry, or
+   intern a new group and post it under every symbol it mentions.  A key
+   recorded again (a snapshot import over a warm cache) first leaves its
+   old group.  With a disabled cache (capacity 0) nothing is recorded:
    no verdict can be retained, so there is nothing to invalidate, and
-   recording would grow without bound.  When a key is recorded again
-   while an entry is still live (a snapshot import over a warm cache),
-   only the symbols the old entry did not mention are posted — the
-   index must always cover the recorded provenance; stale postings left
-   behind are a sound over-approximation (re-evicting is conservative,
-   never wrong). *)
+   recording would grow without bound. *)
 let record_prov t k (entry : prov_entry) =
   if t.config.cache_capacity > 0 then begin
-    let old = KH.find_opt t.prov k in
-    KH.replace t.prov k entry;
-    let old_inds, old_atoms =
-      match old with
-      | None -> ([], [])
-      | Some e -> (e.individuals, e.concepts)
+    detach t k;
+    let g =
+      match EH.find_opt t.groups entry with
+      | Some g -> g
+      | None ->
+          let g =
+            { g_id = t.next_group; g_entry = entry; g_keys = KH.create 4 }
+          in
+          t.next_group <- t.next_group + 1;
+          EH.replace t.groups entry g;
+          List.iter (fun s -> post t.ind_index s g) entry.individuals;
+          List.iter (fun s -> post t.atom_index s g) entry.concepts;
+          g
     in
-    let post index old_syms sym =
-      if not (List.mem sym old_syms) then
-        match Hashtbl.find_opt index sym with
-        | Some keys -> keys := k :: !keys
-        | None -> Hashtbl.replace index sym (ref [ k ])
-    in
-    List.iter (post t.ind_index old_inds) entry.individuals;
-    List.iter (post t.atom_index old_atoms) entry.concepts
+    KH.replace g.g_keys k ();
+    KH.replace t.prov k g
   end
+
+let entry_of t k = Option.map (fun g -> g.g_entry) (KH.find_opt t.prov k)
 
 (* One slow verdict as a JSONL record: the cost record, the provenance
    symbols and the cache's disposition of the verdict. *)
@@ -418,10 +466,10 @@ let check_all t qs =
   Obs.with_span ~cat:"oracle" "oracle.check_all" (fun () ->
       List.map (check t) qs)
 
-let provenance t q = KH.find_opt t.prov (key_of q)
+let provenance t q = entry_of t (key_of q)
 
 let provenances t =
-  KH.fold (fun _ p acc -> p :: acc) t.prov []
+  KH.fold (fun _ g acc -> g.g_entry :: acc) t.prov []
 
 let cost t q = KH.find_opt t.costs (key_of q)
 
@@ -467,7 +515,7 @@ let export_entries t =
     (fun (k, v) ->
       { x_query = query_of_key k;
         x_verdict = v;
-        x_prov = KH.find_opt t.prov k;
+        x_prov = entry_of t k;
         x_cost = KH.find_opt t.costs k })
     (Cache.entries t.cache)
 
@@ -525,30 +573,31 @@ let pp_apply_stats ppf s =
     (if s.consistency_flipped then ", consistency flipped" else "")
     s.recheck_calls
 
-(* Drop everything derived: verdicts, provenance, both indexes.  Keeps
-   the cache's hit/miss counters (a flush is not a capacity eviction). *)
+(* Drop everything derived: verdicts, provenance, groups, both indexes.
+   Keeps the cache's hit/miss counters (a flush is not a capacity
+   eviction). *)
 let flush_all t =
   Cache.purge t.cache;
   KH.reset t.prov;
+  EH.reset t.groups;
   KH.reset t.costs;
   Hashtbl.reset t.ind_index;
   Hashtbl.reset t.atom_index
 
 let evict_key t k =
   ignore (Cache.remove t.cache k : bool);
-  KH.remove t.prov k;
-  KH.remove t.costs k
+  KH.remove t.costs k;
+  detach t k
 
-(* Drop every key posted under [sym].  Stale postings (keys already
-   evicted through another symbol and possibly recomputed since) are
-   over-approximations: re-evicting a live verdict is sound, just
-   conservative. *)
+(* Drop every group posted under [sym] whole: all of its keys leave the
+   cache, and the last one to go unposts the group. *)
 let evict_symbol t index sym =
   match Hashtbl.find_opt index sym with
   | None -> ()
-  | Some keys ->
-      Hashtbl.remove index sym;
-      List.iter (evict_key t) !keys
+  | Some gs ->
+      (* snapshot first: detaching keys mutates [gs] and the key sets *)
+      IH.fold (fun _ g ks -> KH.fold (fun k () ks -> k :: ks) g.g_keys ks) gs []
+      |> List.iter (evict_key t)
 
 (* Connected components of the told classical ABox graph (role and
    data assertions, Same/Different, nominal references inside asserted
@@ -706,7 +755,7 @@ let apply t (d : Delta.t) =
     let flipped = post <> pre in
     let evicted =
       if flipped && not flush then begin
-        let consistency_prov = KH.find_opt t.prov Key.K_consistent in
+        let consistency_prov = entry_of t Key.K_consistent in
         let n = Cache.length t.cache in
         flush_all t;
         Cache.add t.cache Key.K_consistent post;

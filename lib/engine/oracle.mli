@@ -97,11 +97,18 @@ val check_all : t -> query list -> bool list
     unconditional: it does not depend on observability sinks being armed
     ({!Obs.enabled} only adds spans and histograms on top).
 
+    Verdicts whose entries are equal share one provenance group, and the
+    dependency index posts groups rather than verdicts; the accessors
+    below return the group's entry, so readers see the recorded values
+    unchanged.
+
     Provenance lifetime is tied to cache residency: an entry lives exactly
-    as long as its verdict is retained, so an LRU capacity eviction drops
-    the provenance (and its index postings) together with the verdict, and
-    a disabled cache ([cache_capacity = 0]) records no provenance at all —
-    nothing can be retained, so there is nothing to invalidate. *)
+    as long as its verdict is retained.  A capacity eviction, an explicit
+    eviction and a re-record on import each detach the verdict from its
+    group in O(1), and a group left without verdicts leaves the index, so
+    the index holds exactly the resident verdicts.  A disabled cache
+    ([cache_capacity = 0]) records no provenance at all — nothing can be
+    retained, so there is nothing to invalidate. *)
 
 type prov_entry = {
   individuals : string list;  (** named ABox individuals touched, sorted *)
@@ -115,7 +122,8 @@ val provenance : t -> query -> prov_entry option
     cache; cache hits never re-record). *)
 
 val provenances : t -> prov_entry list
-(** All recorded per-verdict provenance entries, unordered. *)
+(** The provenance entry of every retained verdict, one per verdict
+    (verdicts sharing a group repeat its entry), unordered. *)
 
 (** {1 Per-verdict cost accounting}
 
@@ -223,9 +231,9 @@ val restore_cache_stats : t -> Verdict_cache.stats -> unit
 
     {!apply} edits the KB in place and selectively invalidates cached
     verdicts through a provenance-keyed dependency index (individual and
-    atomic-concept symbol -> verdict keys).  A verdict survives a delta
-    when its recorded dependency set avoids every symbol the delta can
-    reach:
+    atomic-concept symbol -> the provenance groups mentioning it -> their
+    resident verdicts).  A verdict survives a delta when its recorded
+    dependency set avoids every symbol the delta can reach:
 
     - ABox adds/retracts evict the verdicts whose provenance meets the
       {e connected component} (over told role assertions, Same/Different

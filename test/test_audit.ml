@@ -637,7 +637,40 @@ let golden_tests =
         checki "two verdicts per fact" (2 * List.length cs.Audit.cs_entries)
           (List.length lines);
         checks "provenance digest" horn_census_digest
-          (Digest.to_hex (Digest.string (String.concat "\n" lines ^ "\n")))) ]
+          (Digest.to_hex (Digest.string (String.concat "\n" lines ^ "\n"))));
+    Alcotest.test_case "horn census: over-capacity caches agree" `Quick
+      (fun () ->
+        (* a census through a cache smaller than its verdict count evicts
+           as it goes; values and the report must not notice.
+           [~top:0] leaves out [top_individuals], whose provenance union
+           depends on which verdicts are still resident *)
+        let kb = Surface.parse_kb4_exn (read (golden "horn_census.dl4")) in
+        let census capacity =
+          let para =
+            Para.create
+              ~config:
+                { Session.default_config with
+                  Session.backend = Backend.Auto;
+                  cache_capacity = capacity }
+              kb
+          in
+          (para, Audit.census para)
+        in
+        let p0, cs0 = census Session.default_config.Session.cache_capacity in
+        List.iter
+          (fun capacity ->
+            let p, cs = census capacity in
+            let name = Printf.sprintf "capacity %d" capacity in
+            let evictions =
+              (Oracle.cache_stats (Para.oracle p)).Verdict_cache.evictions
+            in
+            checkb (name ^ ": the census evicted") true (evictions > 0);
+            Alcotest.(check (list string))
+              (name ^ ": entries") (census_lines cs0) (census_lines cs);
+            checks (name ^ ": report")
+              (Audit.report_json ~top:0 p0 cs0)
+              (Audit.report_json ~top:0 p cs))
+          [ 64; 1024 ]) ]
 
 let () =
   Alcotest.run "audit"

@@ -223,6 +223,46 @@ let gen_kb seed =
       max_depth = 1;
       inconsistency_rate = 0.15 }
 
+(* A small Horn/EL KB in the shape of test_backend's [gen_horn_kb4]: EL
+   heads, Horn bodies (EL or a disjunction of EL), an occasional
+   [A ⊑ ⊥], literal concept assertions, role edges and equalities — so
+   the [Auto] stack routes its verdicts to the completion backend. *)
+let gen_horn_kb seed =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let atom () = Concept.Atom (pick [ "A"; "B"; "C"; "D" ]) in
+  let r = Role.name "r" in
+  let ind () = pick [ "a"; "b"; "c"; "d"; "e" ] in
+  let el () =
+    match Random.State.int rng 3 with
+    | 0 -> atom ()
+    | 1 -> Concept.And (atom (), atom ())
+    | _ -> Concept.Exists (r, atom ())
+  in
+  let body () =
+    if Random.State.int rng 3 = 0 then Concept.Or (el (), el ()) else el ()
+  in
+  let tbox =
+    List.init 4 (fun _ ->
+        if Random.State.int rng 7 = 0 then
+          Kb4.Concept_inclusion (Kb4.Internal, atom (), Concept.Bottom)
+        else Kb4.Concept_inclusion (Kb4.Internal, body (), el ()))
+  in
+  let abox =
+    List.init 8 (fun _ ->
+        match Random.State.int rng 9 with
+        | 0 -> Axiom.Same (ind (), ind ())
+        | n when n < 5 ->
+            let c = atom () in
+            Axiom.Instance_of
+              (ind (), if Random.State.bool rng then c else Concept.Not c)
+        | _ -> Axiom.Role_assertion (ind (), r, ind ()))
+  in
+  Kb4.make ~tbox ~abox
+
+let auto_capacity n =
+  { Session.default_config with backend = Backend.Auto; cache_capacity = n }
+
 let differential_tests =
   [ differential_case "example1" Paper_examples.example1 1;
     differential_case "example2" Paper_examples.example2 2;
@@ -238,7 +278,22 @@ let differential_tests =
       "example1, capacity 2" Paper_examples.example1 7;
     differential_case
       ~config:{ Session.default_config with cache_capacity = 2 }
-      "gen41, capacity 2" (gen_kb 41) 8 ]
+      "gen41, capacity 2" (gen_kb 41) 8;
+    (* the same interleaving on the completion backend, where many
+       verdicts share one recorded provenance entry *)
+    Alcotest.test_case "horn7 is in the Horn fragment" `Quick (fun () ->
+        checkb "complete_for" true
+          (Horn_backend.complete_for (Transform.kb (gen_horn_kb 7))));
+    differential_case ~config:(auto_capacity 2) "example1, auto, capacity 2"
+      Paper_examples.example1 9;
+    differential_case ~config:(auto_capacity 8) "example1, auto, capacity 8"
+      Paper_examples.example1 10;
+    (* one delta sequence at both capacities (seed 12's sequence spends
+       a minute in the tableau reference, whatever the live config) *)
+    differential_case ~config:(auto_capacity 2) "horn7, auto, capacity 2"
+      (gen_horn_kb 7) 11;
+    differential_case ~config:(auto_capacity 8) "horn7, auto, capacity 8"
+      (gen_horn_kb 7) 11 ]
 
 (* ------------------------------------------------------------------ *)
 (* Retention: verdicts of an untouched component survive for free *)
@@ -380,6 +435,42 @@ let residency_tests =
         (* without the eviction hook this grows with every distinct query *)
         checki "one provenance entry per live verdict" live
           (List.length (Oracle.provenances o)));
+    Alcotest.test_case "a recomputed verdict is indexed by its new provenance"
+      `Quick (fun () ->
+        (* a's verdict first depends on b through r(a, b); once the edge
+           is retracted and the verdict recomputed, it mentions neither b
+           nor B, so an absorbable axiom on B must leave it resident *)
+        let kb = Surface.parse_kb4_exn "A < C.\na : A.\nr(a, b).\nb : B.\n" in
+        let o =
+          Oracle.of_config
+            { Oracle.default_config with Oracle.backend = Backend.Horn }
+            kb
+        in
+        let q = Oracle.Instance ("a", Concept.Atom "A") in
+        let calls () = (Oracle.stats o).Oracle.tableau_calls in
+        let prov () =
+          match Oracle.provenance o q with
+          | None -> Alcotest.fail "a : A has no provenance"
+          | Some e -> (e.Oracle.individuals, e.Oracle.concepts)
+        in
+        let pair = Alcotest.(pair (list string) (list string)) in
+        checkb "a : A" true (Oracle.check o q);
+        check pair "provenance through r(a, b)"
+          ([ "a"; "b" ], [ "A"; "B"; "C" ])
+          (prov ());
+        ignore (Oracle.apply o (ok_parse "- r(a, b).\n") : Oracle.apply_stats);
+        checkb "a : A after the retraction" true (Oracle.check o q);
+        check pair "provenance without the edge"
+          ([ "a" ], [ "A"; "C" ])
+          (prov ());
+        let before = calls () in
+        let st = Oracle.apply o (ok_parse "+ B < D.\n") in
+        checki "only the consistency bit is evicted" 1 st.Oracle.evicted;
+        checkb "no flush" false st.Oracle.flushed;
+        let after_apply = calls () in
+        checki "apply paid only the consistency probe" (before + 1) after_apply;
+        checkb "a : A still holds" true (Oracle.check o q);
+        checki "re-asking a : A pays nothing" after_apply (calls ()));
     Alcotest.test_case "disabled cache records no provenance" `Quick
       (fun () ->
         let s =

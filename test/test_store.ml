@@ -143,7 +143,44 @@ let string_tests =
         let st = Session.apply s2 d in
         checkb "john-dependent verdicts evicted" true (st.Oracle.evicted > 0);
         checkb "not a full flush" true (not st.Oracle.flushed);
-        checkb "independent verdicts retained" true (st.Oracle.retained > 0))
+        checkb "independent verdicts retained" true (st.Oracle.retained > 0));
+    Alcotest.test_case "a restored Horn session applies a delta alike" `Quick
+      (fun () ->
+        (* the restored dependency index is rebuilt from the imported
+           provenance alone; it must evict and retain exactly what the
+           live session's index does *)
+        let kb = Paper_examples.example1 in
+        let config = { Session.default_config with backend = Backend.Horn } in
+        let live = Session.create ~config kb in
+        let p = Para.of_session live in
+        ignore (Para.satisfiable p : bool);
+        ignore (Para.contradictions p : (string * string) list);
+        ignore (Engine.classification (Session.engine live) : Classify.t);
+        let restored = restored_exn ~kb (Store.capture live) in
+        let d =
+          match
+            Delta.parse "+ hasPatient(john, mary).\n- mary : Patient.\n"
+          with
+          | Ok d -> d
+          | Error e -> Alcotest.failf "delta: %s" e
+        in
+        let st_live = Session.apply live d in
+        let st_restored = Session.apply restored d in
+        checkb "apply stats equal" true (st_live = st_restored);
+        checkb "the delta evicted something" true (st_live.Oracle.evicted > 0);
+        checkb "the delta retained something" true
+          (st_live.Oracle.retained > 0);
+        let resident s =
+          List.sort compare
+            (List.map
+               (fun e ->
+                 ( Oracle.query_to_string e.Oracle.x_query,
+                   e.Oracle.x_verdict,
+                   e.Oracle.x_prov ))
+               (Oracle.export_entries (Session.oracle s)))
+        in
+        checkb "resident entries equal" true
+          (resident live = resident restored))
   ]
 
 (* ------------------------------------------------------------------ *)
