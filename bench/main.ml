@@ -352,8 +352,7 @@ let report_engine_classification () =
     (fun (label, kb) ->
       let t = Para.create kb in
       let naive = Para.classify_naive t in
-      let e = Engine.of_config Oracle.default_config kb in
-      let cls = Engine.classification e in
+      let cls = Session.classification (Session.create kb) in
       let s = cls.Classify.stats in
       Printf.printf "  %-20s %-7d %-7d %-7d %-7d %-7d %s\n%!" label s.atoms
         s.naive_tests s.tableau_tests
@@ -383,25 +382,25 @@ let report_engine_cache () =
   in
   let batch e =
     List.iter
-      (fun (a, c) -> ignore (Engine.instance_truth e a (Concept.Atom c)))
+      (fun (a, c) -> ignore (Para.instance_truth e a (Concept.Atom c)))
       queries
   in
-  let e = Engine.of_config Oracle.default_config kb in
+  let e = Session.create kb in
   let time f =
     let t0 = Sys.time () in
     f ();
     Sys.time () -. t0
   in
   let cold = time (fun () -> batch e) in
-  let s1 = Engine.stats e in
+  let c1 = Oracle.cache_stats (Session.oracle e) in
+  let calls1 = Oracle.tableau_calls (Session.oracle e) in
   let warm = time (fun () -> batch e) in
-  let s2 = Engine.stats e in
+  let c2 = Oracle.cache_stats (Session.oracle e) in
   Printf.printf
     "  %d queries;  cold: %.3fs (%d misses, %d tableau calls)\n\
     \              warm: %.3fs (%d hits);  speedup: %.0fx\n"
-    (List.length queries) cold s1.Engine.cache.Verdict_cache.misses
-    s1.Engine.tableau_calls warm
-    (s2.Engine.cache.Verdict_cache.hits - s1.Engine.cache.Verdict_cache.hits)
+    (List.length queries) cold c1.Verdict_cache.misses calls1 warm
+    (c2.Verdict_cache.hits - c1.Verdict_cache.hits)
     (cold /. Float.max warm 1e-9)
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +445,7 @@ let report_obs_overhead () =
     List.nth a (List.length a / 2)
   in
   let runs = 5 in
-  let classify_once () = Engine.classify (Engine.of_config Oracle.default_config kb) in
+  let classify_once () = Session.classify (Session.create kb) in
   let time_runs () =
     List.init runs (fun _ ->
         let tax, dt = wall classify_once in
@@ -612,7 +611,7 @@ let report_incremental () =
   (* incremental protocol: one session, apply + re-query per step *)
   let s = Session.create kb in
   let p = Para.of_session s in
-  let calls () = (Oracle.stats (Session.oracle s)).Oracle.tableau_calls in
+  let calls () = Oracle.tableau_calls (Session.oracle s) in
   let _, warm_dt = wall (fun () -> grid p) in
   Printf.printf "  warm-up grid: %.3fs, %d tableau calls\n%!" warm_dt (calls ());
   let incremental =
@@ -635,9 +634,7 @@ let report_incremental () =
         acc := Delta.apply_kb4 !acc d;
         let t = Para.create !acc in
         let answers, dt = wall (fun () -> grid t) in
-        let calls =
-          (Oracle.stats (Para.oracle t)).Oracle.tableau_calls
-        in
+        let calls = Oracle.tableau_calls (Session.oracle t) in
         (answers, calls, dt))
       deltas
   in
@@ -738,7 +735,7 @@ let report_serve () =
     let p = Para.of_session s in
     ignore (Para.satisfiable p : bool);
     ignore (Para.contradictions p : (string * string) list);
-    ignore (Engine.classification (Session.engine s) : Classify.t);
+    ignore (Session.classification s : Classify.t);
     s
   in
   let cold_answers, cold_total =
@@ -769,9 +766,7 @@ let report_serve () =
             Truth.to_string (Para.instance_truth p a (Concept.Atom c)))
           queries)
   in
-  let snap_calls =
-    (Engine.stats (Session.engine restored)).Engine.tableau_calls
-  in
+  let snap_calls = Oracle.tableau_calls (Session.oracle restored) in
   (* warm serve: protocol round trips against the daemon's handler *)
   let srv = Serve.create (warm_session ()) in
   let serve_answers, serve_total =
@@ -871,17 +866,15 @@ let report_backends () =
       Session.create
         ~config:{ Session.default_config with backend } kb
     in
-    let e = Session.engine s in
-    let p = Para.of_session s in
     let out, dt =
       wall (fun () ->
-          let tax = Para.classify p in
+          let tax = Session.classify s in
           let truths =
-            List.map (fun (a, c) -> Para.instance_truth p a c) grid
+            List.map (fun (a, c) -> Para.instance_truth s a c) grid
           in
           (tax, truths))
     in
-    (out, dt, Engine.stats e)
+    (out, dt, (Session.cost_totals s).Oracle.backends)
   in
   let tab_out, tab_dt, tab_st = run Backend.Tableau in
   let horn_out, horn_dt, _ = run Backend.Horn in
@@ -892,9 +885,9 @@ let report_backends () =
   let count routes b =
     List.assoc_opt b routes |> Option.value ~default:0
   in
-  let horn_routed = count auto_st.Engine.routes "horn" in
+  let horn_routed = count auto_st "horn" in
   let total_routed =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 auto_st.Engine.routes
+    List.fold_left (fun acc (_, n) -> acc + n) 0 auto_st
   in
   let fraction =
     if total_routed = 0 then 0.
@@ -913,7 +906,7 @@ let report_backends () =
       [ ("answers_identical", if identical then "1" else "0");
         ("horn_route_fraction", Printf.sprintf "%.4f" fraction);
         ("speedup_auto_vs_tableau", Printf.sprintf "%.2f" speedup);
-        ("tableau_verdicts", string_of_int (count tab_st.Engine.routes "tableau"));
+        ("tableau_verdicts", string_of_int (count tab_st "tableau"));
         ("tableau_seconds", Printf.sprintf "%.4f" tab_dt);
         ("horn_seconds", Printf.sprintf "%.4f" horn_dt);
         ("auto_seconds", Printf.sprintf "%.4f" auto_dt) ]
@@ -925,7 +918,7 @@ let report_backends () =
          (String.concat ", "
             (List.map
                (fun (b, n) -> Printf.sprintf "\"%s\": %d" b n)
-               auto_st.Engine.routes)))
+               auto_st)))
 
 (* ------------------------------------------------------------------ *)
 (* S11: what does the PR 8 telemetry plane cost per request?
@@ -981,7 +974,7 @@ let report_telemetry () =
     let p = Para.of_session s in
     ignore (Para.satisfiable p : bool);
     ignore (Para.contradictions p : (string * string) list);
-    ignore (Engine.classification (Session.engine s) : Classify.t);
+    ignore (Session.classification s : Classify.t);
     s
   in
   let truth_of resp =
@@ -1450,7 +1443,7 @@ let engine_classification_benches () =
       [ bench ("classify_naive_" ^ label) (fun () ->
             Para.classify_naive (Para.create kb));
         bench ("classify_engine_" ^ label) (fun () ->
-            Engine.classify (Engine.of_config Oracle.default_config kb)) ])
+            Session.classify (Session.create kb)) ])
     [ ("example3", Paper_examples.example3);
       ("chains8", Gen.exception_chains ~n:8) ]
 
@@ -1474,14 +1467,14 @@ let engine_cache_benches () =
   in
   let batch e =
     List.iter
-      (fun (a, c) -> ignore (Engine.instance_truth e a (Concept.Atom c)))
+      (fun (a, c) -> ignore (Para.instance_truth e a (Concept.Atom c)))
       queries
   in
-  let warm = Engine.of_config Oracle.default_config kb in
+  let warm = Session.create kb in
   batch warm;
-  [ bench "query_batch_cold_cache" (fun () -> batch (Engine.of_config Oracle.default_config kb));
+  [ bench "query_batch_cold_cache" (fun () -> batch (Session.create kb));
     bench "query_batch_warm_cache" (fun () -> batch warm);
-    bench "realize_cold" (fun () -> Engine.realization (Engine.of_config Oracle.default_config kb)) ]
+    bench "realize_cold" (fun () -> Session.realization (Session.create kb)) ]
 
 let ablation_benches () =
   List.map

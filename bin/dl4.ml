@@ -82,7 +82,7 @@ let max_branches_arg =
 let cache_size_arg =
   Arg.(
     value
-    & opt int Engine.default_cache_capacity
+    & opt int Oracle.default_cache_capacity
     & info [ "cache-size" ] ~docv:"N"
         ~doc:"Capacity of the LRU verdict cache (number of tableau verdicts).")
 
@@ -267,10 +267,9 @@ let session_of ~config ~from_snapshot kb =
    every atomic instance query in both polarities) and the
    classification index. *)
 let warm_session s =
-  let p = Para.of_session s in
-  ignore (Para.satisfiable p : bool);
-  ignore (Para.contradictions p : (string * string) list);
-  ignore (Engine.classification (Session.engine s) : Classify.t)
+  ignore (Para.satisfiable s : bool);
+  ignore (Para.contradictions s : (string * string) list);
+  ignore (Session.classification s : Classify.t)
 
 (* ------------------------------------------------------------------ *)
 
@@ -297,10 +296,10 @@ let check_cmd =
           let kb = load_kb4 file in
           let config =
             make_config ~max_nodes ~max_branches
-              ~cache_size:Engine.default_cache_capacity ~no_cache:false
+              ~cache_size:Oracle.default_cache_capacity ~no_cache:false
               ~backend
           in
-          let t = Para.of_session (session_of ~config ~from_snapshot kb) in
+          let t = session_of ~config ~from_snapshot kb in
           if not (Para.satisfiable t) then begin
             Format.printf "four-valued UNSATISFIABLE@.";
             1
@@ -415,9 +414,9 @@ let query_cmd =
         let kb = load_kb4 file in
         let config =
           make_config ~max_nodes ~max_branches
-            ~cache_size:Engine.default_cache_capacity ~no_cache:false ~backend
+            ~cache_size:Oracle.default_cache_capacity ~no_cache:false ~backend
         in
-        let t = Para.of_session (session_of ~config ~from_snapshot kb) in
+        let t = session_of ~config ~from_snapshot kb in
         match cq with
         | Some src ->
             let q = load_cq src in
@@ -527,7 +526,7 @@ let audit_cmd =
           make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
-        let t = Para.of_session (session_of ~config ~from_snapshot kb) in
+        let t = session_of ~config ~from_snapshot kb in
         let report =
           Audit.report_json ~top ?exactly t (Audit.census t)
         in
@@ -565,14 +564,14 @@ let classify_cmd =
           make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
-        let e = Session.engine (session_of ~config ~from_snapshot kb) in
+        let s = session_of ~config ~from_snapshot kb in
         List.iter
           (fun (cls, direct) ->
             let lhs = String.concat " = " cls in
             match direct with
             | [] -> Format.printf "%s@." lhs
             | _ -> Format.printf "%s < %s@." lhs (String.concat ", " direct))
-          (Engine.taxonomy e);
+          (Session.taxonomy s);
         0)
   in
   Cmd.v
@@ -605,7 +604,7 @@ let realize_cmd =
           make_config ~max_nodes ~max_branches ~cache_size ~no_cache
             ~backend
         in
-        let e = Session.engine (session_of ~config ~from_snapshot kb) in
+        let s = session_of ~config ~from_snapshot kb in
         List.iter
           (fun (entry : Realize.entry) ->
             let tops =
@@ -626,7 +625,7 @@ let realize_cmd =
                   if v <> Truth.Neither then
                     Format.printf "    %-20s %a@." c Truth.pp v)
                 entry.Realize.types)
-          (Engine.realization e).Realize.entries;
+          (Session.realization s).Realize.entries;
         0)
   in
   Cmd.v
@@ -680,12 +679,11 @@ let update_cmd =
                 ~backend
             in
             let s = session_of ~config ~from_snapshot kb in
-            let p = Para.of_session s in
             (* warm the stack before replaying so the per-delta stats show
                what selective invalidation retains *)
             Format.printf "initial: %s, %d contradictions@."
-              (if Para.satisfiable p then "satisfiable" else "UNSATISFIABLE")
-              (List.length (Para.contradictions p));
+              (if Para.satisfiable s then "satisfiable" else "UNSATISFIABLE")
+              (List.length (Para.contradictions s));
             let n = ref 0 in
             List.iter
               (fun ds ->
@@ -697,9 +695,9 @@ let update_cmd =
                   ds)
               (List.filter_map Fun.id scripts);
             Format.printf "final: %s, %d contradictions@."
-              (if Para.satisfiable p then "satisfiable" else "UNSATISFIABLE")
-              (List.length (Para.contradictions p));
-            if Para.satisfiable p then 0 else 1
+              (if Para.satisfiable s then "satisfiable" else "UNSATISFIABLE")
+              (List.length (Para.contradictions s));
+            if Para.satisfiable s then 0 else 1
           end
         end)
   in
@@ -778,9 +776,9 @@ let retrieve_cmd =
         let c = load_concept csrc in
         let config =
           make_config ~max_nodes ~max_branches
-            ~cache_size:Engine.default_cache_capacity ~no_cache:false ~backend
+            ~cache_size:Oracle.default_cache_capacity ~no_cache:false ~backend
         in
-        let t = Para.of_session (session_of ~config ~from_snapshot kb) in
+        let t = session_of ~config ~from_snapshot kb in
         List.iter
           (fun (a, v) ->
             if all || Truth.designated v then
@@ -897,8 +895,7 @@ let explain_plan_cmd =
           ~doc:
             "Force every extension step to one join strategy: $(b,nested) \
              or $(b,hash) (default: adaptive by intermediate binding-set \
-             cardinality; the DL4_JOIN environment variable sets the same \
-             knob).")
+             cardinality).")
   in
   let threshold_arg =
     Arg.(
@@ -907,8 +904,7 @@ let explain_plan_cmd =
       & info [ "threshold" ] ~docv:"N"
           ~doc:
             "Binding-set cardinality at which extension steps switch from \
-             nested-loop to hash-join (default 8; DL4_JOIN_THRESHOLD sets \
-             the same knob).")
+             nested-loop to hash-join (default 8).")
   in
   let order_arg =
     let order_conv =
@@ -954,9 +950,9 @@ let explain_plan_cmd =
         let q = load_cq cqsrc in
         let config =
           make_config ~max_nodes ~max_branches
-            ~cache_size:Engine.default_cache_capacity ~no_cache:false ~backend
+            ~cache_size:Oracle.default_cache_capacity ~no_cache:false ~backend
         in
-        let t = Para.of_session (session_of ~config ~from_snapshot kb) in
+        let t = session_of ~config ~from_snapshot kb in
         let plan = Cq.compile ?threshold ?force:join ~order t q in
         if execute then
           ignore (Cq.run plan : (string list * Truth.t) list);

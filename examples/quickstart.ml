@@ -57,4 +57,4 @@ let () =
 
   (* Under the hood: the classical induced KB of Definition 7. *)
   Format.printf "@.induced classical KB:@.%s"
-    (Surface.kb_to_string (Para.classical_kb t))
+    (Surface.kb_to_string (Session.classical_kb t))

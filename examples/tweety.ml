@@ -32,7 +32,7 @@ let () =
 
   (* Example 5: the classical induced KB and tableau reasoning over it. *)
   Format.printf "@.Example 5 — the classical induced KB (Definition 7):@.%s@."
-    (Surface.kb_to_string (Para.classical_kb t));
+    (Surface.kb_to_string (Session.classical_kb t));
 
   let r = Para.classical_reasoner t in
   Format.printf "Fly-(tweety) holds:        %b  (tweety cannot fly)@."

@@ -19,7 +19,7 @@ type census = {
 
 (* the swept fact space, in the stable order both census variants use *)
 let fact_space para =
-  let kb = Para.kb para in
+  let kb = Session.kb para in
   let signature = Kb4.signature kb in
   let individuals = signature.Axiom.individuals in
   let concepts = List.sort_uniq String.compare signature.Axiom.concepts in
@@ -175,7 +175,7 @@ let jlist b xs f =
 (* union of the oracle provenance of an individual's ⊤-valued concept
    facts — present only while the verdicts are cache-resident *)
 let provenance_of para cs a =
-  let oracle = Para.oracle para in
+  let oracle = Session.oracle para in
   let inds = ref [] and cons = ref [] in
   let add (p : Oracle.prov_entry) =
     inds := p.Oracle.individuals @ !inds;
@@ -196,7 +196,7 @@ let provenance_of para cs a =
 
 let report_json ?(top = 5) ?exactly para cs =
   let b = Buffer.create 1024 in
-  let stats = Kb_stats.of_kb4 (Para.kb para) in
+  let stats = Kb_stats.of_kb4 (Session.kb para) in
   Buffer.add_string b "{\"schema\":";
   jstr b schema;
   Buffer.add_string b ",\"kb\":{\"individuals\":";

@@ -36,24 +36,3 @@ let choice_to_string = function
   | Horn -> "horn"
 
 exception Unsupported of string
-
-module type S = sig
-  type t
-
-  val name : string
-  val complete_for : Axiom.kb -> bool
-  val create : max_nodes:int -> max_branches:int -> Axiom.kb -> t
-  val can_answer : t -> query -> bool
-  val eval : ?prov:Tableau.prov -> t -> query -> bool
-  val stats : t -> Tableau.stats
-end
-
-type packed = Packed : (module S with type t = 'a) * 'a -> packed
-
-let pack (type a) (module B : S with type t = a) (inst : a) =
-  Packed ((module B), inst)
-
-let name (Packed ((module B), _)) = B.name
-let can_answer (Packed ((module B), inst)) q = B.can_answer inst q
-let eval ?prov (Packed ((module B), inst)) q = B.eval ?prov inst q
-let stats (Packed ((module B), inst)) = B.stats inst

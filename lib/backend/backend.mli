@@ -1,18 +1,18 @@
-(** The pluggable decision-procedure interface.
+(** The query vocabulary of the two decision procedures and the routing
+    choice between them.
 
     Every boolean verdict in the system is one of the six [query] forms
-    below, asked against the transformed classical KB (K̄).  A backend is
-    a decision procedure for some (possibly partial) slice of that
-    vocabulary: the tableau answers everything; fragment-specialized
-    backends such as the Horn/EL completion engine answer the queries
-    whose shape they can decide, on the KBs they are complete for.
+    below, asked against the transformed classical KB (K̄).  Two
+    procedures decide them: the tableau ([Backend_tableau]) answers
+    everything; the Horn/EL completion engine ([Horn_backend]) answers
+    the queries whose shape it can decide, on the KBs in its fragment.
 
-    The oracle owns routing: it consults [complete_for] once per KB
-    build and [can_answer] once per query, never a backend's internals.
-    Nothing outside [lib/engine] may call a backend's [eval] directly —
-    verdicts must flow through [Oracle.check] so caching, provenance,
-    cost accounting and invalidation stay sound (the differential suite
-    greps for violations). *)
+    The oracle owns routing: it builds the completion engine once per KB
+    build and asks [Horn_backend.can_answer] once per query.  Nothing
+    outside [lib/engine] may evaluate a query directly — verdicts must
+    flow through [Oracle.check] so caching, provenance, cost accounting
+    and invalidation stay sound (the differential suite greps for
+    violations). *)
 
 (** The closed query vocabulary, shared with [Oracle].  Concepts are the
     user-level four-valued concepts; each backend applies the Definition
@@ -47,47 +47,3 @@ exception Unsupported of string
 (** Raised when a forced backend ([choice = Horn]) is asked to build
     against a KB outside its complete fragment.  The payload names the
     first offending axiom. *)
-
-(** What a decision procedure must provide to be routable. *)
-module type S = sig
-  type t
-
-  val name : string
-  (** Stable identifier recorded in cost records and route stats. *)
-
-  val complete_for : Axiom.kb -> bool
-  (** [complete_for kbar] — is this backend a sound {e and complete}
-      decision procedure on the transformed KB [kbar], for every query
-      it claims via [can_answer]?  Consulted once per (re)build. *)
-
-  val create : max_nodes:int -> max_branches:int -> Axiom.kb -> t
-  (** Build an instance against K̄.  Resource limits carry the oracle
-      config's meaning: a backend that exceeds its node budget raises
-      [Tableau.Resource_limit] like the tableau does.
-      @raise Unsupported if the KB is outside the backend's fragment. *)
-
-  val can_answer : t -> query -> bool
-  (** Per-query capability: syntactic check, never mutates. A [true]
-      here is a completeness claim for this query on this KB. *)
-
-  val eval : ?prov:Tableau.prov -> t -> query -> bool
-  (** Decide one query.  Must agree with the tableau on every query it
-      [can_answer].  When [prov] is given, the backend records every
-      individual and (demangled) atomic concept the verdict depends on
-      — the oracle's invalidation contract. *)
-
-  val stats : t -> Tableau.stats
-  (** Live work counters in the tableau's vocabulary (cells are diffed
-      around each [eval] for per-verdict cost records).  Backends map
-      their own work onto the closest cells and leave the rest zero. *)
-end
-
-(** A backend instance packed with its implementation — what the oracle
-    routes to. *)
-type packed
-
-val pack : (module S with type t = 'a) -> 'a -> packed
-val name : packed -> string
-val can_answer : packed -> query -> bool
-val eval : ?prov:Tableau.prov -> packed -> query -> bool
-val stats : packed -> Tableau.stats

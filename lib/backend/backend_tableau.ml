@@ -1,15 +1,3 @@
-type t = Reasoner.t
-
-let name = "tableau"
-let complete_for (_ : Axiom.kb) = true
-let create ~max_nodes ~max_branches kb = Reasoner.create ~max_nodes ~max_branches kb
-let of_reasoner r = r
-let reasoner t = t
-let can_answer _ (_ : Backend.query) = true
-
-(* The query → tableau-run mapping, moved verbatim from [Oracle.eval]:
-   each four-valued verdict is a classical (un)satisfiability question
-   over K̄ per Definition 7. *)
 let eval ?prov t = function
   | Backend.Consistent -> Reasoner.is_consistent ?prov t
   | Backend.Concept_sat c -> Reasoner.concept_satisfiable ?prov t c
@@ -25,5 +13,3 @@ let eval ?prov t = function
       not
         (Reasoner.consistent_with ?prov t
            [ Axiom.Role_assertion (a, Transform.eq_role r, b) ])
-
-let stats = Reasoner.stats

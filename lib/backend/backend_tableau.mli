@@ -1,16 +1,9 @@
-(** The general tableau as a [Backend.S] — the universal fallback.
+(** The query → tableau-run mapping: each four-valued verdict is a
+    classical (un)satisfiability question over K̄ per Definition 7.  The
+    tableau decides every query shape, so it is the oracle's fallback
+    route. *)
 
-    A zero-behavior-change wrapper: [eval] is byte-for-byte the query
-    mapping the oracle always used ([Reasoner.is_consistent],
-    [consistent_with] over [Transform.instance_query], …), so routing
-    through this module cannot change any verdict, cost cell or
-    provenance entry. *)
-
-include Backend.S
-
-val of_reasoner : Reasoner.t -> t
-(** Wrap an existing reasoner (shares its state — the oracle wraps its
-    primary so [Reasoner.apply_delta] keeps working through the same
-    instance). *)
-
-val reasoner : t -> Reasoner.t
+val eval : ?prov:Tableau.prov -> Reasoner.t -> Backend.query -> bool
+(** Decide one query on the reasoner's prepared K̄.  When [prov] is
+    given, the run records every individual and (demangled) atomic
+    concept it touches. *)

@@ -102,7 +102,7 @@ let to_string q =
 
 (* ------------------------------------------------------------------ *)
 let all_bindings_naive para q =
-  let individuals = (Kb4.signature (Para.kb para)).individuals in
+  let individuals = (Kb4.signature (Session.kb para)).individuals in
   let rec bind acc = function
     | [] -> [ List.rev acc ]
     | v :: rest ->
@@ -302,14 +302,14 @@ let closure edges a =
   go [] [ a ]
 
 let statistics para =
-  let kb = Para.kb para in
+  let kb = Session.kb para in
   let signature = Kb4.signature kb in
   let n = List.length signature.Axiom.individuals in
   (* concept supers: prefer the classification index when it is already
      built (exact subsumptions); otherwise the told closure.  Never
      force a build here — compiling must stay cheap. *)
   let concept_supers =
-    match Engine.classification_if_built (Para.engine para) with
+    match Session.classification_if_built para with
     | Some cls ->
         let h = Hashtbl.create 16 in
         List.iter
@@ -322,7 +322,7 @@ let statistics para =
           (fun (a, b) ->
             Hashtbl.replace edges a
               (b :: Option.value ~default:[] (Hashtbl.find_opt edges a)))
-          (Engine.told_subsumptions kb);
+          (Session.told_subsumptions kb);
         fun a -> closure edges a
   in
   let role_supers =
@@ -369,8 +369,7 @@ let statistics para =
   (* observed per-verdict cost: per query kind from the retained cost
      records, global average as fallback, 1.0 when the session is cold
      (a cold compile is then fully deterministic) *)
-  let session = Para.session para in
-  let totals = Session.cost_totals session in
+  let totals = Session.cost_totals para in
   let global =
     if totals.Oracle.verdicts > 0 then
       totals.Oracle.wall_ns /. float_of_int totals.Oracle.verdicts
@@ -384,7 +383,7 @@ let statistics para =
       in
       Hashtbl.replace by_kind c.Oracle.c_kind
         (sum +. c.Oracle.c_wall_ns, cnt + 1))
-    (Session.costs session);
+    (Session.costs para);
   let probe_ns kind =
     match Hashtbl.find_opt by_kind kind with
     | Some (sum, cnt) when cnt > 0 -> sum /. float_of_int cnt
@@ -437,26 +436,9 @@ let rec probe_cost st = function
   | Role_atom _ -> st.st_probe_ns "role_pos" +. st.st_probe_ns "role_neg"
   | Exact (_, a) -> probe_cost st a
 
-let default_threshold = 8
-
-let env_forced () =
-  match Sys.getenv_opt "DL4_JOIN" with
-  | Some s -> Plan.strategy_of_name s
-  | None -> None
-
-let env_threshold () =
-  match Sys.getenv_opt "DL4_JOIN_THRESHOLD" with
-  | Some s -> ( match int_of_string_opt s with
-      | Some t -> max 0 t
-      | None -> default_threshold)
-  | None -> default_threshold
-
-let compile ?threshold ?force ?(order = `Cost) para q =
+let compile ?(threshold = 8) ?force ?(order = `Cost) para q =
   let st = statistics para in
-  let threshold =
-    match threshold with Some t -> max 0 t | None -> env_threshold ()
-  in
-  let forced = match force with Some _ as f -> f | None -> env_forced () in
+  let threshold = max 0 threshold in
   (* greedy cheapest-first order: filters immediately, then the
      connected atom with the smallest estimated rows × probe cost;
      syntactic index breaks ties so plans are deterministic *)
@@ -550,7 +532,7 @@ let compile ?threshold ?force ?(order = `Cost) para q =
     pl_query = q;
     pl_vars = Array.of_list (List.rev !var_order);
     pl_threshold = threshold;
-    pl_forced = forced;
+    pl_forced = force;
     pl_order = order;
     pl_steps = steps;
     pl_executed = false }
@@ -606,7 +588,7 @@ let pruned ~prune v = prune && not (Truth.designated v)
 
 let exec (plan : plan) ~prune =
   let para = plan.Plan.pl_para in
-  let individuals = (Kb4.signature (Para.kb para)).Axiom.individuals in
+  let individuals = (Kb4.signature (Session.kb para)).Axiom.individuals in
   let nvars = Array.length plan.Plan.pl_vars in
   let table = ref [ { r_vals = Array.make nvars ""; r_truth = Truth.True } ] in
   List.iter
@@ -755,7 +737,7 @@ let exec (plan : plan) ~prune =
    individuals in signature order), so every strategy and atom order
    produces byte-identical output lists. *)
 let canonical_rows (plan : plan) rows =
-  let individuals = (Kb4.signature (Para.kb plan.Plan.pl_para)).Axiom.individuals in
+  let individuals = (Kb4.signature (Session.kb plan.Plan.pl_para)).Axiom.individuals in
   let rank = Hashtbl.create 32 in
   List.iteri (fun i a -> Hashtbl.replace rank a i) individuals;
   let sorted_vars = variables plan.Plan.pl_query in
@@ -845,7 +827,7 @@ let explain (plan : plan) =
   { Plan.v_query = to_string plan.Plan.pl_query;
     v_vars = Array.to_list plan.Plan.pl_vars;
     v_individuals =
-      List.length (Kb4.signature (Para.kb plan.Plan.pl_para)).Axiom.individuals;
+      List.length (Kb4.signature (Session.kb plan.Plan.pl_para)).Axiom.individuals;
     v_threshold = plan.Plan.pl_threshold;
     v_forced = Option.map Plan.strategy_name plan.Plan.pl_forced;
     v_order =

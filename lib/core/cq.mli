@@ -78,8 +78,8 @@ module Plan : sig
   type strategy = Nested_loop | Hash_join
 
   val strategy_name : strategy -> string
-  (** ["nested_loop"] / ["hash_join"] — the spelling used by plan JSON,
-      telemetry and the [DL4_JOIN] override. *)
+  (** ["nested_loop"] / ["hash_join"] — the spelling used by plan JSON
+      and telemetry. *)
 
   val strategy_of_name : string -> strategy option
   (** Accepts ["nested"]/["nested_loop"] and ["hash"]/["hash_join"]. *)
@@ -134,10 +134,9 @@ val compile :
     cost records; atoms are ordered greedily cheapest-first so the most
     selective variables bind early.  [threshold] is the binding-set
     cardinality at which extension steps switch from nested-loop to
-    hash-join (default 8, overridable via [DL4_JOIN_THRESHOLD]);
-    [force] pins every extension step to one strategy (also via
-    [DL4_JOIN=nested|hash]); [order:`Syntactic] keeps body order —
-    the bench baseline.  Compiling performs no oracle probes. *)
+    hash-join (default 8); [force] pins every extension step to one
+    strategy; [order:`Syntactic] keeps body order — the bench
+    baseline.  Compiling performs no oracle probes. *)
 
 val run : plan -> (string list * Truth.t) list
 (** Execute the plan and return designated answer tuples (projected to

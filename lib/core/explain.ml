@@ -30,7 +30,7 @@ let holds ?max_nodes kb query =
   | Not_instance (a, c) -> Para.entails_not_instance t a c
   | Contradiction (a, c) ->
       Para.entails_instance t a c && Para.entails_not_instance t a c
-  | Inclusion (k, c, d) -> Para.entails_inclusion t k c d
+  | Inclusion (k, c, d) -> Session.entails_inclusion t k c d
   | Unsatisfiable -> not (Para.satisfiable t)
 
 (* Axioms as a uniform list, so contraction can treat TBox and ABox alike. *)
@@ -105,7 +105,7 @@ let contradictions_explained ?max_nodes t =
       List.filter_map
         (fun (a, concept_name) ->
           let q = Contradiction (a, Concept.Atom concept_name) in
-          match justification ?max_nodes (Para.kb t) q with
+          match justification ?max_nodes (Session.kb t) q with
           | Some j -> Some (a, concept_name, j)
           | None -> None)
         (Para.contradictions t))

@@ -1,44 +1,39 @@
-(* Every boolean entailment verdict of this module routes through
-   [Engine.Oracle] (the cache-owning choke point); there are no
+(* Every boolean entailment verdict of this module is an [Oracle.check]
+   on the session's oracle (the cache-owning choke point); there are no
    direct tableau calls in the query paths below. *)
 
-type t = { engine : Engine.t }
+type t = Session.t
 
-let create ?config kb = { engine = Session.engine (Session.create ?config kb) }
+let create = Session.create
+let of_session t = t
+let classical_reasoner t = Oracle.reasoner (Session.oracle t)
+let satisfiable t = Session.check t Oracle.Consistent
+let entails_instance t a c = Session.check t (Oracle.Instance (a, c))
+let entails_not_instance t a c = Session.check t (Oracle.Not_instance (a, c))
 
-let of_engine engine = { engine }
-let of_session s = { engine = Session.engine s }
-let session t = Session.of_engine t.engine
-let apply t d = Engine.apply t.engine d
-let engine t = t.engine
-let oracle t = Engine.oracle t.engine
-let kb t = Engine.kb t.engine
-let classical_kb t = Oracle.classical_kb (oracle t)
-let classical_reasoner t = Oracle.reasoner (oracle t)
-let satisfiable t = Engine.satisfiable t.engine
-let entails_instance t a c = Engine.entails_instance t.engine a c
-let entails_not_instance t a c = Engine.entails_not_instance t.engine a c
-let instance_truth t a c = Engine.instance_truth t.engine a c
-let entails_inclusion t kind c d = Engine.entails_inclusion t.engine kind c d
-let role_truth t a r b = Engine.role_truth t.engine a r b
-let atomic_subsumes t a b = Engine.subsumes t.engine a b
+let instance_truth t a c =
+  Truth.of_pair
+    ~told_true:(entails_instance t a c)
+    ~told_false:(entails_not_instance t a c)
+
+let role_truth t a r b =
+  Truth.of_pair
+    ~told_true:(Session.check t (Oracle.Role_pos (a, r, b)))
+    ~told_false:(Session.check t (Oracle.Role_neg (a, r, b)))
 
 let signature_atoms t =
   (* [Axiom.signature] already deduplicates, but classification would pay
      every duplicate with a full row of tableau calls — keep the guarantee
      local *)
-  List.sort_uniq String.compare (Kb4.signature (kb t)).concepts
+  List.sort_uniq String.compare (Kb4.signature (Session.kb t)).concepts
 
 let classify_naive t =
   let atoms = signature_atoms t in
   List.map
     (fun a ->
       let candidates = List.filter (fun b -> b <> a) atoms in
-      (a, List.filter (atomic_subsumes t a) candidates))
+      (a, List.filter (Session.subsumes t a) candidates))
     atoms
-
-let classify t = Engine.classify t.engine
-let taxonomy t = Engine.taxonomy t.engine
 
 (* Batched grid evaluation: both information bits of every pair are
    submitted to the oracle as one batch, and repeated pairs share one
@@ -54,7 +49,7 @@ let instance_truths t pairs =
   let verdicts =
     Fun.protect
       ~finally:(fun () -> Obs.exit_span sp)
-      (fun () -> Oracle.check_all (oracle t) queries)
+      (fun () -> Oracle.check_all (Session.oracle t) queries)
   in
   let rec zip pairs verdicts =
     match (pairs, verdicts) with
@@ -80,7 +75,7 @@ let role_truths t triples =
   let verdicts =
     Fun.protect
       ~finally:(fun () -> Obs.exit_span sp)
-      (fun () -> Oracle.check_all (oracle t) queries)
+      (fun () -> Oracle.check_all (Session.oracle t) queries)
   in
   let rec zip triples verdicts =
     match (triples, verdicts) with
@@ -124,7 +119,7 @@ let grid_pairs (signature : Axiom.signature) =
     signature.Axiom.individuals
 
 let contradictions t =
-  let pairs = grid_pairs (Kb4.signature (kb t)) in
+  let pairs = grid_pairs (Kb4.signature (Session.kb t)) in
   List.filter_map
     (fun ((a, c), (_, _, v)) ->
       match v with
@@ -147,12 +142,12 @@ let retrieve t c =
   List.map
     (fun (a, _, v) -> (a, v))
     (instance_truths t
-       (List.map (fun a -> (a, c)) (Kb4.signature (kb t)).individuals))
+       (List.map (fun a -> (a, c)) (Kb4.signature (Session.kb t)).individuals))
 
 let retrieve_naive t c =
   List.map
     (fun a -> (a, instance_truth t a c))
-    (Kb4.signature (kb t)).individuals
+    (Kb4.signature (Session.kb t)).individuals
 
 let retrieve_instances t c =
   List.filter_map
@@ -160,7 +155,7 @@ let retrieve_instances t c =
     (retrieve t c)
 
 let inconsistency_degree t =
-  let pairs = grid_pairs (Kb4.signature (kb t)) in
+  let pairs = grid_pairs (Kb4.signature (Session.kb t)) in
   let informative = ref 0 and contradictory = ref 0 in
   List.iter
     (fun (_, _, v) ->
@@ -179,6 +174,6 @@ let find_model4 t =
   | None -> None
   | Some m ->
       let candidate =
-        Induced.four_of_classical ~signature:(Kb4.signature (kb t)) m
+        Induced.four_of_classical ~signature:(Kb4.signature (Session.kb t)) m
       in
-      if Interp4.is_model candidate (kb t) then Some candidate else None
+      if Interp4.is_model candidate (Session.kb t) then Some candidate else None

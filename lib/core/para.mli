@@ -1,18 +1,20 @@
 (** Paraconsistent reasoning with inconsistent OWL DL ontologies — the
     paper's contribution, as a library.
 
-    A {!t} wraps a [SHOIN(D)4] knowledge base [K] together with its
-    classical induced KB [K̄] (Definition 7).  By Theorem 6, the
-    four-valued models of [K] correspond exactly to the classical models of
-    [K̄], so every four-valued reasoning task below is answered by
-    classical reasoning over [K̄] — "mature reasoning mechanisms of
-    classical description logic remain useful" (§6).
+    The paper-level queries over a {!Session.t}: a [SHOIN(D)4] knowledge
+    base [K] together with its classical induced KB [K̄] (Definition 7).
+    By Theorem 6, the four-valued models of [K] correspond exactly to the
+    classical models of [K̄], so every four-valued reasoning task below is
+    answered by classical reasoning over [K̄] — "mature reasoning
+    mechanisms of classical description logic remain useful" (§6).
 
-    Since PR 2, every boolean entailment verdict of this module routes
-    through one {!Engine.Oracle} (reachable via {!oracle}) and its shared
+    Every boolean entailment verdict of this module is one
+    {!Oracle.check} on the session's oracle and its shared
     canonical-keyed verdict cache, so repeated and batch query traffic
     (retrieval, contradiction scans, conjunctive queries) pays each
-    distinct tableau question once.
+    distinct tableau question once.  The KB, the oracle, the
+    classification, inclusion entailment ({!Session.entails_inclusion},
+    which the classification tests) and the updates are {!Session}'s.
 
     The flagship query is {!instance_truth}: the Belnap value the knowledge
     base supports for [C(a)] —
@@ -24,39 +26,14 @@
       is {e localized} here instead of trivializing the KB;
     - [Neither] (⊥): the KB says nothing about [C(a)]. *)
 
-type t
+type t = Session.t
 
 val create : ?config:Session.config -> Kb4.t -> t
-(** Build the query layer over a fresh session; [config] defaults to
-    {!Session.default_config}.  Equivalent to
-    [of_session (Session.create ?config kb)]. *)
+(** {!Session.create}; [config] defaults to {!Session.default_config}. *)
 
 val of_session : Session.t -> t
-(** The paper-level query API over a session's shared stack (one oracle,
-    one cache — verdicts paid through the session's engine are cache hits
-    here and vice versa). *)
-
-val session : t -> Session.t
-(** The session facade over this instance's engine (same shared stack;
-    e.g. for {!Session.apply} or {!Session.config}). *)
-
-val of_engine : Engine.t -> t
-(** Wrap an existing engine.  The wrapper is stateless: it shares the
-    engine's oracle — verdict cache and classification/realization
-    indexes — so a verdict or index built
-    through either wrapper serves both. *)
-
-val engine : t -> Engine.t
-
-val apply : t -> Delta.t -> Oracle.apply_stats
-(** Incremental update of the underlying KB — see {!Session.apply} and
-    {!Oracle.apply} for the invalidation contract.  All wrappers of the
-    same engine observe the updated KB. *)
-
-val oracle : t -> Oracle.t
-val kb : t -> Kb4.t
-val classical_kb : t -> Axiom.kb
-(** The induced [K̄] of Definition 7. *)
+(** The identity; kept because the benchmark harness under [perf/]
+    calls it. *)
 
 val classical_reasoner : t -> Reasoner.t
 (** The oracle's coordinating reasoner — for non-verdict services (model
@@ -115,33 +92,16 @@ val truth_value : t -> string -> Concept.t -> value
 val role_truth_value : t -> string -> Role.t -> string -> value
 (** Role analogue of {!truth_value} for [R(a,b)]. *)
 
-val entails_inclusion : t -> Kb4.inclusion -> Concept.t -> Concept.t -> bool
-(** Corollary 7: [C ⊑kind D] holds in [K] iff the corresponding test
-    concepts are unsatisfiable w.r.t. [K̄]. *)
-
 val role_truth : t -> string -> Role.t -> string -> Truth.t
 (** Supported Belnap value for [R(a, b)]: told-true iff [K̄ ⊨ R⁺(a,b)],
     told-false iff [K̄ ∪ {R⁼(a,b)}] is inconsistent (the negative part of
     [Rᴵ] is the complement of [R⁼] under Definition 8). *)
 
-val classify : t -> (string * string list) list
-(** Atomic concept hierarchy under internal inclusion ⊏ (the inclusion whose
-    satisfaction mirrors classical ⊑ on told-positive information).
-    Delegates to the engine's {!Classify} index: told-subsumer seeding plus
-    DAG-pruned search, so most pairs are answered without a tableau
-    call.  Built once and cached.  Same
-    contents as {!classify_naive}. *)
-
 val classify_naive : t -> (string * string list) list
 (** The O(n²) all-pairs baseline — one oracle subsumption test per ordered
     pair of distinct atoms, no told seeding or DAG pruning.  Kept as the
-    differential-testing and benchmarking reference for {!classify}. *)
-
-val taxonomy : t -> (string list * string list) list
-(** The classification as a reduced taxonomy: equivalence classes of atomic
-    concepts (each led by its canonical representative) paired with their
-    {e direct} super-class representatives (transitive reduction of
-    {!classify}). *)
+    differential-testing and benchmarking reference for
+    {!Session.classify}. *)
 
 val contradictions : t -> (string * string) list
 (** All (individual, atomic concept) pairs whose {!instance_truth} is [Both]

@@ -1,6 +1,6 @@
-(* The query vocabulary lives in [Backend] (PR 7) so decision procedures
-   can be written against it without depending on the oracle; the alias
-   keeps [Oracle.Consistent] etc. valid for every existing caller. *)
+(* The query vocabulary lives in [Backend] so both decision procedures
+   are written against it without depending on the oracle; the alias
+   keeps [Oracle.Consistent] etc. valid for every caller. *)
 type query = Backend.query =
   | Consistent
   | Concept_sat of Concept.t
@@ -149,48 +149,15 @@ let default_config =
     max_branches = max_int;
     backend = Backend.Tableau }
 
-(* The backend stack: the universal tableau plus (when the session's
-   routing policy and the KB's fragment allow it) a Horn completion
-   instance. *)
-type stack = {
-  s_tab : Backend.packed;
-  s_horn : Backend.packed option;
-}
-
-(* Route one query to the cheapest complete backend: the completion
-   engine whenever it is present (the KB is in its fragment) and claims
-   the query's shape; the tableau is the general fallback. *)
-let route stack q =
-  match stack.s_horn with
-  | Some h when Backend.can_answer h q -> h
-  | _ -> stack.s_tab
-
-(* Build the optional Horn side of a stack.  [Auto] probes the fragment
-   detector; [Horn] builds unconditionally so an ineligible KB raises
-   [Backend.Unsupported] with the first offending axiom. *)
-let build_horn (config : config) classical_kb =
-  match config.backend with
-  | Backend.Tableau -> None
-  | Backend.Auto when not (Horn_backend.complete_for classical_kb) -> None
-  | Backend.Auto | Backend.Horn ->
-      Some
-        (Backend.pack
-           (module Horn_backend)
-           (Horn_backend.create ~max_nodes:config.max_nodes
-              ~max_branches:config.max_branches classical_kb))
-
-let stack_of_reasoner config classical_kb r =
-  { s_tab = Backend.pack (module Backend_tableau) (Backend_tableau.of_reasoner r);
-    s_horn = build_horn config classical_kb }
-
 type t = {
   mutable kb : Kb4.t;
   mutable classical_kb : Axiom.kb;
   config : config;
   primary : Reasoner.t;
-  mutable stack : stack;
-      (* [s_tab] wraps [primary]; the Horn side is rebuilt by [apply]
-         (deltas can change both the KB and its fragment eligibility) *)
+  mutable horn : Completion.t option;
+      (* present when the routing choice and K̄'s fragment allow it;
+         rebuilt by [apply] (deltas can change both the KB and its
+         fragment eligibility) *)
   cache : bool Cache.t;
   prov : group KH.t;
       (* resident key -> the group of its provenance, recorded
@@ -206,6 +173,8 @@ type t = {
          [prov]; session totals live in [acc] and survive eviction *)
   acc : cost_acc;
   mutable tableau_calls : int;
+      (* evaluations attempted on this oracle, tripped ones included;
+         imported history is not counted *)
 }
 
 let post index sym g =
@@ -251,7 +220,9 @@ let of_config (config : config) kb =
       classical_kb;
       config;
       primary;
-      stack = stack_of_reasoner config classical_kb primary;
+      horn =
+        Horn_backend.create config.backend ~max_nodes:config.max_nodes
+          classical_kb;
       cache = Cache.create ~capacity:config.cache_capacity;
       prov = KH.create 64;
       groups = EH.create 64;
@@ -276,10 +247,7 @@ let kb t = t.kb
 let classical_kb t = t.classical_kb
 let reasoner t = t.primary
 let config t = t.config
-
-(* Verdicts are computed by whichever backend [route] picks from the
-   stack; the tableau's query → decision-procedure mapping is
-   [Backend_tableau.eval]. *)
+let tableau_calls t = t.tableau_calls
 
 let query_kind = Backend.query_kind
 let query_to_string = Backend.query_to_string
@@ -304,21 +272,40 @@ let seed_prov p q =
       Tableau.prov_add_ind p a;
       Tableau.prov_add_ind p b
 
+(* Route one query to the cheapest complete decision procedure: the
+   completion engine whenever it is present (K̄ is in its fragment) and
+   claims the query's shape ([t.horn] itself, so routing allocates
+   nothing); the tableau is the general fallback ([None]). *)
+let route t q =
+  match t.horn with
+  | Some h as horn when Horn_backend.can_answer h q -> horn
+  | _ -> None
+
+let eval_routed t horn ~prov q =
+  match horn with
+  | Some h -> Horn_backend.eval ~prov h q
+  | None -> Backend_tableau.eval ~prov t.primary q
+
 (* [eval] with provenance and cost capture (both always on — the
    dependency index needs every verdict's provenance, and the cost
    records feed the slow-query log which is independent of Obs arming)
    plus observability: when sinks are armed, each verdict additionally
    gets a span timed into the eval-latency histogram. *)
-let eval_obs stack q =
-  let b = route stack q in
-  let backend = Backend.name b in
+let eval_obs t q =
+  let horn = route t q in
+  let backend = if Option.is_some horn then "horn" else "tableau" in
+  let cells =
+    match horn with
+    | Some h -> Completion.stats h
+    | None -> Reasoner.stats t.primary
+  in
   let prov = Tableau.fresh_prov () in
   seed_prov prov q;
   let entry () =
     { individuals = Tableau.prov_individuals prov;
       concepts = Tableau.prov_concepts prov }
   in
-  let s0 = Tableau.copy_stats (Backend.stats b) in
+  let s0 = Tableau.copy_stats cells in
   let t0 = Unix.gettimeofday () in
   let finish v =
     let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
@@ -328,11 +315,11 @@ let eval_obs stack q =
       c_backend = backend;
       c_trace = Obs.trace_id ();
       c_wall_ns = wall_ns;
-      c_work = Tableau.diff_stats s0 (Backend.stats b);
+      c_work = Tableau.diff_stats s0 cells;
       c_hits = 0 }
   in
   if not !Obs.on then
-    let v = Backend.eval ~prov b q in
+    let v = eval_routed t horn ~prov q in
     (v, entry (), finish v)
   else begin
     let sp = Obs.enter ~cat:"oracle" "oracle.eval" in
@@ -340,7 +327,7 @@ let eval_obs stack q =
     Obs.set_attr sp "backend" backend;
     let tid = Obs.trace_id () in
     if tid <> "" then Obs.set_attr sp "trace_id" tid;
-    match Backend.eval ~prov b q with
+    match eval_routed t horn ~prov q with
     | v ->
         let entry = entry () in
         Obs.set_attr sp "verdict" (string_of_bool v);
@@ -448,7 +435,7 @@ let check t q =
         computed := true;
         t.tableau_calls <- t.tableau_calls + 1;
         Obs.incr c_tableau_calls;
-        let v, p, c = eval_obs t.stack q in
+        let v, p, c = eval_obs t q in
         record_prov t k p;
         record_cost t k c p;
         v)
@@ -733,9 +720,20 @@ let apply t (d : Delta.t) =
     Reasoner.apply_delta t.primary ~add_abox:cadd ~retract_abox:cretract
       ~add_tbox:ctbox;
     t.classical_kb <- Reasoner.kb t.primary;
-    (* re-stack: fragment eligibility can change with the KB (a delta can
-       push K̄ out of — or back into — the Horn fragment) *)
-    t.stack <- stack_of_reasoner t.config t.classical_kb t.primary;
+    (* rebuild the completion engine: fragment eligibility can change
+       with the KB (a delta can push K̄ out of — or back into — the Horn
+       fragment).  K and K̄ are already edited, so a rebuild that fails
+       (a node-budget trip) must leave neither the old engine nor any
+       verdict behind; the tableau route stays complete. *)
+    (match
+       Horn_backend.create t.config.backend ~max_nodes:t.config.max_nodes
+         t.classical_kb
+     with
+    | horn -> t.horn <- horn
+    | exception e ->
+        t.horn <- None;
+        flush_all t;
+        raise e);
     let size0 = Cache.length t.cache in
     if flush then flush_all t
     else begin
@@ -751,7 +749,14 @@ let apply t (d : Delta.t) =
        entailments at once), so flush what survived.  Inconsistent on
        both sides retains everything: those verdicts are already the
        trivially-determined ones. *)
-    let post = check t Consistent in
+    let post =
+      (* a trip here leaves retained verdicts the guard never vetted *)
+      match check t Consistent with
+      | post -> post
+      | exception e ->
+          flush_all t;
+          raise e
+    in
     let flipped = post <> pre in
     let evicted =
       if flipped && not flush then begin
@@ -780,15 +785,3 @@ let apply t (d : Delta.t) =
     st
   end
 
-type stats = {
-  cache : Verdict_cache.stats;
-  tableau_calls : int;
-  routes : (string * int) list;
-}
-
-let stats (t : t) =
-  { cache = Cache.stats t.cache;
-    tableau_calls = t.tableau_calls;
-    routes =
-      Hashtbl.fold (fun b n acc -> (b, n) :: acc) t.acc.a_backends []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b) }

@@ -6,8 +6,11 @@
     retrieval, conjunctive queries) bottoms out in a boolean question about
     the classical induced KB [K̄] of Definition 7.  An {!t} owns the one
     place those questions are answered: a canonical-keyed LRU
-    {!Verdict_cache} in front of one classical {!Reasoner} (plus the Horn
-    completion backend when routing allows it).
+    {!Verdict_cache} in front of one classical {!Reasoner}, plus the Horn
+    completion engine when the routing choice and K̄'s fragment allow it.
+    Each computed verdict is routed to the completion engine when
+    {!Horn_backend.can_answer} claims it and to the tableau
+    ({!Backend_tableau.eval}) otherwise.
 
     {b Single owner.}  An oracle is single-domain and unsynchronized:
     every verdict is computed on the calling domain, and the cache, the
@@ -22,7 +25,7 @@ type t
     four-valued surface concepts except in {!Concept_sat}, whose argument
     is already a classical test concept (e.g. from
     {!Transform.inclusion_tests}).  The type is an alias of
-    {!Backend.query} — the vocabulary every pluggable backend answers. *)
+    {!Backend.query} — the vocabulary both decision procedures answer. *)
 type query = Backend.query =
   | Consistent  (** is [K̄] satisfiable (= [K] four-valued satisfiable)? *)
   | Concept_sat of Concept.t
@@ -36,22 +39,25 @@ type query = Backend.query =
 
 (** {1 Construction}
 
-    The one construction surface for the whole stack: {!Session.create},
-    {!Engine.create} and {!Para.create} all route through {!of_config}. *)
+    The one construction surface for the whole stack: {!Session.create}
+    (and [Para.create], which is [Session.create]) routes through
+    {!of_config}. *)
 
 type config = {
   cache_capacity : int;
       (** verdict-cache capacity; [0] disables caching (every verdict
           pays its tableau call) *)
   max_nodes : int;  (** tableau node budget per run *)
-  max_branches : int;  (** tableau branch budget per run *)
+  max_branches : int;
+      (** tableau branch budget per run: a run that explores more
+          branches than this raises [Tableau.Resource_limit] *)
   backend : Backend.choice;
       (** verdict routing policy.  [Tableau] (the library default) pins
-          every verdict to the tableau — bit-for-bit the pre-backend
-          behavior.  [Auto] builds the Horn/EL completion backend when
-          K̄ is in its fragment ({!Fragment.check}) and routes each
-          verdict to it when it can answer ([can_answer]), falling back
-          to the tableau otherwise.  [Horn] demands the fragment:
+          every verdict to the tableau.  [Auto] builds the Horn/EL
+          completion engine when K̄ is in its fragment
+          ({!Fragment.check}) and routes each verdict to it when it can
+          answer ({!Horn_backend.can_answer}), falling back to the
+          tableau otherwise.  [Horn] demands the fragment:
           {!of_config} raises {!Backend.Unsupported} when K̄ is outside
           it (per-query shapes the completion engine cannot answer
           still fall back to the tableau). *)
@@ -80,6 +86,12 @@ val reasoner : t -> Reasoner.t
     model extraction). *)
 
 val config : t -> config
+
+val tableau_calls : t -> int
+(** Verdict evaluations attempted on this oracle since construction, on
+    either route.  Unlike [(cost_totals t).verdicts] it leaves out
+    imported history ({!import_totals}) and counts an evaluation that
+    raised [Tableau.Resource_limit]. *)
 
 val check : t -> query -> bool
 (** Cached verdict for one query. *)
@@ -222,6 +234,8 @@ val import_totals : t -> cost_totals -> unit
     re-warmed session continues the saved session's work history. *)
 
 val cache_stats : t -> Verdict_cache.stats
+(** The live cache counters: hits, misses, evictions, size and
+    capacity. *)
 
 val restore_cache_stats : t -> Verdict_cache.stats -> unit
 (** Overwrite the cache's hit/miss/eviction counters with saved ones
@@ -266,20 +280,13 @@ type apply_stats = {
 val apply : t -> Delta.t -> apply_stats
 (** Apply a delta in place: updates the four-valued KB, pushes the delta
     through the axiom-local incremental transform into [K̄] and the
-    reasoner's prepared state, rebuilds the backend stack, and
+    reasoner's prepared state, rebuilds the completion engine, and
     invalidates exactly the cached verdicts the delta can affect.  Subsequent queries answer against the updated KB; retained
-    verdicts are served without new tableau calls. *)
+    verdicts are served without new tableau calls.
+    @raise Tableau.Resource_limit if a consistency probe or the
+    completion-engine rebuild exceeds its budget.  A trip before the KB
+    is edited changes nothing; a later one keeps the edited KB, drops
+    every cached verdict and, if the rebuild tripped, the completion
+    engine (the tableau answers every query from then on). *)
 
 val pp_apply_stats : Format.formatter -> apply_stats -> unit
-
-(** {1 Statistics} *)
-
-type stats = {
-  cache : Verdict_cache.stats;
-  tableau_calls : int;  (** verdict evaluations actually paid *)
-  routes : (string * int) list;
-      (** computed verdicts per backend since construction, sorted by
-          backend name; empty until something is computed *)
-}
-
-val stats : t -> stats

@@ -11,6 +11,14 @@ end
 
 module LSet = Set.Make (Lit)
 
+module Signed = struct
+  type t = sign * Prop4.formula
+
+  let compare = Stdlib.compare
+end
+
+module SSet = Set.Make (Signed)
+
 (* Expansion of a signed compound formula into branches of signed
    subformulas.  The derived connectives are rewritten to their
    definitions; ⊃ gets native rules. *)
@@ -50,18 +58,26 @@ let conflicts lits (sgn, a) =
   let opposite = match sgn with T -> NT | NT -> T | F -> NF | NF -> F in
   LSet.mem (opposite, a) lits
 
-let rec branch_satisfiable lits todo =
+(* [expanded] holds the compound signed formulas already expanded on this
+   branch.  A branch is a set, and one alternative of such a formula is
+   already on it, so expanding it again adds no alternative: it is
+   skipped.  Without this, nested ↔ and → (which copy their operands)
+   re-expand the same subformulas exponentially often. *)
+let rec branch_satisfiable lits expanded todo =
   match todo with
   | [] -> true
   | (sgn, Prop4.Atom a) :: rest ->
       if conflicts lits (sgn, a) then false
-      else branch_satisfiable (LSet.add (sgn, a) lits) rest
-  | (sgn, f) :: rest ->
+      else branch_satisfiable (LSet.add (sgn, a) lits) expanded rest
+  | sf :: rest when SSet.mem sf expanded ->
+      branch_satisfiable lits expanded rest
+  | ((sgn, f) as sf) :: rest ->
+      let expanded = SSet.add sf expanded in
       List.exists
-        (fun br -> branch_satisfiable lits (br @ rest))
+        (fun br -> branch_satisfiable lits expanded (br @ rest))
         (expand sgn f)
 
-let satisfiable signed = branch_satisfiable LSet.empty signed
+let satisfiable signed = branch_satisfiable LSet.empty SSet.empty signed
 
 let entails gamma phi =
   not (satisfiable ((NT, phi) :: List.map (fun g -> (T, g)) gamma))

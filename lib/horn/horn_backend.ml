@@ -1,8 +1,8 @@
-type t = Completion.t
-
-let name = "horn"
-let complete_for = Fragment.eligible
-let create ~max_nodes ~max_branches:_ kb = Completion.create ~max_nodes kb
+let create (choice : Backend.choice) ~max_nodes kb =
+  match choice with
+  | Backend.Tableau -> None
+  | Backend.Auto when not (Fragment.eligible kb) -> None
+  | Backend.Auto | Backend.Horn -> Some (Completion.create ~max_nodes kb)
 
 (* [can_answer] mirrors the tableau backend's query encodings
    (Backend_tableau.eval): each query shape maps to a completion-engine
@@ -38,5 +38,3 @@ let eval ?prov t (q : Backend.query) =
          iff K̄ is: the tableau's refutation test reduces to consistency *)
       ignore (Transform.eq_role r : Role.t);
       not (Completion.consistent ?prov t)
-
-let stats = Completion.stats

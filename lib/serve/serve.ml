@@ -51,7 +51,7 @@ type drift = {
 }
 
 type t = {
-  mutable para : Para.t;  (* owns the warm session; replaced never *)
+  session : Session.t;  (* the warm session *)
   snapshot_path : string option;  (* idle-autosave target *)
   mutable dirty : bool;
       (* has state changed (new verdicts, deltas) since the last save? *)
@@ -76,7 +76,7 @@ let default_access_log_max_bytes = 16 * 1024 * 1024
 let create ?snapshot_path ?(telemetry = true) ?access_log
     ?(access_log_max_bytes = default_access_log_max_bytes) ?drift_log session
     =
-  { para = Para.of_session session;
+  { session;
     snapshot_path;
     dirty = false;
     stop = false;
@@ -103,7 +103,7 @@ let create ?snapshot_path ?(telemetry = true) ?access_log
             a_scratch = Buffer.create 256 })
         access_log }
 
-let session t = Para.session t.para
+let session t = t.session
 let stopped t = t.stop
 let telemetry t = t.tel
 
@@ -220,7 +220,7 @@ let census t =
   match t.census with
   | Some cs -> cs
   | None ->
-      let cs = Audit.census t.para in
+      let cs = Audit.census t.session in
       t.census <- Some cs;
       cs
 
@@ -260,8 +260,8 @@ let refresh_kb_health t =
   match t.tel with
   | None -> ()
   | Some tel ->
-      let stats = Kb_stats.of_kb4 (Para.kb t.para) in
-      let cache = Oracle.cache_stats (Para.oracle t.para) in
+      let stats = Kb_stats.of_kb4 (Session.kb t.session) in
+      let cache = Oracle.cache_stats (Session.oracle t.session) in
       let truth_counts, ratio =
         match t.census with
         | None -> ([], 0.)
@@ -335,7 +335,7 @@ let concept_field name j =
 (* Per-op payloads: each returns the response fields beyond the envelope *)
 
 let op_check t _req =
-  [ ("consistent", jbool (Para.satisfiable t.para)) ]
+  [ ("consistent", jbool (Para.satisfiable t.session)) ]
 
 (* CQ spelling of the query op: {"op":"query","cq":"?x <- C(?x), r(?x, b)"}.
    Plans are cached per query shape (the source string) in the warm
@@ -349,7 +349,7 @@ let op_query_cq t src =
         match Cq.parse src with
         | Error msg -> bad "cannot parse cq %S: %s" src msg
         | Ok q ->
-            let plan = Cq.compile t.para q in
+            let plan = Cq.compile t.session q in
             Hashtbl.replace t.plans src plan;
             (false, plan))
   in
@@ -383,7 +383,7 @@ let op_query t req =
   | None ->
       let a = str_field "individual" req in
       let c = concept_field "concept" req in
-      let v = Para.instance_truth t.para a c in
+      let v = Para.instance_truth t.session a c in
       [ ("individual", jstr a);
         ("concept", jstr (Concept.to_string c));
         ("truth", jstr (Truth.to_string v)) ]
@@ -397,12 +397,12 @@ let op_retrieve t req =
         if all || not (Truth.equal v Truth.Neither) then
           Some (jobj [ ("individual", jstr a); ("truth", jstr (Truth.to_string v)) ])
         else None)
-      (Para.retrieve t.para c)
+      (Para.retrieve t.session c)
   in
   [ ("concept", jstr (Concept.to_string c)); ("instances", jarr rows) ]
 
 let op_classify t _req =
-  let taxo = Para.taxonomy t.para in
+  let taxo = Session.taxonomy t.session in
   let rows =
     List.map
       (fun (cls, supers) ->
@@ -424,12 +424,18 @@ let op_update t req =
       let before =
         match t.drift with None -> None | Some _ -> Some (census t)
       in
-      let s = Session.apply_all (session t) deltas in
-      t.dirty <- true;
-      (* told statistics changed under the cached plans; recompile lazily *)
-      Hashtbl.reset t.plans;
-      (* the census describes the pre-delta KB *)
-      t.census <- None;
+      let s =
+        (* a script that trips midway has still changed the KB *)
+        Fun.protect
+          ~finally:(fun () ->
+            t.dirty <- true;
+            (* told statistics changed under the cached plans; recompile
+               lazily *)
+            Hashtbl.reset t.plans;
+            (* the census describes the pre-delta KB *)
+            t.census <- None)
+          (fun () -> Session.apply_all t.session deltas)
+      in
       Option.iter
         (fun before -> drift_note t ~before ~after:(census t))
         before;
@@ -462,7 +468,7 @@ let totals_json (s : Oracle.cost_totals) =
         jobj (List.map (fun (b, n) -> (b, jint n)) s.Oracle.backends) ) ]
 
 let op_stats t _req =
-  let s = Engine.stats (Para.engine t.para) in
+  let totals = Session.cost_totals t.session in
   let telemetry_fields =
     match t.tel with
     | None -> []
@@ -481,10 +487,11 @@ let op_stats t _req =
   (* no "cache" field here: the response envelope already carries the
      live cache counters under that key *)
   [ ("requests", jint t.requests);
-    ("tableau_calls", jint s.Engine.tableau_calls);
-    ("routes", jobj (List.map (fun (b, n) -> (b, jint n)) s.Engine.routes)) ]
+    ("tableau_calls", jint (Oracle.tableau_calls (Session.oracle t.session)));
+    ( "routes",
+      jobj (List.map (fun (b, n) -> (b, jint n)) totals.Oracle.backends) ) ]
   @ telemetry_fields
-  @ [ ("totals", totals_json (Session.cost_totals (session t))) ]
+  @ [ ("totals", totals_json totals) ]
 
 let op_metrics t _req =
   match t.tel with
@@ -507,11 +514,11 @@ let op_audit t req =
         | Error e -> bad "%s" e)
   in
   let cached = t.census <> None in
-  let report = Audit.report_json ~top ?exactly t.para (census t) in
+  let report = Audit.report_json ~top ?exactly t.session (census t) in
   [ ("cached", jbool cached); ("audit", report) ]
 
 let save_snapshot t path =
-  match Store.save (Store.capture (session t)) path with
+  match Store.save (Store.capture t.session) path with
   | Ok () ->
       t.dirty <- false;
       Ok ()
@@ -597,20 +604,20 @@ let handle t line =
       ((("id", id) :: ("ok", jbool false) :: envelope_trace)
       @ [ ("error", jstr msg) ])
   in
-  let totals0 = Session.cost_totals (session t) in
-  let calls0 = (Engine.stats (Para.engine t.para)).Engine.tableau_calls in
+  let totals0 = Session.cost_totals t.session in
+  let calls0 = Oracle.tableau_calls (Session.oracle t.session) in
   t.last_strategies <- [];
   (* the success path measures totals1/calls1 for the response's cost
      object; the telemetry tail reuses that measurement instead of
-     paying cost_totals/stats again (both build lists per call) *)
+     paying cost_totals again (it builds lists per call) *)
   let measured = ref None in
   let measure () =
     match !measured with
     | Some m -> m
     | None ->
         let m =
-          ( Session.cost_totals (session t),
-            (Engine.stats (Para.engine t.para)).Engine.tableau_calls )
+          ( Session.cost_totals t.session,
+            Oracle.tableau_calls (Session.oracle t.session) )
         in
         measured := Some m;
         m
@@ -652,13 +659,18 @@ let handle t line =
                       jnum (totals1.Oracle.wall_ns -. totals0.Oracle.wall_ns)
                     ) ])
             in
-            let cache = cache_json (Oracle.cache_stats (Para.oracle t.para)) in
+            let cache = cache_json (Oracle.cache_stats (Session.oracle t.session)) in
             ( true,
               jobj
                 ((("id", id) :: ("ok", jbool true) :: envelope_trace)
                 @ payload
                 @ [ ("cost", cost); ("cache", cache) ]) )
         | exception Bad_request msg -> (false, fail msg)
+        | exception Tableau.Resource_limit msg ->
+            (* a tripped verdict is never cached, and an update that trips
+               drops what it invalidated, so a later request within the
+               budget answers soundly *)
+            (false, fail ("resource limit: " ^ msg))
         | exception e ->
             (* last-ditch: a handler bug must degrade to an error
                response, never to a dead daemon *)

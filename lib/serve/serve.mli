@@ -29,7 +29,14 @@
     a repeated query was served warm ([cost.tableau_calls = 0]).
     Failures are [{"id":…, "ok":false, "trace_id":…, "error":…}]; no
     request — malformed JSON, unknown op, bad concept syntax, delta
-    parse errors — ever kills the daemon.
+    parse errors — ever kills the daemon.  A tableau run that exceeds
+    the session's per-run node or branch budget fails its request with
+    ["error":"resource limit: …"]; the tripped verdict is not cached, so
+    the next request within the budget answers normally.  An [update]
+    that trips may leave its script partly applied: the KB keeps the
+    edits made before the trip, and every verdict, index and census
+    they could affect is dropped, so later answers hold for the KB as
+    it stands.
 
     {b Telemetry.}  Unless disarmed at {!create}, the daemon owns a
     {!Telemetry.t} registry fed once per request (op, outcome, wall

@@ -471,7 +471,7 @@ let r_kb4 r : Kb4.t =
   { Kb4.tbox; abox }
 
 (* ------------------------------------------------------------------ *)
-(* Engine-layer codecs *)
+(* Oracle- and session-layer codecs *)
 
 let w_query b (q : Oracle.query) =
   match q with

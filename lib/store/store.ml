@@ -68,7 +68,7 @@ let capture session =
   { s_config = Session.config session;
     s_kb = Session.kb session;
     s_classical = Session.classical_kb session;
-    s_classification = Engine.classification_if_built (Session.engine session);
+    s_classification = Session.classification_if_built session;
     s_entries = Oracle.export_entries oracle;
     s_totals = Session.cost_totals session;
     s_cache_stats = Oracle.cache_stats oracle }
@@ -216,7 +216,7 @@ let restore ?jobs:_ ?kb s =
     Oracle.import_totals oracle s.s_totals;
     Oracle.restore_cache_stats oracle s.s_cache_stats;
     Option.iter
-      (Engine.restore_classification (Session.engine session))
+      (Session.restore_classification session)
       s.s_classification;
     Ok session
   end

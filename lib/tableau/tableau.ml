@@ -201,6 +201,9 @@ type ctx = {
   blocking : blocking;
   max_nodes : int;
   max_branches : int;
+  branches0 : int;
+      (* [stats.branches_explored] when the run started: the budget is
+         per run, and [stats] may be a session's lifetime cells *)
   stats : stats;
   prov : prov option;  (* provenance sink for this run, if requested *)
 }
@@ -1003,7 +1006,8 @@ let rec expand ctx st =
           touched
       then None
       else begin
-        if ctx.stats.branches_explored > ctx.max_branches then begin
+        if ctx.stats.branches_explored - ctx.branches0 > ctx.max_branches
+        then begin
           let msg =
             Printf.sprintf "branch limit %d exceeded" ctx.max_branches
           in
@@ -1372,6 +1376,7 @@ let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
         blocking = blocking_of sg;
         max_nodes;
         max_branches;
+        branches0 = stats.branches_explored;
         stats;
         prov }
     in

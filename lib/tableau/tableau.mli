@@ -25,8 +25,11 @@
     {!Reasoner.validate} reports violations.
 
     Nondeterminism is explored by chronological backtracking over immutable
-    states; [max_nodes] bounds the completion graph and {!Resource_limit} is
-    raised when exceeded. *)
+    states.  Both budgets are per run: [max_nodes] bounds the run's
+    completion graph and [max_branches] the alternatives the run explores
+    (counted from the [stats] cells' value when the run starts, so cells
+    shared across runs do not carry one run's branches into the next);
+    {!Resource_limit} is raised when either is exceeded. *)
 
 exception Resource_limit of string
 
@@ -167,9 +170,9 @@ val kb_satisfiable :
   Axiom.kb -> bool
 (** Decides satisfiability of the knowledge base.
     @raise Resource_limit if the completion graph exceeds [max_nodes]
-    (default 20_000) or the search explores more than [max_branches]
-    alternatives (default unlimited; chronological backtracking is
-    worst-case exponential). *)
+    (default 20_000) or this run's search explores more than
+    [max_branches] alternatives (default unlimited; chronological
+    backtracking is worst-case exponential). *)
 
 val kb_model :
   ?max_nodes:int -> ?max_branches:int -> ?stats:stats -> ?prov:prov ->

@@ -597,7 +597,7 @@ let horn_census_digest = "cfc925ba40410dff77ee06b36fa69daa"
 let golden name = Filename.concat "golden" name
 
 let census_prov_lines para (cs : Audit.census) =
-  let o = Para.oracle para in
+  let o = Session.oracle para in
   List.concat_map
     (fun (fact, _) ->
       let qs =
@@ -662,7 +662,7 @@ let golden_tests =
             let p, cs = census capacity in
             let name = Printf.sprintf "capacity %d" capacity in
             let evictions =
-              (Oracle.cache_stats (Para.oracle p)).Verdict_cache.evictions
+              (Oracle.cache_stats (Session.oracle p)).Verdict_cache.evictions
             in
             checkb (name ^ ": the census evicted") true (evictions > 0);
             Alcotest.(check (list string))

@@ -25,7 +25,7 @@ let read path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
-(* Guard: backends are an Engine implementation detail.  The sources are
+(* Guard: backends are an Oracle implementation detail.  The sources are
    attached as test dependencies (see test/dune). *)
 
 let guard_tests =
@@ -221,12 +221,9 @@ let routing_tests =
             ~config:{ Session.default_config with backend = Backend.Auto }
             kb
         in
-        let e = Session.engine s in
-        ignore (Engine.classify e);
-        let st = Engine.stats e in
-        let count b =
-          List.assoc_opt b st.Engine.routes |> Option.value ~default:0
-        in
+        ignore (Session.classify s);
+        let routes = (Session.cost_totals s).Oracle.backends in
+        let count b = List.assoc_opt b routes |> Option.value ~default:0 in
         let horn = count "horn" and tableau = count "tableau" in
         let total = horn + tableau in
         Alcotest.(check bool) "verdicts were computed" true (total > 0);
@@ -239,10 +236,9 @@ let routing_tests =
         let kb = clinic_kb in
         let o = Oracle.of_config { Oracle.default_config with Oracle.backend = Backend.Tableau } kb in
         ignore (Oracle.check_all o (queries_for kb));
-        let st = Oracle.stats o in
         Alcotest.(check (list string))
           "routes" [ "tableau" ]
-          (List.map fst st.Oracle.routes));
+          (List.map fst (Oracle.cost_totals o).Oracle.backends));
     Alcotest.test_case "strict horn refuses an out-of-fragment KB" `Quick
       (fun () ->
         let kb = parse "A < B | C. a : A." in

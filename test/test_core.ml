@@ -113,7 +113,7 @@ let role_truth_tests =
 let classify_tests =
   [ Alcotest.test_case "internal hierarchy" `Quick (fun () ->
         let t = Para.create (kb_of "A < B. B < C. x : A.") in
-        let hierarchy = Para.classify t in
+        let hierarchy = Session.classify t in
         Alcotest.(check (slist string String.compare))
           "A's supers" [ "B"; "C" ]
           (List.assoc "A" hierarchy);
@@ -123,13 +123,13 @@ let classify_tests =
         let t = Para.create (kb_of "A < B. x : C. x : ~C. y : A.") in
         Alcotest.(check (slist string String.compare))
           "A < B still holds" [ "B" ]
-          (List.assoc "A" (Para.classify t)))
+          (List.assoc "A" (Session.classify t)))
   ]
 
 let taxonomy_tests =
   [ Alcotest.test_case "chain reduces to direct edges" `Quick (fun () ->
         let t = Para.create (kb_of "A < B. B < C. A < C. x : A.") in
-        let taxonomy = Para.taxonomy t in
+        let taxonomy = Session.taxonomy t in
         let direct_of a =
           snd (List.find (fun (cls, _) -> List.mem a cls) taxonomy)
         in
@@ -139,7 +139,7 @@ let taxonomy_tests =
     Alcotest.test_case "equivalent concepts group into one class" `Quick
       (fun () ->
         let t = Para.create (kb_of "A < B. B < A. B < C. x : A.") in
-        let taxonomy = Para.taxonomy t in
+        let taxonomy = Session.taxonomy t in
         let cls = List.find (fun (cls, _) -> List.mem "A" cls) taxonomy in
         Alcotest.(check (slist string String.compare))
           "A and B together" [ "A"; "B" ] (fst cls);
@@ -150,7 +150,7 @@ let taxonomy_tests =
         in
         let direct_of a =
           snd
-            (List.find (fun (cls, _) -> List.mem a cls) (Para.taxonomy t))
+            (List.find (fun (cls, _) -> List.mem a cls) (Session.taxonomy t))
         in
         Alcotest.(check (slist string String.compare))
           "A under B and C" [ "B"; "C" ] (direct_of "A"))

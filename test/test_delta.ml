@@ -14,9 +14,6 @@
      them pays zero new tableau calls, proven on the oracle's call
      counter; their provenance demonstrably excludes the delta's
      individuals.
-   - Index sharing: Engine.of_oracle / Para.of_engine / Session wrappers
-     share one cache — a verdict paid through one wrapper is a hit
-     through the others.
    - Session config: the unified record and the deprecated optional-arg
      constructors build equivalent stacks. *)
 
@@ -102,7 +99,7 @@ let snapshot t kb =
     (match sorted (Kb4.signature kb).Axiom.concepts with
     | c :: _ -> Para.retrieve t (Concept.Atom c)
     | [] -> []),
-    Para.classify t )
+    Session.classify t )
 
 (* A deterministic delta sequence over the KB's signature: new-component
    additions, in-place additions, retractions of told assertions, and an
@@ -283,7 +280,7 @@ let differential_tests =
        verdicts share one recorded provenance entry *)
     Alcotest.test_case "horn7 is in the Horn fragment" `Quick (fun () ->
         checkb "complete_for" true
-          (Horn_backend.complete_for (Transform.kb (gen_horn_kb 7))));
+          (Fragment.eligible (Transform.kb (gen_horn_kb 7))));
     differential_case ~config:(auto_capacity 2) "example1, auto, capacity 2"
       Paper_examples.example1 9;
     differential_case ~config:(auto_capacity 8) "example1, auto, capacity 8"
@@ -315,7 +312,7 @@ let retention_tests =
         let s = Session.create kb in
         let p = Para.of_session s in
         let calls () =
-          (Oracle.stats (Session.oracle s)).Oracle.tableau_calls
+          Oracle.tableau_calls (Session.oracle s)
         in
         (* warm b's verdicts and global consistency *)
         checkb "satisfiable" true (Para.satisfiable p);
@@ -430,7 +427,7 @@ let residency_tests =
                   (Oracle.check o (Oracle.Instance (a, Concept.Atom c)) : bool))
               sg.Axiom.concepts)
           sg.Axiom.individuals;
-        let live = (Oracle.stats o).Oracle.cache.Verdict_cache.size in
+        let live = (Oracle.cache_stats o).Verdict_cache.size in
         checkb "cache stayed within capacity" true (live <= 2);
         (* without the eviction hook this grows with every distinct query *)
         checki "one provenance entry per live verdict" live
@@ -447,7 +444,7 @@ let residency_tests =
             kb
         in
         let q = Oracle.Instance ("a", Concept.Atom "A") in
-        let calls () = (Oracle.stats o).Oracle.tableau_calls in
+        let calls () = Oracle.tableau_calls o in
         let prov () =
           match Oracle.provenance o q with
           | None -> Alcotest.fail "a : A has no provenance"
@@ -485,29 +482,6 @@ let residency_tests =
           (List.length (Oracle.provenances (Session.oracle s)))) ]
 
 (* ------------------------------------------------------------------ *)
-(* Index sharing across wrappers *)
-
-let sharing_tests =
-  [ Alcotest.test_case "of_oracle / of_engine wrappers share one cache"
-      `Quick (fun () ->
-        let o = Oracle.of_config Oracle.default_config Paper_examples.example1 in
-        let e = Engine.of_oracle o in
-        let p = Para.of_engine e in
-        let s = Session.of_oracle o in
-        let calls () = (Oracle.stats o).Oracle.tableau_calls in
-        let v1 = Para.instance_truth p "bill" (Concept.Atom "Doctor") in
-        let paid = calls () in
-        checkb "first ask pays" true (paid > 0);
-        let v2 = Engine.instance_truth e "bill" (Concept.Atom "Doctor") in
-        let v3 =
-          Para.instance_truth
-            (Para.of_session s)
-            "bill" (Concept.Atom "Doctor")
-        in
-        checkb "all wrappers agree" true (v1 = v2 && v2 = v3);
-        checki "no wrapper re-paid the tableau" paid (calls ())) ]
-
-(* ------------------------------------------------------------------ *)
 (* Session config *)
 
 let config_tests =
@@ -522,19 +496,14 @@ let config_tests =
         checkb "same satisfiability" true
           (Para.satisfiable via_session = Para.satisfiable legacy);
         checkb "same contradictions" true
-          (Para.contradictions via_session = Para.contradictions legacy);
-        (* Para.session round-trips to the same shared stack *)
-        checkb "session accessor shares the oracle" true
-          (Session.oracle (Para.session via_session) == Session.oracle s));
+          (Para.contradictions via_session = Para.contradictions legacy));
     Alcotest.test_case "apply_all on an empty list reports retained" `Quick
       (fun () ->
         let s = Session.create Paper_examples.example1 in
         let p = Para.of_session s in
         ignore (Para.satisfiable p);
         ignore (Para.instance_truth p "bill" (Concept.Atom "Doctor"));
-        let size =
-          (Oracle.stats (Session.oracle s)).Oracle.cache.Verdict_cache.size
-        in
+        let size = (Oracle.cache_stats (Session.oracle s)).Verdict_cache.size in
         checkb "warm-up cached verdicts" true (size > 0);
         let st = Session.apply_all s [] in
         checki "retained reports the live cache" size st.Oracle.retained;
@@ -548,5 +517,4 @@ let () =
       ("retention", retention_tests);
       ("guards", guard_tests);
       ("residency", residency_tests);
-      ("sharing", sharing_tests);
       ("config", config_tests) ]

@@ -297,7 +297,7 @@ let cost_tests =
     Alcotest.test_case "costs sorted by wall time" `Quick (fun () ->
         let t = Para.create Paper_examples.example1 in
         ignore (Para.contradictions t);
-        let cs = Oracle.costs (Para.oracle t) in
+        let cs = Oracle.costs (Session.oracle t) in
         Alcotest.(check bool) "non-empty" true (cs <> []);
         let _ =
           List.fold_left
@@ -380,6 +380,10 @@ let tableau_session ?(max_branches = max_int) kb =
 
 let cells s = Reasoner.stats (Oracle.reasoner (Session.oracle s))
 
+let branchy () =
+  Surface.parse_kb4_exn
+    (read (Filename.concat (Filename.concat ".." "examples") "kb/branchy.dl4"))
+
 let registry_tests =
   [ Alcotest.test_case "tableau counters equal the stats cells" `Quick
       (fun () ->
@@ -388,7 +392,7 @@ let registry_tests =
             let p = Para.of_session s in
             ignore (Para.satisfiable p : bool);
             ignore (Para.contradictions p : (string * string) list);
-            ignore (Engine.classification (Session.engine s) : Classify.t);
+            ignore (Session.classification s : Classify.t);
             let st = cells s in
             Alcotest.(check bool) "runs happened" true (st.Tableau.runs > 0);
             Alcotest.(check bool) "clashes happened" true
@@ -397,14 +401,8 @@ let registry_tests =
     Alcotest.test_case "counters equal the cells after a branch-limit trip"
       `Quick (fun () ->
         with_obs_state true (fun () ->
-            let kb =
-              Surface.parse_kb4_exn
-                (read
-                   (Filename.concat
-                      (Filename.concat ".." "examples")
-                      "kb/branchy.dl4"))
-            in
-            let s = tableau_session ~max_branches:50 kb in
+            (* branchy.dl4's largest single run explores 8 branches *)
+            let s = tableau_session ~max_branches:5 (branchy ()) in
             let p = Para.of_session s in
             (match
                ignore (Para.satisfiable p : bool);
@@ -414,8 +412,18 @@ let registry_tests =
             | exception Tableau.Resource_limit _ -> ());
             let st = cells s in
             Alcotest.(check bool) "the trip explored branches" true
-              (st.Tableau.branches_explored > 50);
-            registry_matches_cells "branchy" st)) ]
+              (st.Tableau.branches_explored > 5);
+            registry_matches_cells "branchy" st));
+    Alcotest.test_case "the branch budget is per run, not per session"
+      `Quick (fun () ->
+        (* the contradiction grid pays dozens of runs whose branches add
+           up far past 50, while no single run explores more than 8 *)
+        let s = tableau_session ~max_branches:50 (branchy ()) in
+        Alcotest.(check bool) "satisfiable" true (Para.satisfiable s);
+        Alcotest.(check (list (pair string string)))
+          "contradictions" [ ("hub", "Hot") ] (Para.contradictions s);
+        Alcotest.(check bool) "the runs explored more than one budget" true
+          ((cells s).Tableau.branches_explored > 50)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Gauges and registry round-trips *)

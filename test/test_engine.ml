@@ -139,14 +139,14 @@ let cache_tests =
 let check_classification ?(label = "") kb =
   let t = Para.create kb in
   let naive = Para.classify_naive t in
-  let e = Engine.of_config Oracle.default_config kb in
-  let cls = Engine.classification e in
+  let e = Session.create kb in
+  let cls = Session.classification e in
   Alcotest.check hierarchy
     (label ^ " engine classification = naive all-pairs")
     naive cls.Classify.supers;
   Alcotest.check hierarchy
-    (label ^ " Para.classify (delegated) = naive")
-    naive (Para.classify t);
+    (label ^ " Session.classify (delegated) = naive")
+    naive (Session.classify t);
   let s = cls.Classify.stats in
   Alcotest.(check bool)
     (label ^ " engine uses no more tableau calls than naive")
@@ -184,16 +184,16 @@ let classification_tests =
         (* A < B < C < D: all 6 subsumptions follow from the told closure,
            only the 6 refutations need the oracle *)
         let kb = kb_of "A < B. B < C. C < D. x : A." in
-        let e = Engine.of_config Oracle.default_config kb in
-        let s = (Engine.classification e).Classify.stats in
+        let e = Session.create kb in
+        let s = (Session.classification e).Classify.stats in
         Alcotest.(check int) "told hits" 6 s.Classify.told_hits;
         Alcotest.(check bool) "strictly fewer calls than naive" true
           (s.Classify.tableau_tests < s.Classify.naive_tests));
     Alcotest.test_case "told-equivalent atoms land in one taxonomy class"
       `Quick (fun () ->
         let kb = kb_of "A < B. B < A. A < C. x : A." in
-        let e = Engine.of_config Oracle.default_config kb in
-        match Engine.taxonomy e with
+        let e = Session.create kb in
+        match Session.taxonomy e with
         | [ ([ "A"; "B" ], [ "C" ]); ([ "C" ], []) ] -> ()
         | tax ->
             Alcotest.failf "unexpected taxonomy: %s"
@@ -220,48 +220,47 @@ let cache_verdict_tests =
             signature.Axiom.individuals
         in
         let t = Para.create kb in
-        let cached = Engine.of_config Oracle.default_config kb in
-        let uncached = Engine.of_config { Oracle.default_config with Oracle.cache_capacity = 0 } kb in
+        let cached = Session.create kb in
+        let uncached = Session.create ~config:{ Session.default_config with cache_capacity = 0 } kb in
         List.iter
           (fun (a, c) ->
             let expected = Para.instance_truth t a c in
             Alcotest.check tv "cached = Para" expected
-              (Engine.instance_truth cached a c);
+              (Para.instance_truth cached a c);
             Alcotest.check tv "uncached = Para" expected
-              (Engine.instance_truth uncached a c))
+              (Para.instance_truth uncached a c))
           queries;
-        let before = (Engine.stats cached).Engine.cache.Verdict_cache.hits in
+        let before = (Oracle.cache_stats (Session.oracle cached)).Verdict_cache.hits in
         List.iter
           (fun (a, c) ->
             let expected = Para.instance_truth t a c in
             Alcotest.check tv "repeat run agrees" expected
-              (Engine.instance_truth cached a c))
+              (Para.instance_truth cached a c))
           queries;
-        let s = Engine.stats cached in
+        let s = Oracle.cache_stats (Session.oracle cached) in
         Alcotest.(check bool) "hits > 0 on repeated queries" true
-          (s.Engine.cache.Verdict_cache.hits > before);
+          (s.Verdict_cache.hits > before);
         Alcotest.(check int) "repeat pass is answered entirely from cache"
           (before + (2 * List.length queries))
-          s.Engine.cache.Verdict_cache.hits;
+          s.Verdict_cache.hits;
         (* uncached engine paid every call *)
-        let su = Engine.stats uncached in
         Alcotest.(check int) "uncached pays per query"
           (2 * List.length queries)
-          su.Engine.tableau_calls);
+          (Oracle.tableau_calls (Session.oracle uncached)));
     Alcotest.test_case "canonically equal queries share one verdict" `Quick
       (fun () ->
         let kb = kb_of "x : A. x : B." in
-        let e = Engine.of_config Oracle.default_config kb in
-        ignore (Engine.entails_instance e "x" (And (Atom "A", Atom "B")));
-        let misses = (Engine.stats e).Engine.cache.Verdict_cache.misses in
-        ignore (Engine.entails_instance e "x" (And (Atom "B", Atom "A")));
+        let e = Session.create kb in
+        ignore (Para.entails_instance e "x" (And (Atom "A", Atom "B")));
+        let misses = (Oracle.cache_stats (Session.oracle e)).Verdict_cache.misses in
+        ignore (Para.entails_instance e "x" (And (Atom "B", Atom "A")));
         ignore
-          (Engine.entails_instance e "x"
+          (Para.entails_instance e "x"
              (And (Atom "A", And (Atom "B", Atom "A"))));
-        let s = Engine.stats e in
+        let s = Oracle.cache_stats (Session.oracle e) in
         Alcotest.(check int) "no further misses" misses
-          s.Engine.cache.Verdict_cache.misses;
-        Alcotest.(check int) "two hits" 2 s.Engine.cache.Verdict_cache.hits)
+          s.Verdict_cache.misses;
+        Alcotest.(check int) "two hits" 2 s.Verdict_cache.hits)
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -269,8 +268,8 @@ let cache_verdict_tests =
 
 let check_realization ?(label = "") kb =
   let t = Para.create kb in
-  let e = Engine.of_config Oracle.default_config kb in
-  let r = Engine.realization e in
+  let e = Session.create kb in
+  let r = Session.realization e in
   List.iter
     (fun (entry : Realize.entry) ->
       List.iter
@@ -298,11 +297,11 @@ let realization_tests =
           [ 5; 6 ]);
     Alcotest.test_case "most-specific types on a chain" `Quick (fun () ->
         let kb = kb_of "A < B. B < C. x : A. y : B." in
-        let e = Engine.of_config Oracle.default_config kb in
+        let e = Session.create kb in
         let entry name =
           List.find
             (fun (en : Realize.entry) -> en.Realize.name = name)
-            (Engine.realization e).Realize.entries
+            (Session.realization e).Realize.entries
         in
         Alcotest.(check (list string))
           "msc x" [ "A" ] (entry "x").Realize.most_specific;
@@ -313,8 +312,8 @@ let realization_tests =
         (* y is told nothing: once y ∉ C is settled, A and B (told below C)
            must not be checked positively *)
         let kb = kb_of "A < B. B < C. x : A. y : D." in
-        let e = Engine.of_config Oracle.default_config kb in
-        let r = Engine.realization e in
+        let e = Session.create kb in
+        let r = Session.realization e in
         let s = r.Realize.stats in
         Alcotest.(check bool) "pruned > 0" true (s.Realize.pruned > 0);
         Alcotest.(check bool) "fewer checks than naive" true

@@ -158,7 +158,7 @@ let example3_tests =
           (Interp4.truth_value i (Atom "Penguin") "tweety"));
     Alcotest.test_case "Example 5: the induced classical KB shape" `Quick
       (fun () ->
-        let kbar = Para.classical_kb t in
+        let kbar = Session.classical_kb t in
         (* Penguin+ << Bird+, Penguin+ << some hasWing+.Wing+,
            Penguin+ << Fly-, and the material axiom
            ~(Bird- | only hasWing+.Wing-) << Fly+ *)

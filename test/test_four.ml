@@ -193,7 +193,26 @@ let tableau_tests =
               (Format.asprintf "%a" Prop4.pp phi)
               (Prop4.entails gamma phi)
               (Prop4_tableau.entails gamma phi))
-          pool)
+          pool);
+    Alcotest.test_case "tableau decides nested equivalences without re-expansion"
+      `Quick (fun () ->
+        (* p <-> (((p |-> q) -> (q -> p)) <-> (p <-> (q \/ p))), q \/ r, p
+           |- r -> ~q: each <-> and -> copies its operands, so a tableau
+           that expands a signed formula again on every reappearance
+           does not finish this in seconds *)
+        let gamma =
+          [ Equiv
+              ( p,
+                Equiv (Strong (Material (p, q), Strong (q, p)), Equiv (p, Or (q, p)))
+              );
+            Or (q, rf);
+            p ]
+        in
+        let phi = Strong (rf, neg q) in
+        Alcotest.(check bool) "enumeration: not entailed" false
+          (Prop4.entails gamma phi);
+        Alcotest.(check bool) "tableau: not entailed" false
+          (Prop4_tableau.entails gamma phi))
   ]
 
 (* ------------------------------------------------------------------ *)

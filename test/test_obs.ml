@@ -43,11 +43,10 @@ let examples =
     ("example4", Paper_examples.example4) ]
 
 let workload kb =
-  let e = Engine.of_config Oracle.default_config kb in
-  let taxonomy = Engine.classify e in
-  let t = Para.of_engine e in
-  let contradictions = Para.contradictions t in
-  (e, (taxonomy, contradictions))
+  let s = Session.create kb in
+  let taxonomy = Session.classify s in
+  let contradictions = Para.contradictions s in
+  (s, (taxonomy, contradictions))
 
 (* ------------------------------------------------------------------ *)
 (* Zero overhead when disabled *)
@@ -58,12 +57,12 @@ let disabled_tests =
             List.iter
               (fun (_, kb) ->
                 let e, _ = workload kb in
-                ignore (Engine.realization e);
+                ignore (Session.realization e);
                 (* provenance is recorded even with sinks off: the
                    dependency index behind Oracle.apply depends on it *)
                 Alcotest.(check bool)
                   "provenance captured regardless of sinks" true
-                  (Oracle.provenances (Engine.oracle e) <> []))
+                  (Oracle.provenances (Session.oracle e) <> []))
               examples;
             List.iter
               (fun (name, v) ->
@@ -196,7 +195,7 @@ let trace_tests =
                   (label ^ ": spans were recorded") true (records <> []);
                 check_forest label records;
                 check_roots label records;
-                Oracle.provenances (Engine.oracle e))
+                Oracle.provenances (Session.oracle e))
           in
           let expected = sorted_individuals kb in
           Alcotest.(check bool)

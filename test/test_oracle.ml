@@ -1,7 +1,7 @@
 (* PR 2 oracle-layer tests.
 
    - Grep guards: lib/core's query paths are free of direct tableau
-     verdicts (every entailment must route through Engine.Oracle), and
+     verdicts (every entailment must route through Oracle.check), and
      lib/ stays single-domain.
    - Differential tests: the oracle-routed, batched/pruned implementations
      (Cq.answers, Cq.all_bindings, Para.retrieve) agree with their _naive
@@ -234,7 +234,7 @@ let batching_tests =
       (fun () ->
         let t = Para.create clinic_kb in
         let calls () =
-          (Engine.stats (Para.engine t)).Engine.tableau_calls
+          Oracle.tableau_calls (Session.oracle t)
         in
         let qs = queries_for clinic_kb in
         let cold = List.map (Cq.answers t) qs in
@@ -249,7 +249,7 @@ let batching_tests =
            exactly two tableau calls, making the call counts observable *)
         let t = Para.create ~config:{ Oracle.default_config with Oracle.cache_capacity = 0 } clinic_kb in
         let calls () =
-          (Engine.stats (Para.engine t)).Engine.tableau_calls
+          Oracle.tableau_calls (Session.oracle t)
         in
         let q =
           Cq.make ~head:[]
@@ -276,7 +276,7 @@ let batching_tests =
         let run f =
           let t = Para.create ~config:{ Oracle.default_config with Oracle.cache_capacity = 0 } clinic_kb in
           let out = f t q in
-          (out, (Engine.stats (Para.engine t)).Engine.tableau_calls)
+          (out, Oracle.tableau_calls (Session.oracle t))
         in
         let staged, staged_calls = run Cq.all_bindings in
         let naive, naive_calls = run Cq.all_bindings_naive in

@@ -41,7 +41,7 @@ let warm_server () =
   let p = Para.of_session s in
   ignore (Para.satisfiable p : bool);
   ignore (Para.contradictions p : (string * string) list);
-  ignore (Engine.classification (Session.engine s) : Classify.t);
+  ignore (Session.classification s : Classify.t);
   Serve.create s
 
 let ask t line = parse_resp (Serve.handle t line)
@@ -174,6 +174,87 @@ let protocol_tests =
         checkb "server not stopped" true (not (Serve.stopped t));
         (* and the very next request still works *)
         checkb "still serving" true (ok (ask t {|{"op":"check"}|})));
+    Alcotest.test_case "a limit trip fails one request, the next answers"
+      `Quick (fun () ->
+        (* on Example 3 both runs of this query (told true, told false)
+           explore 7 branches each, the consistency run 2 *)
+        let s =
+          Session.create
+            ~config:{ Session.default_config with max_branches = 5 }
+            Paper_examples.example3
+        in
+        let t = Serve.create s in
+        let o = Session.oracle s in
+        let size () = (Oracle.cache_stats o).Verdict_cache.size in
+        let size0 = size () and totals0 = Session.cost_totals s in
+        let calls0 = Oracle.tableau_calls o in
+        let r =
+          ask t
+            {|{"op":"query","individual":"tweety","concept":"(A1 & B1 | A2 & B2 | A3 & B3 | A4 & B4) & ~(C1 & D1 | C2 & D2 | C3 & D3 | C4 & D4)"}|}
+        in
+        checkb "the tripping request fails" false (ok r);
+        checks "typed error" "resource limit: branch limit 5 exceeded"
+          (str "error" r);
+        checki "nothing cached" size0 (size ());
+        checkb "cost totals unchanged" true (Session.cost_totals s = totals0);
+        checki "the attempt is counted" (calls0 + 1) (Oracle.tableau_calls o);
+        let r = ask t {|{"op":"check"}|} in
+        checkb "the next request answers" true (ok r);
+        checki "with one tableau call" 1 (cost_tableau_calls r));
+    Alcotest.test_case "an update that trips leaves no stale verdict" `Quick
+      (fun () ->
+        (* the delta's Horn rebuild needs more than three contexts, but
+           K and K̄ are already edited when it trips: the old engine and
+           the cached BOT for b : B must not answer the updated KB *)
+        let s =
+          Session.create
+            ~config:
+              { Session.default_config with backend = Backend.Auto; max_nodes = 3 }
+            (Surface.parse_kb4_exn "A < B.\na : A.\n")
+        in
+        let t = Serve.create s in
+        let q = {|{"op":"query","individual":"b","concept":"B"}|} in
+        checks "b is unknown" "BOT" (str "truth" (ask t q));
+        let r = ask t {|{"op":"update","script":"+ b : A.\n+ c : A."}|} in
+        checkb "the update fails" false (ok r);
+        checkb "with a resource limit" true
+          (String.starts_with ~prefix:"resource limit: " (str "error" r));
+        checks "b : B answers the updated KB" "t" (str "truth" (ask t q));
+        checks "so does c : B" "t"
+          (str "truth"
+             (ask t {|{"op":"query","individual":"c","concept":"B"}|}));
+        checkb "the audit sees both" true
+          (ok (ask t {|{"op":"audit"}|})));
+    Alcotest.test_case "an update whose consistency probe trips keeps nothing"
+      `Quick (fun () ->
+        (* b's new assertion makes K 4-unsatisfiable, but refuting it
+           takes one run 14 branches: the post-delta probe trips, and a
+           verdict of a's component, which the delta does not touch,
+           must not survive to answer as if K were still satisfiable;
+           nor may the taxonomy or the census built before the update *)
+        let s =
+          Session.create
+            ~config:{ Session.default_config with max_branches = 8 }
+            (Surface.parse_kb4_exn "a : A.\n")
+        in
+        let t = Serve.create s in
+        let q = {|{"op":"query","individual":"a","concept":"B"}|} in
+        checks "a : B is unknown" "BOT" (str "truth" (ask t q));
+        let classify = {|{"op":"classify"}|} and audit = {|{"op":"audit"}|} in
+        checkb "classified" true (ok (ask t classify));
+        checkb "audited" true (ok (ask t audit));
+        let r =
+          ask t
+            {|{"op":"update","script":"+ b : (X1 | Y1) & (X2 | Y2) & (X3 | Y3) & ((>= 1 r) | Bottom) & (only r.Bottom)."}|}
+        in
+        checks "the update trips" "resource limit: branch limit 8 exceeded"
+          (str "error" r);
+        let r = ask t q in
+        checkb "a : B is not served from the cache" false
+          (ok r && str "truth" r = "BOT");
+        checkb "nor the taxonomy from the old index" false
+          (ok (ask t classify));
+        checkb "nor the census from the old KB" false (ok (ask t audit)));
     Alcotest.test_case "stats reports request and call counters" `Quick
       (fun () ->
         let t = warm_server () in

@@ -21,7 +21,7 @@ let warm_session kb =
   let p = Para.of_session s in
   ignore (Para.satisfiable p : bool);
   ignore (Para.contradictions p : (string * string) list);
-  ignore (Engine.classification (Session.engine s) : Classify.t);
+  ignore (Session.classification s : Classify.t);
   s
 
 let grid s =
@@ -34,7 +34,7 @@ let grid s =
         sg.Axiom.concepts)
     sg.Axiom.individuals
 
-let tableau_calls s = (Engine.stats (Session.engine s)).Engine.tableau_calls
+let tableau_calls s = Oracle.tableau_calls (Session.oracle s)
 
 let tmp_path suffix =
   Filename.temp_file "dl4_store_test" suffix
@@ -77,11 +77,11 @@ let roundtrip_case (name, kb) =
       (* ... and re-answering the whole grid stayed warm *)
       checki "warm requery pays no tableau calls" 0 (tableau_calls s2);
       (* classification transferred, not rebuilt *)
-      (match Engine.classification_if_built (Session.engine s2) with
+      (match Session.classification_if_built s2 with
       | None -> Alcotest.fail "classification not restored"
       | Some c2 ->
           Alcotest.(check (list (pair string (list string))))
-            "classification contents" (Engine.classify (Session.engine s1))
+            "classification contents" (Session.classify s1)
             c2.Classify.supers);
       (* cost totals continue the saved history *)
       let t1 = Session.cost_totals s1 and t2 = Session.cost_totals s2 in
@@ -155,7 +155,7 @@ let string_tests =
         let p = Para.of_session live in
         ignore (Para.satisfiable p : bool);
         ignore (Para.contradictions p : (string * string) list);
-        ignore (Engine.classification (Session.engine live) : Classify.t);
+        ignore (Session.classification live : Classify.t);
         let restored = restored_exn ~kb (Store.capture live) in
         let d =
           match

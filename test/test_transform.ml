@@ -223,13 +223,13 @@ let corollary7_tests =
         let t = Para.create kb in
         Alcotest.(check bool)
           "A < B" true
-          (Para.entails_inclusion t Kb4.Internal a b);
+          (Session.entails_inclusion t Kb4.Internal a b);
         Alcotest.(check bool)
           "A -> B" true
-          (Para.entails_inclusion t Kb4.Strong a b);
+          (Session.entails_inclusion t Kb4.Strong a b);
         Alcotest.(check bool)
           "B < A not entailed" false
-          (Para.entails_inclusion t Kb4.Internal b a));
+          (Session.entails_inclusion t Kb4.Internal b a));
     Alcotest.test_case "internal axiom does not give strong inclusion" `Quick
       (fun () ->
         let kb =
@@ -238,10 +238,10 @@ let corollary7_tests =
         let t = Para.create kb in
         Alcotest.(check bool)
           "A < B" true
-          (Para.entails_inclusion t Kb4.Internal a b);
+          (Session.entails_inclusion t Kb4.Internal a b);
         Alcotest.(check bool)
           "A -> B not entailed" false
-          (Para.entails_inclusion t Kb4.Strong a b));
+          (Session.entails_inclusion t Kb4.Strong a b));
     Alcotest.test_case "reflexivity and transitivity of internal inclusion"
       `Quick (fun () ->
         let kb =
@@ -254,10 +254,10 @@ let corollary7_tests =
         let t = Para.create kb in
         Alcotest.(check bool)
           "A < A" true
-          (Para.entails_inclusion t Kb4.Internal a a);
+          (Session.entails_inclusion t Kb4.Internal a a);
         Alcotest.(check bool)
           "A < C" true
-          (Para.entails_inclusion t Kb4.Internal a (Atom "C")));
+          (Session.entails_inclusion t Kb4.Internal a (Atom "C")));
     Alcotest.test_case "material inclusion from material axiom" `Quick
       (fun () ->
         let kb =
@@ -266,10 +266,10 @@ let corollary7_tests =
         let t = Para.create kb in
         Alcotest.(check bool)
           "A |-> B" true
-          (Para.entails_inclusion t Kb4.Material a b);
+          (Session.entails_inclusion t Kb4.Material a b);
         Alcotest.(check bool)
           "A < B NOT entailed by material axiom" false
-          (Para.entails_inclusion t Kb4.Internal a b))
+          (Session.entails_inclusion t Kb4.Internal a b))
   ]
 
 let () =
