@@ -76,8 +76,7 @@ let max_branches_arg =
           "Tableau branch budget per run (default unlimited).  A run that \
            explores more than $(docv) nondeterministic alternatives is \
            aborted: dl4 exits with code 3, and when the flight recorder is \
-           armed (--flight or DL4_FLIGHT) its rings are dumped at the trip \
-           point.")
+           armed (--flight) its ring is dumped at the trip point.")
 
 let cache_size_arg =
   Arg.(
@@ -217,8 +216,8 @@ let with_obs ~cmd (stats, metrics, trace, slow_log, slow_ms, flight) run =
       | Some p -> Format.eprintf "flight recording dumped to %s@." p
       | None ->
           Format.eprintf
-            "hint: re-run with --flight FILE (or DL4_FLIGHT=1) to capture \
-             the events leading up to the trip@.");
+            "hint: re-run with --flight FILE to capture the events \
+             leading up to the trip@.");
       finish 3
   | exception e ->
       Obs.exit_span sp;
@@ -1109,14 +1108,14 @@ let profile_cmd =
       value
       & opt (some non_dir_file) None
       & info [ "slow-log" ] ~docv:"FILE"
-          ~doc:"Slow-query JSONL log written by --slow-log or DL4_SLOW_LOG.")
+          ~doc:"Slow-query JSONL log written by --slow-log.")
   in
   let flight =
     Arg.(
       value
       & opt (some non_dir_file) None
       & info [ "flight" ] ~docv:"FILE"
-          ~doc:"Flight-recorder dump written by --flight or DL4_FLIGHT.")
+          ~doc:"Flight-recorder dump written by --flight.")
   in
   let top =
     Arg.(
@@ -1298,44 +1297,40 @@ let profile_cmd =
           (mem_num "branches" r))
       (take top sorted)
   in
+  (* the dl4-flight/1 [domains] array holds the one ring *)
   let profile_flight top j =
-    let domains =
+    let rings =
       match Json_lite.member "domains" j with
       | Some (Json_lite.Arr l) -> l
       | _ -> []
     in
+    let sum field =
+      List.fold_left (fun n r -> n + int_of_float (mem_num field r)) 0 rings
+    in
+    let events =
+      List.concat_map
+        (fun r ->
+          match Json_lite.member "events" r with
+          | Some (Json_lite.Arr evs) -> evs
+          | _ -> [])
+        rings
+    in
     let kinds = Hashtbl.create 16 in
-    let trips = ref [] in
-    let total = ref 0 and dropped = ref 0 in
     List.iter
-      (fun d ->
-        total := !total + int_of_float (mem_num "total" d);
-        dropped := !dropped + int_of_float (mem_num "dropped" d);
-        match Json_lite.member "events" d with
-        | Some (Json_lite.Arr evs) ->
-            List.iter
-              (fun e ->
-                let kind = mem_str "kind" e in
-                Hashtbl.replace kinds kind
-                  (1
-                  + Option.value ~default:0 (Hashtbl.find_opt kinds kind));
-                if kind = "trip" then
-                  trips :=
-                    (mem_num "ns" e, mem_str "note" e, mem_num "tid" d)
-                    :: !trips)
-              evs
-        | _ -> ())
-      domains;
+      (fun e ->
+        let kind = mem_str "kind" e in
+        Hashtbl.replace kinds kind
+          (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind)))
+      events;
     Format.printf
-      "@.flight recording (%s): %d domains, %d events recorded, %d rotated \
-       out, %.0f dropped from extra domains@."
-      (mem_str "schema" j) (List.length domains) !total !dropped
-      (mem_num "overflow_dropped" j);
+      "@.flight recording (%s): %d events recorded, %d rotated out@."
+      (mem_str "schema" j) (sum "total") (sum "dropped");
     List.iter
-      (fun (ns, note, tid) ->
-        Format.printf "  TRIP at +%.3f ms on domain %.0f: %s@." (ms ns) tid
-          note)
-      (List.rev !trips);
+      (fun e ->
+        if mem_str "kind" e = "trip" then
+          Format.printf "  TRIP at +%.3f ms: %s@." (ms (mem_num "ns" e))
+            (mem_str "note" e))
+      events;
     let by_kind =
       Hashtbl.fold (fun k c acc -> (k, c) :: acc) kinds []
       |> List.sort (fun (_, a) (_, b) -> compare b a)
@@ -1535,7 +1530,17 @@ let serve_cmd =
             ~backend
         in
         let s = session_of ~config ~from_snapshot kb in
-        if not cold then warm_session s;
+        (* a warm-up run over a budget leaves the session sound (a
+           tripped verdict is never cached, a tripped classification
+           stays unbuilt), so the daemon serves and fails only the
+           requests that trip again *)
+        (if not cold then
+           try warm_session s
+           with Tableau.Resource_limit msg ->
+             Format.eprintf
+               "dl4 serve: warm-up stopped: resource limit: %s; serving \
+                anyway, over-budget requests will fail@."
+               msg);
         let snapshot_path =
           match snapshot_to with Some _ -> snapshot_to | None -> from_snapshot
         in
@@ -1543,10 +1548,8 @@ let serve_cmd =
           Serve.create ?snapshot_path ~telemetry:(not no_telemetry)
             ?access_log ~access_log_max_bytes:access_log_rotate ?drift_log s
         in
-        Format.printf "dl4 serve: listening on %s (NDJSON; ops: check query \
-                       retrieve classify update stats metrics audit \
-                       snapshot shutdown)@."
-          socket;
+        Format.printf "dl4 serve: listening on %s (NDJSON; ops: %s)@." socket
+          (String.concat " " Serve.op_names);
         Serve.run ~idle_save ?metrics_out ~metrics_interval
           ~socket_path:socket t;
         Format.printf "dl4 serve: shut down@.";

@@ -160,18 +160,6 @@ let top_concepts cs ~k =
 
 let schema = "dl4-audit/1"
 
-(* hand-rolled JSON, like every export sink in this stack *)
-let jstr b s = Buffer.add_string b ("\"" ^ Obs.json_escape s ^ "\"")
-
-let jlist b xs f =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      f x)
-    xs;
-  Buffer.add_char b ']'
-
 (* union of the oracle provenance of an individual's ⊤-valued concept
    facts — present only while the verdicts are cache-resident *)
 let provenance_of para cs a =
@@ -194,81 +182,79 @@ let provenance_of para cs a =
   ( List.sort_uniq String.compare !inds,
     List.sort_uniq String.compare !cons )
 
-let report_json ?(top = 5) ?exactly para cs =
-  let b = Buffer.create 1024 in
+(* the per-value counts, in [Truth.all] order *)
+let counts_json cs =
+  Json_lite.(
+    Obj (List.map (fun v -> (Truth.short_string v, int (count cs v))) Truth.all))
+
+let report ?(top = 5) ?exactly para cs =
   let stats = Kb_stats.of_kb4 (Session.kb para) in
-  Buffer.add_string b "{\"schema\":";
-  jstr b schema;
-  Buffer.add_string b ",\"kb\":{\"individuals\":";
-  Buffer.add_string b (string_of_int cs.cs_individuals);
-  Buffer.add_string b ",\"concepts\":";
-  Buffer.add_string b (string_of_int cs.cs_concepts);
-  Buffer.add_string b ",\"role_facts\":";
-  Buffer.add_string b (string_of_int cs.cs_role_facts);
-  Buffer.add_string b ",\"tbox_axioms\":";
-  Buffer.add_string b (string_of_int stats.Kb_stats.tbox_axioms);
-  Buffer.add_string b ",\"abox_axioms\":";
-  Buffer.add_string b (string_of_int stats.Kb_stats.abox_axioms);
-  Buffer.add_string b "},\"counts\":{";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      jstr b (Truth.short_string v);
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int (count cs v)))
-    Truth.all;
-  Buffer.add_string b "},\"decided\":";
-  Buffer.add_string b (string_of_int (decided cs));
-  Buffer.add_string b ",\"inconsistency_ratio\":";
-  Buffer.add_string b (Obs.json_float (inconsistency_ratio cs));
-  Buffer.add_string b ",\"per_concept\":";
-  jlist b (per_concept cs) (fun (c, bc, dc) ->
-      Buffer.add_string b "{\"concept\":";
-      jstr b c;
-      Buffer.add_string b ",\"B\":";
-      Buffer.add_string b (string_of_int bc);
-      Buffer.add_string b ",\"decided\":";
-      Buffer.add_string b (string_of_int dc);
-      Buffer.add_string b ",\"b_rate\":";
-      Buffer.add_string b
-        (Obs.json_float
-           (if dc = 0 then 0. else float_of_int bc /. float_of_int dc));
-      Buffer.add_char b '}');
-  Buffer.add_string b ",\"top_individuals\":";
-  jlist b (top_individuals cs ~k:top) (fun (a, n) ->
-      let p_inds, p_cons = provenance_of para cs a in
-      Buffer.add_string b "{\"individual\":";
-      jstr b a;
-      Buffer.add_string b ",\"B\":";
-      Buffer.add_string b (string_of_int n);
-      Buffer.add_string b ",\"provenance\":{\"individuals\":";
-      jlist b p_inds (jstr b);
-      Buffer.add_string b ",\"concepts\":";
-      jlist b p_cons (jstr b);
-      Buffer.add_string b "}}");
-  Buffer.add_string b ",\"top_concepts\":";
-  jlist b (top_concepts cs ~k:top) (fun (c, n) ->
-      Buffer.add_string b "{\"concept\":";
-      jstr b c;
-      Buffer.add_string b ",\"B\":";
-      Buffer.add_string b (string_of_int n);
-      Buffer.add_char b '}');
-  (match exactly with
-  | None -> ()
-  | Some values ->
-      Buffer.add_string b ",\"exactly\":";
-      jlist b values (fun v -> jstr b (Truth.short_string v));
-      Buffer.add_string b ",\"facts\":";
-      jlist b
-        (List.filter (fun (_, v) -> List.mem v values) cs.cs_entries)
-        (fun (f, v) ->
-          Buffer.add_string b "{\"fact\":";
-          jstr b (fact_to_string f);
-          Buffer.add_string b ",\"value\":";
-          jstr b (Truth.to_string v);
-          Buffer.add_char b '}'));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json_lite.(
+    let strs l = Arr (List.map (fun s -> Str s) l) in
+    let exactly_fields =
+      match exactly with
+      | None -> []
+      | Some values ->
+          [ ("exactly", strs (List.map Truth.short_string values));
+            ( "facts",
+              Arr
+                (List.filter_map
+                   (fun (f, v) ->
+                     if List.mem v values then
+                       Some
+                         (Obj
+                            [ ("fact", Str (fact_to_string f));
+                              ("value", Str (Truth.to_string v)) ])
+                     else None)
+                   cs.cs_entries) ) ]
+    in
+    Obj
+      ([ ("schema", Str schema);
+         ( "kb",
+           Obj
+             [ ("individuals", int cs.cs_individuals);
+               ("concepts", int cs.cs_concepts);
+               ("role_facts", int cs.cs_role_facts);
+               ("tbox_axioms", int stats.Kb_stats.tbox_axioms);
+               ("abox_axioms", int stats.Kb_stats.abox_axioms) ] );
+         ("counts", counts_json cs);
+         ("decided", int (decided cs));
+         ("inconsistency_ratio", Num (inconsistency_ratio cs));
+         ( "per_concept",
+           Arr
+             (List.map
+                (fun (c, bc, dc) ->
+                  Obj
+                    [ ("concept", Str c);
+                      ("B", int bc);
+                      ("decided", int dc);
+                      ( "b_rate",
+                        Num
+                          (if dc = 0 then 0.
+                           else float_of_int bc /. float_of_int dc) ) ])
+                (per_concept cs)) );
+         ( "top_individuals",
+           Arr
+             (List.map
+                (fun (a, n) ->
+                  let p_inds, p_cons = provenance_of para cs a in
+                  Obj
+                    [ ("individual", Str a);
+                      ("B", int n);
+                      ( "provenance",
+                        Obj
+                          [ ("individuals", strs p_inds);
+                            ("concepts", strs p_cons) ] ) ])
+                (top_individuals cs ~k:top)) );
+         ( "top_concepts",
+           Arr
+             (List.map
+                (fun (c, n) -> Obj [ ("concept", Str c); ("B", int n) ])
+                (top_concepts cs ~k:top)) ) ]
+      @ exactly_fields))
+
+let report_json ?top ?exactly para cs =
+  Json_lite.to_string (report ?top ?exactly para cs)
 
 (* ---- drift --------------------------------------------------------- *)
 
@@ -306,37 +292,26 @@ let drift_line ?trace ~ts_unix ~before ~after () =
   match diff before after with
   | [] -> None
   | changed ->
-      let b = Buffer.create 256 in
-      let side = function
-        | None -> "-"
-        | Some v -> Truth.to_string v
+      let side = function None -> "-" | Some v -> Truth.to_string v in
+      let body =
+        Json_lite.(
+          to_string
+            (Obj
+               ((match trace with None -> [] | Some t -> [ ("trace", Str t) ])
+               @ [ ( "changed",
+                     Arr
+                       (List.map
+                          (fun tr ->
+                            Obj
+                              [ ("fact", Str (fact_to_string tr.tr_fact));
+                                ("from", Str (side tr.tr_from));
+                                ("to", Str (side tr.tr_to)) ])
+                          changed) );
+                   ("counts", counts_json after);
+                   ("inconsistency_ratio", Num (inconsistency_ratio after)) ])))
       in
-      Buffer.add_string b "{\"ts_unix\":";
-      (* epoch with full ms precision: json_float's %.6g would truncate *)
-      Buffer.add_string b (Printf.sprintf "%.3f" ts_unix);
-      (match trace with
-      | None -> ()
-      | Some t ->
-          Buffer.add_string b ",\"trace\":";
-          jstr b t);
-      Buffer.add_string b ",\"changed\":";
-      jlist b changed (fun tr ->
-          Buffer.add_string b "{\"fact\":";
-          jstr b (fact_to_string tr.tr_fact);
-          Buffer.add_string b ",\"from\":";
-          jstr b (side tr.tr_from);
-          Buffer.add_string b ",\"to\":";
-          jstr b (side tr.tr_to);
-          Buffer.add_char b '}');
-      Buffer.add_string b ",\"counts\":{";
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          jstr b (Truth.short_string v);
-          Buffer.add_char b ':';
-          Buffer.add_string b (string_of_int (count after v)))
-        Truth.all;
-      Buffer.add_string b "},\"inconsistency_ratio\":";
-      Buffer.add_string b (Obs.json_float (inconsistency_ratio after));
-      Buffer.add_char b '}';
-      Some (Buffer.contents b)
+      (* the epoch leads with full ms precision, which the number rule's
+         %.6g would truncate: spliced in ahead of the printed members *)
+      Some
+        (Printf.sprintf "{\"ts_unix\":%.3f,%s" ts_unix
+           (String.sub body 1 (String.length body - 1)))

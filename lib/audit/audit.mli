@@ -68,15 +68,19 @@ val top_concepts : census -> k:int -> (string * int) list
 val schema : string
 (** ["dl4-audit/1"]. *)
 
+val report :
+  ?top:int -> ?exactly:Truth.t list -> Para.t -> census -> Json_lite.t
+(** The stable [dl4-audit/1] report: KB dimensions, per-value counts,
+    [decided], [inconsistency_ratio], [per_concept] breakdown (with
+    ⊤-rates), and the top-[top] (default 5) individuals and concepts —
+    each top individual carrying the union of the oracle provenance of
+    its contradictory facts, when retained.  With [?exactly], a [facts]
+    array additionally lists every audited fact whose value is exactly
+    in the set.  The serve [audit] op embeds it. *)
+
 val report_json :
   ?top:int -> ?exactly:Truth.t list -> Para.t -> census -> string
-(** The stable one-line [dl4-audit/1] report: KB dimensions, per-value
-    counts, [decided], [inconsistency_ratio], [per_concept] breakdown
-    (with ⊤-rates), and the top-[top] (default 5) individuals and
-    concepts — each top individual carrying the union of the oracle
-    provenance of its contradictory facts, when retained.  With
-    [?exactly], a [facts] array additionally lists every audited fact
-    whose value is exactly in the set. *)
+(** {!report} printed on one line. *)
 
 (** {1 Drift} *)
 
@@ -98,4 +102,6 @@ val drift_line :
 (** One JSONL drift record for an applied delta — [None] when nothing
     changed.  Carries the changed facts with their old/new values
     (["-"] for absent), the new per-value counts and the new ratio, in
-    the access-log/slow-log sink style. *)
+    the access-log/slow-log sink style.  The leading [ts_unix] is
+    printed fixed-point to the millisecond; the rest is a
+    {!Json_lite.t}. *)

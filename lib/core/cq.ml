@@ -837,68 +837,34 @@ let explain (plan : plan) =
 
 let plan_schema = "dl4-plan/1"
 
-(* hand-rolled JSON, like every export sink in this stack; no [Printf]
-   in lib/core (test_obs guards that), so plain Buffer plumbing *)
 let explain_json plan =
   let v = explain plan in
-  let b = Buffer.create 512 in
-  let str s = Buffer.add_string b ("\"" ^ Obs.json_escape s ^ "\"") in
-  let opt_int = function
-    | None -> Buffer.add_string b "null"
-    | Some n -> Buffer.add_string b (string_of_int n)
-  in
-  Buffer.add_string b "{\"schema\":";
-  str plan_schema;
-  Buffer.add_string b ",\"query\":";
-  str v.Plan.v_query;
-  Buffer.add_string b ",\"vars\":[";
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      str x)
-    v.Plan.v_vars;
-  Buffer.add_string b "],\"individuals\":";
-  Buffer.add_string b (string_of_int v.Plan.v_individuals);
-  Buffer.add_string b ",\"threshold\":";
-  Buffer.add_string b (string_of_int v.Plan.v_threshold);
-  Buffer.add_string b ",\"forced\":";
-  (match v.Plan.v_forced with None -> Buffer.add_string b "null" | Some s -> str s);
-  Buffer.add_string b ",\"order\":";
-  str v.Plan.v_order;
-  Buffer.add_string b ",\"executed\":";
-  Buffer.add_string b (if v.Plan.v_executed then "true" else "false");
-  Buffer.add_string b ",\"steps\":[";
-  List.iteri
-    (fun i (s : Plan.step_view) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"atom\":";
-      str s.Plan.sv_atom;
-      Buffer.add_string b ",\"kind\":";
-      str s.Plan.sv_kind;
-      Buffer.add_string b ",\"binds\":[";
-      List.iteri
-        (fun j x ->
-          if j > 0 then Buffer.add_char b ',';
-          str x)
-        s.Plan.sv_binds;
-      Buffer.add_string b "],\"filter\":";
-      Buffer.add_string b (if s.Plan.sv_filter then "true" else "false");
-      Buffer.add_string b ",\"est_rows\":";
-      Buffer.add_string b (string_of_int s.Plan.sv_est_rows);
-      Buffer.add_string b ",\"est_cost_ns\":";
-      Buffer.add_string b (Obs.json_float s.Plan.sv_est_cost_ns);
-      Buffer.add_string b ",\"strategy\":";
-      (match s.Plan.sv_strategy with
-      | None -> Buffer.add_string b "null"
-      | Some st -> str st);
-      Buffer.add_string b ",\"actual_rows\":";
-      opt_int s.Plan.sv_actual_rows;
-      Buffer.add_string b ",\"probes\":";
-      opt_int s.Plan.sv_probes;
-      Buffer.add_char b '}')
-    v.Plan.v_steps;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json_lite.(
+    let strs l = Arr (List.map (fun s -> Str s) l) in
+    let opt f = function None -> Null | Some x -> f x in
+    let step (s : Plan.step_view) =
+      Obj
+        [ ("atom", Str s.Plan.sv_atom);
+          ("kind", Str s.Plan.sv_kind);
+          ("binds", strs s.Plan.sv_binds);
+          ("filter", Bool s.Plan.sv_filter);
+          ("est_rows", int s.Plan.sv_est_rows);
+          ("est_cost_ns", Num s.Plan.sv_est_cost_ns);
+          ("strategy", opt (fun st -> Str st) s.Plan.sv_strategy);
+          ("actual_rows", opt int s.Plan.sv_actual_rows);
+          ("probes", opt int s.Plan.sv_probes) ]
+    in
+    to_string
+      (Obj
+         [ ("schema", Str plan_schema);
+           ("query", Str v.Plan.v_query);
+           ("vars", strs v.Plan.v_vars);
+           ("individuals", int v.Plan.v_individuals);
+           ("threshold", int v.Plan.v_threshold);
+           ("forced", opt (fun f -> Str f) v.Plan.v_forced);
+           ("order", Str v.Plan.v_order);
+           ("executed", Bool v.Plan.v_executed);
+           ("steps", Arr (List.map step v.Plan.v_steps)) ]))
 
 (* ---- the public query API, as thin wrappers over the planner ------ *)
 

@@ -165,7 +165,8 @@ val explain : plan -> Plan.view
     has been executed. *)
 
 val explain_json : plan -> string
-(** {!explain} rendered as one-line JSON (schema tag ["dl4-plan/1"]). *)
+(** {!explain} printed by {!Json_lite} on one line (schema tag
+    ["dl4-plan/1"]). *)
 
 val strategy_counts : plan -> (string * int) list
 (** Strategy picks recorded by the last execution, as

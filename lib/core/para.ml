@@ -86,33 +86,6 @@ let role_truths t triples =
   in
   zip triples verdicts
 
-(* Exact-value verdicts: the four-valued transform already gives the
-   pos/neg pair of every fact, so the exact Belnap value is decided from
-   two oracle probes — batched through the grid paths above. *)
-type value = [ `T | `F | `B | `N ]
-
-let value_of_truth = function
-  | Truth.True -> `T
-  | Truth.False -> `F
-  | Truth.Both -> `B
-  | Truth.Neither -> `N
-
-let truth_of_value = function
-  | `T -> Truth.True
-  | `F -> Truth.False
-  | `B -> Truth.Both
-  | `N -> Truth.Neither
-
-let truth_value t a c =
-  match instance_truths t [ (a, c) ] with
-  | [ (_, _, v) ] -> value_of_truth v
-  | _ -> assert false
-
-let role_truth_value t a r b =
-  match role_truths t [ (a, r, b) ] with
-  | [ (_, _, _, v) ] -> value_of_truth v
-  | _ -> assert false
-
 let grid_pairs (signature : Axiom.signature) =
   List.concat_map
     (fun a -> List.map (fun c -> (a, c)) signature.Axiom.concepts)

@@ -72,26 +72,6 @@ val role_truths :
     {!instance_truths}, used by the query planner's hash-join
     materialization. *)
 
-(** {1 Exact-value verdicts}
-
-    The audit surface of Bienvenu, Bourgaux & Kozhemiachenko 2024: ask for
-    the {e exact} Belnap value of a fact, not merely ≥t entailment. *)
-
-type value = [ `T | `F | `B | `N ]
-(** The four values as a polymorphic-variant view, for callers that want an
-    exhaustive match without depending on [Truth.t]. *)
-
-val value_of_truth : Truth.t -> value
-val truth_of_value : value -> Truth.t
-
-val truth_value : t -> string -> Concept.t -> value
-(** [truth_value t a c] is the exact value of [C(a)], decided from the
-    pos/neg pair of the four-valued transform via two batched oracle
-    probes.  [value_of_truth (instance_truth t a c)], one batch. *)
-
-val role_truth_value : t -> string -> Role.t -> string -> value
-(** Role analogue of {!truth_value} for [R(a,b)]. *)
-
 val role_truth : t -> string -> Role.t -> string -> Truth.t
 (** Supported Belnap value for [R(a, b)]: told-true iff [K̄ ⊨ R⁺(a,b)],
     told-false iff [K̄ ∪ {R⁼(a,b)}] is inconsistent (the negative part of

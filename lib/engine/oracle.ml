@@ -371,43 +371,30 @@ let entry_of t k = Option.map (fun g -> g.g_entry) (KH.find_opt t.prov k)
 (* One slow verdict as a JSONL record: the cost record, the provenance
    symbols and the cache's disposition of the verdict. *)
 let slow_json t (c : cost) (p : prov_entry) =
-  let b = Buffer.create 256 in
-  let str s = "\"" ^ Obs.json_escape s ^ "\"" in
-  let field k v =
-    if Buffer.length b > 1 then Buffer.add_char b ',';
-    Buffer.add_string b (str k);
-    Buffer.add_char b ':';
-    Buffer.add_string b v
-  in
-  let str_list l = "[" ^ String.concat "," (List.map str l) ^ "]" in
-  Buffer.add_char b '{';
-  field "ts_unix" (Obs.json_float (Unix.time ()));
-  field "trace_id" (str c.c_trace);
-  field "query" (str c.c_query);
-  field "kind" (str c.c_kind);
-  field "backend" (str c.c_backend);
   let w = c.c_work in
-  field "wall_ms" (Obs.json_float (c.c_wall_ns /. 1e6));
-  field "runs" (string_of_int w.runs);
-  field "nodes" (string_of_int w.nodes_created);
-  field "merges" (string_of_int w.merges);
-  field "branches" (string_of_int w.branches_explored);
-  field "backtracks" (string_of_int w.backtracks);
-  field "clashes" (string_of_int w.clashes);
-  field "blocking" (string_of_int w.blocking_events);
-  field "rules"
-    ("{"
-    ^ String.concat ","
-        (List.map
-           (fun (n, v) -> str n ^ ":" ^ string_of_int v)
-           (Tableau.rule_counts w))
-    ^ "}");
-  field "individuals" (str_list p.individuals);
-  field "concepts" (str_list p.concepts);
-  field "cache_stored" (string_of_bool (t.config.cache_capacity > 0));
-  field "cache_size" (string_of_int (Cache.length t.cache));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json_lite.(
+    let strs l = Arr (List.map (fun s -> Str s) l) in
+    to_string
+      (Obj
+         [ ("ts_unix", Num (Unix.time ()));
+           ("trace_id", Str c.c_trace);
+           ("query", Str c.c_query);
+           ("kind", Str c.c_kind);
+           ("backend", Str c.c_backend);
+           ("wall_ms", Num (c.c_wall_ns /. 1e6));
+           ("runs", int w.runs);
+           ("nodes", int w.nodes_created);
+           ("merges", int w.merges);
+           ("branches", int w.branches_explored);
+           ("backtracks", int w.backtracks);
+           ("clashes", int w.clashes);
+           ("blocking", int w.blocking_events);
+           ( "rules",
+             Obj (List.map (fun (n, v) -> (n, int v)) (Tableau.rule_counts w)) );
+           ("individuals", strs p.individuals);
+           ("concepts", strs p.concepts);
+           ("cache_stored", Bool (t.config.cache_capacity > 0));
+           ("cache_size", int (Cache.length t.cache)) ]))
 
 (* Account one computed verdict: per-key record (when the cache can
    retain it), session totals (always), slow-query log (when armed and

@@ -71,28 +71,33 @@ let reset () = ring := None
    exactly one, on tid 0, and nothing overflows. *)
 let dump () =
   let r = current () in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"schema\":\"%s\",\"capacity\":%d,\"overflow_dropped\":0,\"domains\":["
-    schema capacity;
   let total = r.r_total in
   let kept = min total capacity in
-  Printf.bprintf b "\n{\"tid\":0,\"total\":%d,\"dropped\":%d,\"events\":["
-    total (total - kept);
   (* oldest-first: a wrapped ring starts at r_next *)
   let start = if total > capacity then r.r_next else 0 in
-  for k = 0 to kept - 1 do
-    let e = r.r_events.((start + k) mod capacity) in
-    if k > 0 then Buffer.add_char b ',';
-    Printf.bprintf b "\n{\"ns\":%.0f,\"kind\":\"%s\",\"node\":%d,\"other\":%d,\"note\":\"%s\""
-      e.e_ns (Obs.json_escape e.e_kind) e.e_node e.e_other
-      (Obs.json_escape e.e_note);
-    if e.e_trace <> "" then
-      Printf.bprintf b ",\"trace\":\"%s\"" (Obs.json_escape e.e_trace);
-    Buffer.add_char b '}'
-  done;
-  Buffer.add_string b "]}\n]}\n";
-  Buffer.contents b
+  Json_lite.(
+    let event k =
+      let e = r.r_events.((start + k) mod capacity) in
+      Obj
+        ([ ("ns", Num (Float.round e.e_ns));
+           ("kind", Str e.e_kind);
+           ("node", int e.e_node);
+           ("other", int e.e_other);
+           ("note", Str e.e_note) ]
+        @ if e.e_trace = "" then [] else [ ("trace", Str e.e_trace) ])
+    in
+    to_string
+      (Obj
+         [ ("schema", Str schema);
+           ("capacity", int capacity);
+           ("overflow_dropped", int 0);
+           ( "domains",
+             Arr
+               [ Obj
+                   [ ("tid", int 0);
+                     ("total", int total);
+                     ("dropped", int (total - kept));
+                     ("events", Arr (List.init kept event)) ] ] ) ]))
 
 let write_mutex = Mutex.create ()
 
@@ -105,23 +110,11 @@ let write path =
       | oc ->
           Fun.protect
             ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc (dump ()))
+            (fun () ->
+              output_string oc (dump ());
+              output_char oc '\n')
       | exception Sys_error _ -> ())
 
 let trip reason =
   record "trip" (-1) (-1) reason;
   match !dump_path with Some p -> write p | None -> ()
-
-(* DL4_FLIGHT: arm from the environment, dump at exit. *)
-let env_path =
-  match Sys.getenv_opt "DL4_FLIGHT" with
-  | None | Some "" | Some "0" -> None
-  | Some "1" -> Some "dl4.flight.json"
-  | Some p -> Some p
-
-let () =
-  match env_path with
-  | None -> ()
-  | Some path ->
-      arm ~path ();
-      at_exit (fun () -> write path)

@@ -10,9 +10,10 @@
     tableau hook site records its event from the same call that bumps
     its {!Tableau.stats} cell.
 
-    The dump is a point-in-time JSON snapshot ({!schema}): the retained
-    events oldest-first with total/dropped accounting, listed as the one
-    entry of the schema's per-domain array. *)
+    The dump is a point-in-time JSON snapshot ({!schema}), built as a
+    {!Json_lite.t} and printed on one line: the retained events
+    oldest-first with total/dropped accounting, listed as the one entry
+    of the schema's per-domain array. *)
 
 val schema : string
 (** ["dl4-flight/1"] — the [schema] field of every dump. *)
@@ -26,8 +27,8 @@ val capacity : int
 
 val arm : ?path:string -> unit -> unit
 (** Start recording.  With [path], {!trip} writes the dump there
-    immediately and process exit writes it again (via the [at_exit]
-    hook installed by {!Obs}'s sibling arming or the CLI). *)
+    immediately; the CLI's [--flight FILE] arms it this way and writes
+    the dump again when the run ends. *)
 
 val disarm : unit -> unit
 (** Stop recording; retained events survive until {!reset}. *)
@@ -50,21 +51,18 @@ val dump : unit -> string
     "domains": [{"tid", "total", "dropped", "events": [{"ns", "kind",
     "node", "other", "note"}...]}]}] with one [domains] entry ([tid] 0,
     [overflow_dropped] 0), events oldest-first and [ns] relative to
-    process start.  Events recorded while a trace ID was
-    installed ({!Obs.set_trace_id}) additionally carry a ["trace"]
-    field, correlating ring entries with the request that caused
-    them. *)
+    process start, rounded to whole nanoseconds.  Events recorded while
+    a trace ID was installed ({!Obs.set_trace_id}) additionally carry a
+    ["trace"] field, correlating ring entries with the request that
+    caused them. *)
 
 val write : string -> unit
+(** {!dump} and a newline, written to [path]; a path that cannot be
+    opened is skipped. *)
 
 val events_recorded : unit -> int
 (** Total events recorded since the last {!reset}, including
     overwritten ones. *)
-
-val env_path : string option
-(** Path from [DL4_FLIGHT] ("1" selects ["dl4.flight.json"]); when
-    set, the recorder was armed at module init and the dump is written
-    at exit. *)
 
 val reset : unit -> unit
 (** Drop the ring and its counters; the next event starts a fresh

@@ -158,6 +158,87 @@ let parse (s : string) : (t, string) result =
   | v -> Ok v
   | exception Fail msg -> Error msg
 
+(* ------------------------------------------------------------------ *)
+(* The printer: compact (no whitespace), members in list order *)
+
+let hex = "0123456789abcdef"
+
+(* the unescaped runs go out as substrings, so a string with nothing
+   to escape is one blit *)
+let escape_into b s =
+  let n = String.length s in
+  let flushed = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s !flushed (i - !flushed);
+      flushed := i + 1;
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex.[Char.code c lsr 4];
+          Buffer.add_char b hex.[Char.code c land 0xf]
+    end
+  done;
+  Buffer.add_substring b s !flushed (n - !flushed)
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  escape_into b s;
+  Buffer.contents b
+
+(* integral values below 1e15 print as integers (exactly what "%.0f"
+   gives them, negative zero included), anything else with "%.6g" *)
+let number f =
+  if not (Float.is_integer f && Float.abs f < 1e15) then
+    Printf.sprintf "%.6g" f
+  else if f = 0. && Float.sign_bit f then "-0"
+  else string_of_int (int_of_float f)
+
+let rec to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool true -> Buffer.add_string b "true"
+  | Bool false -> Buffer.add_string b "false"
+  | Num f -> Buffer.add_string b (number f)
+  | Str s ->
+      Buffer.add_char b '"';
+      escape_into b s;
+      Buffer.add_char b '"'
+  | Arr l ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          to_buffer b v)
+        l;
+      Buffer.add_char b ']'
+  | Obj kvs ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_char b '"';
+          escape_into b k;
+          Buffer.add_string b "\":";
+          to_buffer b v)
+        kvs;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
+  Buffer.contents b
+
+let int n = Num (float_of_int n)
+
+(* ------------------------------------------------------------------ *)
+(* Accessors *)
+
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None

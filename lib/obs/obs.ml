@@ -7,15 +7,16 @@
      engine, core — feeds through guarded increments;
    - hierarchical wall-clock spans on one stack of open spans;
    - export sinks: a human footer for `--stats`, a flat JSON registry
-     dump for `--metrics-json`, and Chrome `trace_event` JSON for
-     `--trace` / about:tracing.
+     dump for `--metrics-json` (printed by Json_lite, like every JSON
+     document dl4 writes), and Chrome `trace_event` JSON for `--trace`
+     / about:tracing.
 
    Everything is gated on the single [on] flag.  When no sink is armed
    every instrumentation site is a load + conditional branch — no
    closure allocation, no atomic traffic, no record appends — which is
    what bench S7 (BENCH_obs.json) measures.
 
-   Dependencies: stdlib + unix only. *)
+   Dependencies: stdlib + unix and Json_lite only. *)
 
 let on = ref false
 let enabled () = !on
@@ -372,67 +373,39 @@ let gauges () =
 (* ------------------------------------------------------------------ *)
 (* Sinks *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
 (* Flat registry dump: one key per scalar, histograms flattened to
    .count / .sum_ns / .buckets. *)
 let metrics_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{";
-  let first = ref true in
-  let emit key value =
-    if not !first then Buffer.add_string b ",";
-    first := false;
-    Buffer.add_string b (Printf.sprintf "\n  \"%s\": %s" (json_escape key) value)
-  in
-  List.iter
-    (function
-      | Counter c -> emit c.c_name (string_of_int (Atomic.get c.c_value))
-      | Gauge g -> emit g.g_name (json_float (Atomic.get g.g_value))
-      | Histogram h ->
-          emit (h.h_name ^ ".count") (string_of_int (Atomic.get h.h_count));
-          emit (h.h_name ^ ".sum_ns") (json_float (Atomic.get h.h_sum_ns));
-          let buckets =
-            Array.to_list h.h_buckets
-            |> List.mapi (fun i c -> (i, Atomic.get c))
-            |> List.filter (fun (_, c) -> c > 0)
-            |> List.map (fun (i, c) -> Printf.sprintf "[%d,%d]" i c)
-            |> String.concat ","
-          in
-          emit (h.h_name ^ ".buckets") (Printf.sprintf "[%s]" buckets))
-    (metrics ());
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  Json_lite.(
+    to_string
+      (Obj
+         (List.concat_map
+            (function
+              | Counter c -> [ (c.c_name, int (Atomic.get c.c_value)) ]
+              | Gauge g -> [ (g.g_name, Num (Atomic.get g.g_value)) ]
+              | Histogram h ->
+                  [ (h.h_name ^ ".count", int (Atomic.get h.h_count));
+                    (h.h_name ^ ".sum_ns", Num (Atomic.get h.h_sum_ns));
+                    ( h.h_name ^ ".buckets",
+                      Arr
+                        (List.map
+                           (fun (i, c) -> Arr [ int i; int c ])
+                           (histogram_bucket_counts h)) ) ])
+            (metrics ()))))
 
 let write_metrics_json path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (metrics_json ()))
+    (fun () ->
+      output_string oc (metrics_json ());
+      output_char oc '\n')
 
 (* Chrome trace_event JSON: one complete ("ph":"X") event per span
    record; ts/dur in microseconds; every span runs on tid 0.  Span ids
    ride along in args so checkers can rebuild the tree without relying
-   on interval containment alone. *)
+   on interval containment alone.  Rendered by hand: Json_lite's number
+   rule would cut ts/dur to six significant digits. *)
 let trace_json () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -444,7 +417,7 @@ let trace_json () =
       Buffer.add_string b
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":0,\"args\":{"
-           (json_escape r.r_name) (json_escape r.r_cat)
+           (Json_lite.escape r.r_name) (Json_lite.escape r.r_cat)
            (r.r_start_ns /. 1e3) (r.r_dur_ns /. 1e3));
       let args =
         ("id", string_of_int r.r_id)
@@ -455,7 +428,8 @@ let trace_json () =
         (String.concat ","
            (List.map
               (fun (k, v) ->
-                Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+                Printf.sprintf "\"%s\":\"%s\"" (Json_lite.escape k)
+                  (Json_lite.escape v))
               args));
       Buffer.add_string b "}}")
     (spans ());
@@ -562,25 +536,3 @@ let () =
   | Some path ->
       set_enabled true;
       at_exit (fun () -> try write_trace path with Sys_error _ -> ())
-
-(* DL4_SLOW_LOG / DL4_SLOW_MS: arm the slow-query log from the
-   environment.  "1" selects the default path; DL4_SLOW_MS overrides
-   the 100 ms default threshold. *)
-
-let slow_env_path =
-  match Sys.getenv_opt "DL4_SLOW_LOG" with
-  | None | Some "" | Some "0" -> None
-  | Some "1" -> Some "dl4.slow.jsonl"
-  | Some p -> Some p
-
-let () =
-  match slow_env_path with
-  | None -> ()
-  | Some path ->
-      let threshold_ms =
-        match Sys.getenv_opt "DL4_SLOW_MS" with
-        | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 100.0)
-        | None -> 100.0
-      in
-      arm_slow_log ~threshold_ms path;
-      at_exit disarm_slow_log

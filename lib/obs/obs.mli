@@ -1,5 +1,8 @@
 (** Process-wide observability: metrics registry, hierarchical spans,
     export sinks (human footer, flat metrics JSON, Chrome trace_event).
+    The metrics dump is built as a {!Json_lite.t} and printed by
+    {!Json_lite}; the Chrome trace prints its [ts]/[dur] fixed-point by
+    hand and escapes its strings with {!Json_lite.escape}.
 
     All instrumentation is gated on one [bool ref]; when disabled every
     site costs a load and a branch — no allocation, no atomics. *)
@@ -150,9 +153,12 @@ val pp_footer : Format.formatter -> unit -> unit
 val print_footer : unit -> unit
 
 val metrics_json : unit -> string
-(** Flat registry dump as a JSON object. *)
+(** Flat registry dump as a one-line JSON object: counters and gauges
+    by name, each histogram as [name.count], [name.sum_ns] and
+    [name.buckets] ([[index, count]] pairs of its non-empty buckets). *)
 
 val write_metrics_json : string -> unit
+(** {!metrics_json} and a newline, written to [path]. *)
 
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON (complete "X" events, ts/dur in
@@ -164,22 +170,15 @@ val trace_env_path : string option
 (** Path from [DL4_TRACE] ("1" selects ["dl4.trace.json"]); when set,
     tracing was armed at module init and the trace is written at exit. *)
 
-(** {1 JSON rendering helpers}
-
-    Shared by the sinks here and by callers (e.g. the oracle's
-    slow-query records) that render JSON by hand. *)
-
-val json_escape : string -> string
-val json_float : float -> string
-
 (** {1 Slow-query log}
 
     An append-only JSONL sink.  Deliberately independent of {!on}: the
     oracle's cost accounting is unconditional, so slow verdicts are
-    caught even when no metrics sink is armed.  Writers format their
-    own record (one JSON object per line) and hand it to
-    {!slow_log_write}, which appends and flushes under a mutex — or
-    drops it when the log is disarmed. *)
+    caught even when no metrics sink is armed.  Writers print their
+    record (one JSON object per line, built as a {!Json_lite.t}) and
+    hand it to {!slow_log_write}, which appends and flushes under a
+    mutex — or drops it when the log is disarmed.  The CLI arms it with
+    [--slow-log FILE --slow-ms N]. *)
 
 val arm_slow_log : ?threshold_ms:float -> string -> unit
 (** Arm the log at [path] (appending).  [threshold_ms] defaults to
@@ -194,8 +193,3 @@ val slow_threshold_ms : unit -> float
     on [wall_ms >= slow_threshold_ms ()] alone. *)
 
 val slow_log_write : string -> unit
-
-val slow_env_path : string option
-(** Path from [DL4_SLOW_LOG] ("1" selects ["dl4.slow.jsonl"]); when
-    set, the log was armed at module init with the threshold from
-    [DL4_SLOW_MS] (default 100 ms). *)

@@ -7,8 +7,8 @@
    geometry as [Obs] so [Obs.quantile_of_buckets] reads it), route
    counters keyed by backend, and cache/tableau work counters.
 
-   A registry renders two ways: a single-line JSON object for the
-   NDJSON [metrics] serve op, and a Prometheus-style text exposition
+   A registry renders two ways: a JSON value (printed by Json_lite) for
+   the NDJSON [metrics] serve op, and a Prometheus-style text exposition
    for [--metrics-out] scraping. *)
 
 let buckets = 64
@@ -147,76 +147,53 @@ let errors t =
       Hashtbl.fold (fun _ s acc -> acc + s.s_errors) t.ops 0)
 
 (* ------------------------------------------------------------------ *)
-(* JSON: one object, single line, for the NDJSON [metrics] serve op *)
+(* JSON: one object for the NDJSON [metrics] serve op *)
 
 let schema = "dl4-metrics/1"
 
 let json t =
-  let b = Buffer.create 1024 in
-  let str s = Printf.sprintf "\"%s\"" (Obs.json_escape s) in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":%s,\"uptime_s\":%s,\"requests\":%d,\"errors\":%d,\"ops\":["
-       (str schema)
-       (Obs.json_float (uptime_s t))
-       (requests t) (errors t));
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"op\":%s,\"requests\":%d,\"errors\":%d,\"wall_ns_sum\":%s"
-           (str v.v_op) v.v_requests v.v_errors (Obs.json_float v.v_sum_ns));
-      List.iter
-        (fun q ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"p%d_ns\":%s" (int_of_float (q *. 100.))
-               (Obs.json_float (Obs.quantile_of_buckets v.v_buckets q))))
-        [ 0.5; 0.9; 0.99 ];
-      Buffer.add_string b ",\"buckets\":[";
-      List.iteri
-        (fun j (idx, c) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "[%d,%d]" idx c))
-        v.v_buckets;
-      Buffer.add_string b "],\"routes\":{";
-      List.iteri
-        (fun j (backend, n) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "%s:%d" (str backend) n))
-        v.v_routes;
-      Buffer.add_string b "},\"strategies\":{";
-      List.iteri
-        (fun j (strategy, n) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "%s:%d" (str strategy) n))
-        v.v_strategies;
-      Buffer.add_string b
-        (Printf.sprintf "},\"cache_served\":%d,\"tableau_calls\":%d}"
-           v.v_cache_served v.v_tableau_calls))
-    (view t);
-  Buffer.add_string b "]";
-  (match kb_health t with
-  | None -> ()
-  | Some h ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"kb\":{\"individuals\":%d,\"tbox_axioms\":%d,\"abox_axioms\":%d,\"cached_verdicts\":%d"
-           h.kb_individuals h.kb_tbox_axioms h.kb_abox_axioms
-           h.kb_cached_verdicts);
-      if h.kb_truth_counts <> [] then begin
-        Buffer.add_string b ",\"truth\":{";
-        List.iteri
-          (fun i (label, n) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (Printf.sprintf "%s:%d" (str label) n))
-          h.kb_truth_counts;
-        Buffer.add_string b
-          (Printf.sprintf "},\"inconsistency_ratio\":%s"
-             (Obs.json_float h.kb_inconsistency_ratio))
-      end;
-      Buffer.add_char b '}');
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json_lite.(
+    let counts l = Obj (List.map (fun (k, n) -> (k, int n)) l) in
+    let op v =
+      Obj
+        ([ ("op", Str v.v_op);
+           ("requests", int v.v_requests);
+           ("errors", int v.v_errors);
+           ("wall_ns_sum", Num v.v_sum_ns) ]
+        @ List.map
+            (fun (label, q) -> (label, Num (Obs.quantile_of_buckets v.v_buckets q)))
+            [ ("p50_ns", 0.5); ("p90_ns", 0.9); ("p99_ns", 0.99) ]
+        @ [ ( "buckets",
+              Arr (List.map (fun (idx, c) -> Arr [ int idx; int c ]) v.v_buckets)
+            );
+            ("routes", counts v.v_routes);
+            ("strategies", counts v.v_strategies);
+            ("cache_served", int v.v_cache_served);
+            ("tableau_calls", int v.v_tableau_calls) ])
+    in
+    let kb =
+      match kb_health t with
+      | None -> []
+      | Some h ->
+          [ ( "kb",
+              Obj
+                ([ ("individuals", int h.kb_individuals);
+                   ("tbox_axioms", int h.kb_tbox_axioms);
+                   ("abox_axioms", int h.kb_abox_axioms);
+                   ("cached_verdicts", int h.kb_cached_verdicts) ]
+                @
+                if h.kb_truth_counts = [] then []
+                else
+                  [ ("truth", counts h.kb_truth_counts);
+                    ("inconsistency_ratio", Num h.kb_inconsistency_ratio) ]) ) ]
+    in
+    Obj
+      ([ ("schema", Str schema);
+         ("uptime_s", Num (uptime_s t));
+         ("requests", int (requests t));
+         ("errors", int (errors t));
+         ("ops", Arr (List.map op (view t))) ]
+      @ kb))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition.

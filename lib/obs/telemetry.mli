@@ -5,9 +5,9 @@
     is a value owned by whoever serves requests.  One {!record} call per
     request accumulates, per op: request/error counts, a log2 latency
     histogram in {!Obs.bucket_of_ns} geometry, route counters keyed by
-    backend, and cache/tableau work counters.  A registry renders as
-    single-line JSON (the NDJSON [metrics] serve op) or as a Prometheus
-    text exposition ([--metrics-out]). *)
+    backend, and cache/tableau work counters.  A registry renders as a
+    JSON value (the NDJSON [metrics] serve op) or as a Prometheus text
+    exposition ([--metrics-out]). *)
 
 type t
 
@@ -84,10 +84,10 @@ val errors : t -> int
 val schema : string
 (** The [schema] field of {!json}: ["dl4-metrics/1"]. *)
 
-val json : t -> string
-(** One single-line JSON object: schema, uptime, totals, per-op stats
-    with p50/p90/p99 estimates, buckets, routes — plus a [kb] object
-    when a KB-health snapshot is set. *)
+val json : t -> Json_lite.t
+(** One JSON object: schema, uptime, totals, per-op stats with
+    p50/p90/p99 estimates, buckets, routes — plus a [kb] object when a
+    KB-health snapshot is set.  The [metrics] serve op embeds it. *)
 
 val prometheus : t -> string
 (** Prometheus text exposition: [dl4_uptime_seconds],

@@ -23,7 +23,7 @@ type pending = {
   p_ts : float;
   p_trace : string;
   p_op : string;
-  p_id : string;  (* already a rendered JSON token *)
+  p_id : Json_lite.t;
   p_ok : bool;
   p_wall_ns : float;
   p_routes : (string * int) list;
@@ -108,6 +108,15 @@ let stopped t = t.stop
 let telemetry t = t.tel
 
 (* ------------------------------------------------------------------ *)
+(* JSON values: every response and log line is a Json_lite.t, printed
+   once *)
+
+let int = Json_lite.int
+let str s = Json_lite.Str s
+let strs l = Json_lite.Arr (List.map str l)
+let counts l = Json_lite.Obj (List.map (fun (k, n) -> (k, int n)) l)
+
+(* ------------------------------------------------------------------ *)
 (* Access-log plumbing *)
 
 let access_chan a =
@@ -129,56 +138,29 @@ let access_rotate a =
   a.a_bytes <- 0;
   try Sys.rename a.a_path (a.a_path ^ ".1") with Sys_error _ -> ()
 
-let rec add_pos_int b n =
-  if n >= 10 then add_pos_int b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
-
-let add_int b n =
-  if n < 0 then begin
-    Buffer.add_char b '-';
-    add_pos_int b (-n)
-  end
-  else add_pos_int b n
-
-(* One pending record -> one JSON line in [a_scratch].  [p_trace] is
-   pure hex and [p_op] comes from the clamped op vocabulary, so neither
-   needs escaping; [p_id] is already a rendered JSON token. *)
+(* One pending record -> one JSON line in [a_scratch]. *)
 let render_line a p =
   let b = a.a_scratch in
   Buffer.clear b;
-  let add = Buffer.add_string b in
-  add {|{"ts_unix":|};
-  (* epoch with full ms precision: jnum's %.6g would truncate *)
+  (* the epoch leads with full ms precision, which the number rule's
+     %.6g would truncate: printed by hand ahead of the other members *)
   let ms = int_of_float ((p.p_ts *. 1000.) +. 0.5) in
-  add_int b (ms / 1000);
-  Buffer.add_char b '.';
-  let f = ms mod 1000 in
-  if f < 100 then Buffer.add_char b '0';
-  if f < 10 then Buffer.add_char b '0';
-  add_int b f;
-  add {|,"trace_id":"|};
-  add p.p_trace;
-  add {|","op":"|};
-  add p.p_op;
-  add {|","id":|};
-  add p.p_id;
-  add (if p.p_ok then {|,"ok":true,"wall_ns":|}
-       else {|,"ok":false,"wall_ns":|});
-  add_int b (int_of_float p.p_wall_ns);
-  add {|,"routes":{|};
-  List.iteri
-    (fun i (backend, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      add (Obs.json_escape backend);
-      add {|":|};
-      add_int b n)
-    p.p_routes;
-  add {|},"cache_served":|};
-  add_int b p.p_cache_served;
-  add {|,"tableau_calls":|};
-  add_int b p.p_tableau;
-  add (if p.p_ok then {|,"outcome":"ok"}|} else {|,"outcome":"error"}|});
+  Printf.bprintf b "{\"ts_unix\":%d.%03d," (ms / 1000) (ms mod 1000);
+  let line =
+    Json_lite.Obj
+      [ ("trace_id", str p.p_trace);
+        ("op", str p.p_op);
+        ("id", p.p_id);
+        ("ok", Json_lite.Bool p.p_ok);
+        ("wall_ns", int (int_of_float p.p_wall_ns));
+        ("routes", counts p.p_routes);
+        ("cache_served", int p.p_cache_served);
+        ("tableau_calls", int p.p_tableau);
+        ("outcome", str (if p.p_ok then "ok" else "error")) ]
+  in
+  (* the members go out without the object's own opening brace *)
+  let body = Json_lite.to_string line in
+  Buffer.add_substring b body 1 (String.length body - 1);
   Buffer.add_char b '\n'
 
 (* Render and write the pending records.  Rare by design: called from
@@ -280,26 +262,6 @@ let refresh_kb_health t =
           kb_inconsistency_ratio = ratio }
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (by hand, like every export sink in this stack — the
-   reader in Json_lite is an independent implementation, so round-trip
-   tests cross-check well-formedness) *)
-
-let jstr s = "\"" ^ Obs.json_escape s ^ "\""
-
-let jnum f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
-let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
-  ^ "}"
-
-let jarr items = "[" ^ String.concat "," items ^ "]"
-let jbool b = if b then "true" else "false"
-let jint n = string_of_int n
-
-(* ------------------------------------------------------------------ *)
 (* Request accessors *)
 
 exception Bad_request of string
@@ -335,7 +297,7 @@ let concept_field name j =
 (* Per-op payloads: each returns the response fields beyond the envelope *)
 
 let op_check t _req =
-  [ ("consistent", jbool (Para.satisfiable t.session)) ]
+  [ ("consistent", Json_lite.Bool (Para.satisfiable t.session)) ]
 
 (* CQ spelling of the query op: {"op":"query","cq":"?x <- C(?x), r(?x, b)"}.
    Plans are cached per query shape (the source string) in the warm
@@ -358,22 +320,20 @@ let op_query_cq t src =
   t.last_strategies <- strategies;
   let v = Cq.explain plan in
   let summary =
-    jobj
-      [ ("order", jstr v.Cq.Plan.v_order);
-        ("steps", jint (List.length v.Cq.Plan.v_steps));
-        ("threshold", jint v.Cq.Plan.v_threshold);
-        ("cached", jbool cached);
-        ( "strategies",
-          jobj (List.map (fun (st, n) -> (st, jint n)) strategies) ) ]
+    Json_lite.Obj
+      [ ("order", str v.Cq.Plan.v_order);
+        ("steps", int (List.length v.Cq.Plan.v_steps));
+        ("threshold", int v.Cq.Plan.v_threshold);
+        ("cached", Json_lite.Bool cached);
+        ("strategies", counts strategies) ]
   in
-  [ ("cq", jstr src);
+  [ ("cq", str src);
     ( "answers",
-      jarr
+      Json_lite.Arr
         (List.map
            (fun (tuple, truth) ->
-             jobj
-               [ ("tuple", jarr (List.map jstr tuple));
-                 ("truth", jstr (Truth.to_string truth)) ])
+             Json_lite.Obj
+               [ ("tuple", strs tuple); ("truth", str (Truth.to_string truth)) ])
            answers) );
     ("plan", summary) ]
 
@@ -384,9 +344,9 @@ let op_query t req =
       let a = str_field "individual" req in
       let c = concept_field "concept" req in
       let v = Para.instance_truth t.session a c in
-      [ ("individual", jstr a);
-        ("concept", jstr (Concept.to_string c));
-        ("truth", jstr (Truth.to_string v)) ]
+      [ ("individual", str a);
+        ("concept", str (Concept.to_string c));
+        ("truth", str (Truth.to_string v)) ]
 
 let op_retrieve t req =
   let c = concept_field "concept" req in
@@ -395,23 +355,23 @@ let op_retrieve t req =
     List.filter_map
       (fun (a, v) ->
         if all || not (Truth.equal v Truth.Neither) then
-          Some (jobj [ ("individual", jstr a); ("truth", jstr (Truth.to_string v)) ])
+          Some
+            (Json_lite.Obj
+               [ ("individual", str a); ("truth", str (Truth.to_string v)) ])
         else None)
       (Para.retrieve t.session c)
   in
-  [ ("concept", jstr (Concept.to_string c)); ("instances", jarr rows) ]
+  [ ("concept", str (Concept.to_string c)); ("instances", Json_lite.Arr rows) ]
 
 let op_classify t _req =
   let taxo = Session.taxonomy t.session in
   let rows =
     List.map
       (fun (cls, supers) ->
-        jobj
-          [ ("class", jarr (List.map jstr cls));
-            ("supers", jarr (List.map jstr supers)) ])
+        Json_lite.Obj [ ("class", strs cls); ("supers", strs supers) ])
       taxo
   in
-  [ ("taxonomy", jarr rows) ]
+  [ ("taxonomy", Json_lite.Arr rows) ]
 
 let op_update t req =
   let script = str_field "script" req in
@@ -439,33 +399,32 @@ let op_update t req =
       Option.iter
         (fun before -> drift_note t ~before ~after:(census t))
         before;
-      [ ("applied", jint (List.length deltas));
-        ("evicted", jint s.Oracle.evicted);
-        ("retained", jint s.Oracle.retained);
-        ("flushed", jbool s.Oracle.flushed);
-        ("consistency_flipped", jbool s.Oracle.consistency_flipped) ]
+      [ ("applied", int (List.length deltas));
+        ("evicted", int s.Oracle.evicted);
+        ("retained", int s.Oracle.retained);
+        ("flushed", Json_lite.Bool s.Oracle.flushed);
+        ("consistency_flipped", Json_lite.Bool s.Oracle.consistency_flipped) ]
 
 let cache_json (c : Verdict_cache.stats) =
-  jobj
-    [ ("hits", jint c.Verdict_cache.hits);
-      ("misses", jint c.Verdict_cache.misses);
-      ("evictions", jint c.Verdict_cache.evictions);
-      ("size", jint c.Verdict_cache.size);
-      ("capacity", jint c.Verdict_cache.capacity) ]
+  Json_lite.Obj
+    [ ("hits", int c.Verdict_cache.hits);
+      ("misses", int c.Verdict_cache.misses);
+      ("evictions", int c.Verdict_cache.evictions);
+      ("size", int c.Verdict_cache.size);
+      ("capacity", int c.Verdict_cache.capacity) ]
 
 let totals_json (s : Oracle.cost_totals) =
   let w = s.Oracle.work in
-  jobj
-    [ ("verdicts", jint s.Oracle.verdicts);
-      ("cache_served", jint s.Oracle.cache_served);
-      ("slow", jint s.Oracle.slow);
-      ("wall_ns", jnum s.Oracle.wall_ns);
-      ("runs", jint w.Tableau.runs);
-      ("nodes", jint w.Tableau.nodes_created);
-      ("branches", jint w.Tableau.branches_explored);
-      ("clashes", jint w.Tableau.clashes);
-      ( "backends",
-        jobj (List.map (fun (b, n) -> (b, jint n)) s.Oracle.backends) ) ]
+  Json_lite.Obj
+    [ ("verdicts", int s.Oracle.verdicts);
+      ("cache_served", int s.Oracle.cache_served);
+      ("slow", int s.Oracle.slow);
+      ("wall_ns", Json_lite.Num s.Oracle.wall_ns);
+      ("runs", int w.Tableau.runs);
+      ("nodes", int w.Tableau.nodes_created);
+      ("branches", int w.Tableau.branches_explored);
+      ("clashes", int w.Tableau.clashes);
+      ("backends", counts s.Oracle.backends) ]
 
 let op_stats t _req =
   let totals = Session.cost_totals t.session in
@@ -473,23 +432,22 @@ let op_stats t _req =
     match t.tel with
     | None -> []
     | Some tel ->
-        [ ("uptime_s", jnum (Telemetry.uptime_s tel));
+        [ ("uptime_s", Json_lite.Num (Telemetry.uptime_s tel));
           ( "ops",
-            jobj
+            Json_lite.Obj
               (List.map
                  (fun v ->
                    ( v.Telemetry.v_op,
-                     jobj
-                       [ ("requests", jint v.Telemetry.v_requests);
-                         ("errors", jint v.Telemetry.v_errors) ] ))
+                     counts
+                       [ ("requests", v.Telemetry.v_requests);
+                         ("errors", v.Telemetry.v_errors) ] ))
                  (Telemetry.view tel)) ) ]
   in
   (* no "cache" field here: the response envelope already carries the
      live cache counters under that key *)
-  [ ("requests", jint t.requests);
-    ("tableau_calls", jint (Oracle.tableau_calls (Session.oracle t.session)));
-    ( "routes",
-      jobj (List.map (fun (b, n) -> (b, jint n)) totals.Oracle.backends) ) ]
+  [ ("requests", int t.requests);
+    ("tableau_calls", int (Oracle.tableau_calls (Session.oracle t.session)));
+    ("routes", counts totals.Oracle.backends) ]
   @ telemetry_fields
   @ [ ("totals", totals_json totals) ]
 
@@ -514,8 +472,8 @@ let op_audit t req =
         | Error e -> bad "%s" e)
   in
   let cached = t.census <> None in
-  let report = Audit.report_json ~top ?exactly t.session (census t) in
-  [ ("cached", jbool cached); ("audit", report) ]
+  let report = Audit.report ~top ?exactly t.session (census t) in
+  [ ("cached", Json_lite.Bool cached); ("audit", report) ]
 
 let save_snapshot t path =
   match Store.save (Store.capture t.session) path with
@@ -534,12 +492,28 @@ let op_snapshot t req =
         | None -> bad "no \"path\" given and no default snapshot path configured")
   in
   match save_snapshot t path with
-  | Ok () -> [ ("saved", jstr path) ]
+  | Ok () -> [ ("saved", str path) ]
   | Error msg -> bad "snapshot failed: %s" msg
 
 let op_shutdown t _req =
   t.stop <- true;
-  [ ("stopping", jbool true) ]
+  [ ("stopping", Json_lite.Bool true) ]
+
+(* The op vocabulary, in protocol order: [handle] dispatches on it and
+   clamps telemetry labels to it, and [dl4 serve] prints it. *)
+let ops =
+  [ ("check", op_check);
+    ("query", op_query);
+    ("retrieve", op_retrieve);
+    ("classify", op_classify);
+    ("update", op_update);
+    ("stats", op_stats);
+    ("metrics", op_metrics);
+    ("audit", op_audit);
+    ("snapshot", op_snapshot);
+    ("shutdown", op_shutdown) ]
+
+let op_names = List.map fst ops
 
 (* ------------------------------------------------------------------ *)
 (* The envelope: every ok-response carries the request's marginal cost
@@ -573,36 +547,33 @@ let handle t line =
     match parsed with
     | Ok j -> (
         match Json_lite.member "id" j with
-        | Some (Json_lite.Str s) -> jstr s
-        | Some (Json_lite.Num n) -> jnum n
-        | _ -> "null")
-    | Error _ -> "null"
+        | Some (Json_lite.Str _ | Json_lite.Num _ as id) -> id
+        | _ -> Json_lite.Null)
+    | Error _ -> Json_lite.Null
   in
-  (* the op label for telemetry/access accounting: clamped to the known
-     vocabulary so a misbehaving client cannot grow label cardinality *)
-  let op_label =
+  let op =
     match parsed with
-    | Error _ -> "malformed"
-    | Ok req -> (
-        match Option.bind (Json_lite.member "op" req) Json_lite.to_str with
-        (* compiled string dispatch instead of List.mem: this check runs
-           per request inside the S11 budget *)
-        | Some
-            (( "check" | "query" | "retrieve" | "classify" | "update"
-             | "stats" | "metrics" | "audit" | "snapshot" | "shutdown" ) as op)
-          ->
-            op
-        | Some _ -> "unknown"
-        | None -> "malformed")
+    | Error _ -> None
+    | Ok req -> Option.bind (Json_lite.member "op" req) Json_lite.to_str
   in
-  (* trace is pure hex: quoted directly, no escape scan *)
-  let envelope_trace =
-    if trace = "" then [] else [ ("trace_id", "\"" ^ trace ^ "\"") ]
+  (* the table's entry for the op; its name is also the telemetry and
+     access-log label, so a misbehaving client cannot grow label
+     cardinality *)
+  let entry =
+    Option.bind op (fun op ->
+        List.find_opt (fun (name, _) -> String.equal name op) ops)
   in
+  let op_label =
+    match (entry, op) with
+    | Some (name, _), _ -> name
+    | None, Some _ -> "unknown"
+    | None, None -> "malformed"
+  in
+  let envelope_trace = if trace = "" then [] else [ ("trace_id", str trace) ] in
   let fail msg =
-    jobj
-      ((("id", id) :: ("ok", jbool false) :: envelope_trace)
-      @ [ ("error", jstr msg) ])
+    Json_lite.Obj
+      ((("id", id) :: ("ok", Json_lite.Bool false) :: envelope_trace)
+      @ [ ("error", str msg) ])
   in
   let totals0 = Session.cost_totals t.session in
   let calls0 = Oracle.tableau_calls (Session.oracle t.session) in
@@ -626,43 +597,34 @@ let handle t line =
     match parsed with
     | Error msg -> (false, fail (Printf.sprintf "malformed request: %s" msg))
     | Ok req -> (
-        let dispatch op =
-          match op with
-          | "check" -> op_check t req
-          | "query" -> op_query t req
-          | "retrieve" -> op_retrieve t req
-          | "classify" -> op_classify t req
-          | "update" -> op_update t req
-          | "stats" -> op_stats t req
-          | "metrics" -> op_metrics t req
-          | "audit" -> op_audit t req
-          | "snapshot" -> op_snapshot t req
-          | "shutdown" -> op_shutdown t req
-          | op -> bad "unknown op %S" op
+        let dispatch () =
+          match entry with
+          | Some (_, handler) -> handler t req
+          | None -> bad "unknown op %S" (str_field "op" req)
         in
-        match dispatch (str_field "op" req) with
+        match dispatch () with
         | payload ->
             let totals1, calls1 = measure () in
             if calls1 > calls0 then t.dirty <- true;
             let cost =
-              jobj
+              Json_lite.Obj
                 (envelope_trace
-                @ [ ("tableau_calls", jint (calls1 - calls0));
+                @ [ ("tableau_calls", int (calls1 - calls0));
                     ( "verdicts",
-                      jint (totals1.Oracle.verdicts - totals0.Oracle.verdicts)
+                      int (totals1.Oracle.verdicts - totals0.Oracle.verdicts)
                     );
                     ( "cache_served",
-                      jint
+                      int
                         (totals1.Oracle.cache_served
                         - totals0.Oracle.cache_served) );
                     ( "wall_ns",
-                      jnum (totals1.Oracle.wall_ns -. totals0.Oracle.wall_ns)
-                    ) ])
+                      Json_lite.Num
+                        (totals1.Oracle.wall_ns -. totals0.Oracle.wall_ns) ) ])
             in
             let cache = cache_json (Oracle.cache_stats (Session.oracle t.session)) in
             ( true,
-              jobj
-                ((("id", id) :: ("ok", jbool true) :: envelope_trace)
+              Json_lite.Obj
+                ((("id", id) :: ("ok", Json_lite.Bool true) :: envelope_trace)
                 @ payload
                 @ [ ("cost", cost); ("cache", cache) ]) )
         | exception Bad_request msg -> (false, fail msg)
@@ -702,7 +664,7 @@ let handle t line =
           p_routes = routes;
           p_cache_served = cache_served;
           p_tableau = calls1 - calls0 });
-  resp
+  Json_lite.to_string resp
 
 (* ------------------------------------------------------------------ *)
 (* Socket loop: single-threaded select over the listener and every

@@ -17,6 +17,7 @@
     snapshot := + "path"?: string (defaults to the configured autosave path)
     v}
 
+    Every response is built as a {!Json_lite.t} and printed once.
     Every successful response is
     [{"id":…, "ok":true, "trace_id":…, …payload, "cost":{…}, "cache":{…}}]
     where [trace_id] is the request's freshly minted trace ID (present
@@ -90,6 +91,11 @@ val telemetry : t -> Telemetry.t option
 
 val stopped : t -> bool
 (** Has a [shutdown] request been handled? *)
+
+val op_names : string list
+(** The protocol's ops, in the order of the grammar above: the table
+    {!handle} dispatches on, the vocabulary its telemetry labels are
+    clamped to, and the list [dl4 serve] prints when it starts. *)
 
 val handle : t -> string -> string
 (** [handle t line] maps one request line to one response line (no

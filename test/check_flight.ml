@@ -1,6 +1,7 @@
 (* Standalone validator for flight-recorder dumps ("dl4-flight/1", from
-   --flight FILE / DL4_FLIGHT / a resource-limit trip).  Used by CI to
-   vet the dump produced by provoking a max-branches trip.
+   --flight FILE, written at the end of a run and at a resource-limit
+   trip).  Used by CI to vet the dump produced by provoking a
+   max-branches trip.
 
    Checks:
    - the file is a JSON object with schema "dl4-flight/1", a positive

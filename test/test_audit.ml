@@ -1,8 +1,8 @@
 (* The audit plane: census ≡ per-fact naive reference (differential,
    over the paper examples, shipped KBs, random in/out-of-fragment KBs
    and both backends), exact-value CQ answers ≡ the naive sweep under
-   every planner regime, the dl4-audit/1 report's well-formedness
-   (cross-checked with the independent Json_lite reader), drift records,
+   every planner regime, the dl4-audit/1 report's shape (read back with
+   Json_lite), drift records,
    the serve daemon's [audit] op with its cache and drift sink, and the
    KB-health telemetry gauges. *)
 
@@ -134,7 +134,7 @@ let health_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* dl4-audit/1 report well-formedness via the independent reader *)
+(* dl4-audit/1 report shape, read back with Json_lite *)
 
 let parse_json s =
   match Json_lite.parse s with
@@ -530,7 +530,7 @@ let telemetry_tests =
         checkb "ratio gauge" true
           (contains prom "dl4_kb_inconsistency_ratio 0.25");
         checkb "json kb object" true
-          (contains (Telemetry.json tel) "\"kb\":")) ]
+          (Json_lite.member "kb" (Telemetry.json tel) <> None)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Property: the four values partition every decided-or-not fact *)

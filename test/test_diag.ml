@@ -1,6 +1,7 @@
 (* PR 5 diagnostics: quantile estimation over the Obs log2 buckets, the
    flight recorder's ring semantics and dump format, the slow-query
-   JSONL log, per-verdict cost accounting and the gauges round-trip. *)
+   JSONL log, per-verdict cost accounting and the gauges round-trip;
+   and the Json_lite printer every JSON document goes through. *)
 
 let read path =
   let ic = open_in_bin path in
@@ -210,16 +211,12 @@ let flight_tests =
           (List.mem "run.start" kinds);
         Flight.reset ());
     Alcotest.test_case "disarmed recorder stays silent" `Quick (fun () ->
-        (* the suite may run with DL4_FLIGHT armed from the environment:
-           save and restore the switch around the silence check *)
-        let was_on = !Flight.on in
         Flight.disarm ();
         Flight.reset ();
         let t = Para.create Paper_examples.example1 in
         ignore (Para.satisfiable t);
         Alcotest.(check int) "no events" 0 (Flight.events_recorded ());
-        Flight.reset ();
-        if was_on then Flight.arm ()) ]
+        Flight.reset ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query log *)
@@ -466,6 +463,85 @@ let gauge_tests =
             in
             Alcotest.(check (option int)) "one delta" (Some 1) c)) ]
 
+(* ------------------------------------------------------------------ *)
+(* The JSON printer: every document dl4 writes goes through it *)
+
+let json_tests =
+  let str = Alcotest.(check string) in
+  [ Alcotest.test_case "escaping" `Quick (fun () ->
+        str "the two-character escapes" {|q\"b\\n\nr\rt\t|}
+          (Json_lite.escape "q\"b\\n\nr\rt\t");
+        str "other control bytes as lowercase \\u00XX"
+          {|\u0000\u0001\u001f\u000b|}
+          (Json_lite.escape "\000\001\031\011");
+        str "DEL and UTF-8 pass through" "\127é" (Json_lite.escape "\127é");
+        let b = Buffer.create 8 in
+        Buffer.add_string b "x:";
+        Json_lite.escape_into b "a\"";
+        str "escape_into appends" {|x:a\"|} (Buffer.contents b));
+    Alcotest.test_case "numbers on both sides of the integer rule" `Quick
+      (fun () ->
+        List.iter
+          (fun (f, want) -> str (Printf.sprintf "%h" f) want (Json_lite.number f))
+          [ (0., "0"); (-0., "-0"); (1., "1"); (-42., "-42");
+            (999_999_999_999_999., "999999999999999");
+            (-999_999_999_999_999., "-999999999999999");
+            (1e15, "1e+15"); (-1e15, "-1e+15"); (1e20, "1e+20");
+            (0.5, "0.5"); (2.5, "2.5"); (0.25, "0.25");
+            (1. /. 3., "0.333333"); (1234567.5, "1.23457e+06");
+            (1e-7, "1e-07"); (Float.nan, "nan"); (Float.infinity, "inf") ];
+        (* integral values print exactly as "%.0f" prints them *)
+        List.iter
+          (fun f -> str "integral" (Printf.sprintf "%.0f" f) (Json_lite.number f))
+          [ 7.; -7.; 1e9; -123456789012345.; 999_999_999_999_998. ]);
+    Alcotest.test_case "compact, members in list order" `Quick (fun () ->
+        str "document"
+          {|{"b":1,"a":null,"b":[true,false,"s",{},[]],"":-3.5}|}
+          (Json_lite.to_string
+             (Json_lite.Obj
+                [ ("b", Json_lite.int 1);
+                  ("a", Json_lite.Null);
+                  ( "b",
+                    Json_lite.Arr
+                      [ Json_lite.Bool true; Json_lite.Bool false;
+                        Json_lite.Str "s"; Json_lite.Obj []; Json_lite.Arr [] ] );
+                  ("", Json_lite.Num (-3.5)) ]));
+        let b = Buffer.create 8 in
+        Buffer.add_char b '[';
+        Json_lite.to_buffer b (Json_lite.Str "k\"ey");
+        str "to_buffer appends" {|["k\"ey"|} (Buffer.contents b)) ]
+
+(* parse (to_string v) = Ok v for values whose numbers are integral (the
+   number rule keeps six significant digits of the rest) and whose
+   strings and keys are arbitrary bytes *)
+let prop_json_round_trip =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_bound 12) in
+  let leaf =
+    oneof
+      [ return Json_lite.Null;
+        map (fun b -> Json_lite.Bool b) bool;
+        map Json_lite.int (int_range (-1_000_000_000) 1_000_000_000);
+        map (fun s -> Json_lite.Str s) bytes ]
+  in
+  let value =
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 ( 1,
+                   map (fun l -> Json_lite.Arr l)
+                     (list_size (int_bound 4) (self (n - 1))) );
+                 ( 1,
+                   map (fun l -> Json_lite.Obj l)
+                     (list_size (int_bound 4) (pair bytes (self (n - 1)))) ) ])
+  in
+  QCheck.Test.make ~count:500 ~name:"parse inverts to_string"
+    (QCheck.make ~print:Json_lite.to_string value)
+    (fun v -> Json_lite.parse (Json_lite.to_string v) = Ok v)
+
 let () =
   Alcotest.run "diag"
     [ ("quantiles", quantile_tests);
@@ -473,4 +549,6 @@ let () =
       ("slow_log", slow_tests);
       ("costs", cost_tests);
       ("registry", registry_tests);
-      ("gauges", gauge_tests) ]
+      ("gauges", gauge_tests);
+      ( "json",
+        json_tests @ [ QCheck_alcotest.to_alcotest prop_json_round_trip ] ) ]

@@ -1,10 +1,9 @@
 (* Differential suite for the cost-based CQ planner: under every atom
    order and join strategy, [Cq.run]'s output must be byte-identical to
    the [answers_naive] reference — on the paper examples, the shipped
-   KBs and random in/out-of-fragment KBs.  Also: parser round-trips, plan JSON
-   well-formedness (cross-checked with the independent Json_lite
-   reader), and the adaptivity fallback (a deliberately mis-estimated
-   plan stays correct). *)
+   KBs and random in/out-of-fragment KBs.  Also: parser round-trips, the
+   plan JSON's shape and a golden dl4-plan/1 line, and the adaptivity
+   fallback (a deliberately mis-estimated plan stays correct). *)
 
 let read path =
   let ic = open_in_bin path in
@@ -268,7 +267,20 @@ let json_tests =
         Alcotest.(check string)
           "same plan JSON"
           (Cq.explain_json (Cq.compile para q))
-          (Cq.explain_json (Cq.compile para q))) ]
+          (Cq.explain_json (Cq.compile para q)));
+    Alcotest.test_case "example1 executed plan = golden" `Quick (fun () ->
+        (* a compile on a fresh session is deterministic: no verdict has
+           been timed yet, so every probe costs the fixed fallback *)
+        let para = Para.create (load_example "example1.dl4") in
+        match Cq.parse "?x, ?y <- Doctor(?x), hasPatient(?x, ?y)" with
+        | Error msg -> Alcotest.fail msg
+        | Ok q ->
+            let plan = Cq.compile para q in
+            ignore (Cq.run plan);
+            Alcotest.(check string)
+              "dl4-plan/1 line"
+              (read (Filename.concat "golden" "example1.plan.json"))
+              (Cq.explain_json plan ^ "\n")) ]
 
 (* property: planner ≡ naive on random small KBs and a random 2-atom query *)
 let prop_planner_matches_naive =

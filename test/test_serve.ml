@@ -10,8 +10,7 @@ let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
-(* Response parsing (Json_lite is an independent reader, so these tests
-   double as well-formedness checks on the hand-rendered output) *)
+(* Response parsing *)
 
 let parse_resp line =
   match Json_lite.parse line with
@@ -287,6 +286,69 @@ let protocol_tests =
         checkb "stopped" true (Serve.stopped t)) ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden transcript: a fixed request script through [Serve.handle] on a
+   cold example1.dl4 session, every response byte-compared with the
+   trace IDs and the timing fields masked.  Multi-atom CQs are left out
+   (once a verdict is paid, the planner orders atoms by observed wall
+   times, so their plans vary from run to run), and so is the metrics op
+   (its buckets are timings). *)
+
+let read path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let golden_script =
+  [ {|{"op":"check","id":"c1"}|};
+    {|{"op":"query","id":7,"individual":"john","concept":"Doctor"}|};
+    {|{"op":"query","id":2.5,"individual":"john","concept":"Patient"}|};
+    {|{"op":"query","id":"q\"uo\\te","cq":"?x <- Doctor(?x)"}|};
+    {|{"op":"query","id":-0,"cq":"?x <- Doctor(?x)={B}"}|};
+    {|{"op":"check","id":"\u0001\t\u00e9"}|};
+    {|{"op":"retrieve","concept":"Doctor","all":true}|};
+    {|{"op":"retrieve","concept":"Patient & ~Doctor"}|};
+    {|{"op":"classify"}|};
+    {|{"op":"audit","top":3,"exactly":"B"}|};
+    {|{"op":"audit"}|};
+    {|{"op":"stats"}|};
+    {|{"op":"update","script":"+ mary : ~Patient."}|};
+    {|{"op":"update","script":"+ bob : Doctor.\n- mary : ~Patient."}|};
+    {|{"op":"audit","id":1e20}|};
+    {|{"op":"bogus","id":"x\ny"}|};
+    {|garbage|};
+    {|{"no_op":1}|};
+    {|{"op":"query","individual":"john"}|};
+    {|{"op":"query","individual":"john","concept":"(((("}|};
+    {|{"op":"update","script":"nonsense"}|};
+    {|{"op":"snapshot"}|};
+    {|{"op":"audit","top":-1}|};
+    {|{"op":"audit","exactly":"Q"}|};
+    {|{"op":"shutdown"}|} ]
+
+let mask =
+  let re =
+    Str.regexp
+      {|"\(trace_id\|wall_ns\|uptime_s\)":\("[0-9a-f]*"\|[-0-9.e+]+\)|}
+  in
+  Str.global_replace re {|"\1":"*"|}
+
+let golden_tests =
+  [ Alcotest.test_case "example1 transcript = golden" `Quick (fun () ->
+        let kb =
+          Surface.parse_kb4_exn
+            (read (Filename.concat ".." "examples/kb/example1.dl4"))
+        in
+        let t = Serve.create (Session.create kb) in
+        let transcript =
+          String.concat ""
+            (List.map
+               (fun line -> "> " ^ line ^ "\n< " ^ mask (Serve.handle t line) ^ "\n")
+               golden_script)
+        in
+        checks "transcript" (read "golden/serve_example1.txt") transcript) ]
+
+(* ------------------------------------------------------------------ *)
 (* A real daemon on a scratch socket *)
 
 let socket_tests =
@@ -334,4 +396,6 @@ let socket_tests =
 
 let () =
   Alcotest.run "serve"
-    [ ("protocol", protocol_tests); ("socket", socket_tests) ]
+    [ ("protocol", protocol_tests);
+      ("golden", golden_tests);
+      ("socket", socket_tests) ]

@@ -75,7 +75,7 @@ let registry_tests =
         let t = Telemetry.create () in
         Telemetry.record t ~op:"query" ~ok:true ~wall_ns:4096.0
           ~routes:[ ("horn", 1) ] ~cache_served:2 ~tableau_calls:0 ();
-        let j = parse (Telemetry.json t) in
+        let j = parse (Json_lite.to_string (Telemetry.json t)) in
         checks "schema" "dl4-metrics/1" (str "schema" j);
         checkb "uptime >= 0" true (num "uptime_s" j >= 0.0);
         match Json_lite.to_list (mem "ops" j) with
@@ -161,7 +161,7 @@ let prom_tests =
         checkb "view accumulates per strategy" true
           (qry.Telemetry.v_strategies
           = [ ("hash_join", 3); ("nested_loop", 1) ]);
-        let j = parse (Telemetry.json t) in
+        let j = parse (Json_lite.to_string (Telemetry.json t)) in
         (match Json_lite.to_list (mem "ops" j) with
         | Some [ op ] ->
             checkb "json strategies object" true
