@@ -843,11 +843,13 @@ let report_backends () =
       Kb4.of_classical ~inclusion:Kb4.Internal
         (Gen.taxonomy ~depth:4 ~branching:3)
     in
-    List.fold_left Kb4.add_abox base
-      [ Axiom.Instance_of ("i0", Concept.Atom "C4_0");
-        Axiom.Instance_of ("i1", Concept.Atom "C4_40");
-        Axiom.Instance_of ("i2", Concept.Atom "C4_80");
-        Axiom.Instance_of ("i2", Concept.Not (Concept.Atom "C0_0")) ]
+    { base with
+      Kb4.abox =
+        base.Kb4.abox
+        @ [ Axiom.Instance_of ("i0", Concept.Atom "C4_0");
+            Axiom.Instance_of ("i1", Concept.Atom "C4_40");
+            Axiom.Instance_of ("i2", Concept.Atom "C4_80");
+            Axiom.Instance_of ("i2", Concept.Not (Concept.Atom "C0_0")) ] }
   in
   let signature = Kb4.signature kb in
   let grid =
@@ -1114,7 +1116,7 @@ let report_planner () =
         [ ("c0", "r0"); ("c0", "r1"); ("c1", "r0");
           ("c1", "r1"); ("c2", "r0"); ("c3", "r1") ]
     in
-    List.fold_left Kb4.add_abox base (commons @ rares @ links)
+    { base with Kb4.abox = base.Kb4.abox @ commons @ rares @ links }
   in
   let parse_cq src =
     match Cq.parse src with
@@ -1228,7 +1230,8 @@ let report_audit () =
         [ ("c0", "r0"); ("c0", "r1"); ("c1", "r0");
           ("c1", "r1"); ("c2", "r0"); ("c3", "r1") ]
     in
-    List.fold_left Kb4.add_abox base (commons @ poisons @ rares @ links)
+    { base with
+      Kb4.abox = base.Kb4.abox @ commons @ poisons @ rares @ links }
   in
   let wall f =
     let t0 = Unix.gettimeofday () in

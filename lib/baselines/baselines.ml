@@ -48,11 +48,12 @@ type tagged = T of Axiom.tbox_axiom | A of Axiom.abox_axiom
 let tagged_symbols = function T ax -> tbox_symbols ax | A ax -> abox_symbols ax
 
 let to_kb tagged_list =
-  List.fold_left
-    (fun kb -> function
-      | T ax -> Axiom.add_tbox kb ax
-      | A ax -> Axiom.add_abox kb ax)
-    Axiom.empty tagged_list
+  let tbox, abox =
+    List.partition_map
+      (function T ax -> Either.Left ax | A ax -> Right ax)
+      tagged_list
+  in
+  Axiom.make ~tbox ~abox
 
 let relevant symbols ax =
   not (Strings.is_empty (Strings.inter symbols (tagged_symbols ax)))
@@ -104,15 +105,13 @@ let stratified_repair ?(ranks = default_ranks) (kb : Axiom.kb) =
   in
   (* stable sort by rank keeps the original order inside each stratum *)
   let sorted = List.stable_sort (fun (r1, _) (r2, _) -> Int.compare r1 r2) tagged in
+  (* the kept axioms, newest first: each check sees them in order *)
   List.fold_left
-    (fun acc (_, ax) ->
-      let candidate =
-        match ax with
-        | T t -> Axiom.add_tbox acc t
-        | A a -> Axiom.add_abox acc a
-      in
-      if Tableau.kb_satisfiable candidate then candidate else acc)
-    Axiom.empty sorted
+    (fun kept (_, ax) ->
+      if Tableau.kb_satisfiable (to_kb (List.rev (ax :: kept))) then ax :: kept
+      else kept)
+    [] sorted
+  |> List.rev |> to_kb
 
 let stratified_instance ?ranks kb a c =
   instance_answer (Reasoner.create (stratified_repair ?ranks kb)) a c

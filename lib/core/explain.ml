@@ -40,11 +40,10 @@ let to_tagged (kb : Kb4.t) =
   List.map (fun ax -> T ax) kb.tbox @ List.map (fun ax -> A ax) kb.abox
 
 let of_tagged axs =
-  List.fold_left
-    (fun kb -> function
-      | T ax -> Kb4.add_tbox kb ax
-      | A ax -> Kb4.add_abox kb ax)
-    Kb4.empty axs
+  let tbox, abox =
+    List.partition_map (function T ax -> Either.Left ax | A ax -> Right ax) axs
+  in
+  Kb4.make ~tbox ~abox
 
 let tagged_equal a b =
   match (a, b) with

@@ -17,23 +17,9 @@ let is_empty d =
 
 let touches_abox d = d.add_abox <> [] || d.retract_abox <> []
 
-(* Remove the first structurally-equal occurrence of each retraction;
-   absent retractions are ignored.  Must mirror
-   [Reasoner.apply_delta]'s removal on the classical side so the
-   four-valued KB and [K̄] stay in Definition-7 correspondence. *)
-let remove_each axs abox =
-  List.fold_left
-    (fun abox ax ->
-      let rec drop = function
-        | [] -> []
-        | hd :: tl -> if hd = ax then tl else hd :: drop tl
-      in
-      drop abox)
-    abox axs
-
 let apply_kb4 (kb : Kb4.t) d =
   { Kb4.tbox = kb.Kb4.tbox @ d.add_tbox;
-    abox = remove_each d.retract_abox kb.Kb4.abox @ d.add_abox }
+    abox = Axiom.remove_each d.retract_abox kb.Kb4.abox @ d.add_abox }
 
 (* ------------------------------------------------------------------ *)
 (* Touched symbols *)

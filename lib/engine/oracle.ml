@@ -149,6 +149,12 @@ let default_config =
     max_branches = max_int;
     backend = Backend.Tableau }
 
+(* One resident verdict: the verdict with its provenance group and its
+   cost record, so the three enter and leave residency together.  The
+   consistency bit re-stored across a flip keeps its group but has no
+   cost record; an imported entry may carry neither. *)
+type resident = { verdict : bool; group : group option; cost : cost option }
+
 type t = {
   mutable kb : Kb4.t;
   mutable classical_kb : Axiom.kb;
@@ -158,20 +164,14 @@ type t = {
       (* present when the routing choice and K̄'s fragment allow it;
          rebuilt by [apply] (deltas can change both the KB and its
          fragment eligibility) *)
-  cache : bool Cache.t;
-  prov : group KH.t;
-      (* resident key -> the group of its provenance, recorded
-         unconditionally for every computed verdict *)
+  cache : resident Cache.t;
   groups : group EH.t;  (* each distinct recorded entry, interned once *)
   mutable next_group : int;
   ind_index : (string, group IH.t) Hashtbl.t;
       (* individual name -> groups whose entry mentions it, by id *)
   atom_index : (string, group IH.t) Hashtbl.t;
       (* user-level atomic concept -> groups whose entry mentions it *)
-  costs : cost KH.t;
-      (* per-key cost records, lifetime tied to cache residency like
-         [prov]; session totals live in [acc] and survive eviction *)
-  acc : cost_acc;
+  acc : cost_acc;  (* session totals: they survive eviction *)
   mutable tableau_calls : int;
       (* evaluations attempted on this oracle, tripped ones included;
          imported history is not counted *)
@@ -198,14 +198,13 @@ let drop_group t g =
   List.iter (fun s -> unpost t.ind_index s g) g.g_entry.individuals;
   List.iter (fun s -> unpost t.atom_index s g) g.g_entry.concepts
 
-(* The one way a key loses its provenance: a capacity eviction, an
-   explicit eviction and a re-record all come through here, so the
-   indexes hold exactly the resident keys' groups. *)
-let detach t k =
-  match KH.find_opt t.prov k with
+(* The one way a key leaves its group: a capacity eviction, an explicit
+   eviction and an import over a resident key all come through here, so
+   the indexes hold exactly the resident keys' groups. *)
+let detach t k r =
+  match r.group with
   | None -> ()
   | Some g ->
-      KH.remove t.prov k;
       KH.remove g.g_keys k;
       if KH.length g.g_keys = 0 then drop_group t g
 
@@ -224,23 +223,17 @@ let of_config (config : config) kb =
         Horn_backend.create config.backend ~max_nodes:config.max_nodes
           classical_kb;
       cache = Cache.create ~capacity:config.cache_capacity;
-      prov = KH.create 64;
       groups = EH.create 64;
       next_group = 0;
       ind_index = Hashtbl.create 64;
       atom_index = Hashtbl.create 64;
-      costs = KH.create 64;
       acc = fresh_acc ();
       tableau_calls = 0 }
   in
-  (* Provenance lifetime is tied to cache residency: when the LRU makes
-     room, the evicted key's cost record and provenance go with it.
-     Without this, a capacity-evicted key recomputed after a delta would
-     keep its pre-delta provenance, and the dependency index would
-     under-approximate it — breaking the invalidation contract. *)
-  Cache.on_evict t.cache (fun k ->
-      KH.remove t.costs k;
-      detach t k);
+  (* When the LRU makes room, the evicted verdict leaves its group too, so
+     a group left without verdicts leaves the indexes.  Without this, the
+     indexes would grow with every verdict ever computed. *)
+  Cache.on_evict t.cache (detach t);
   t
 
 let kb t = t.kb
@@ -340,33 +333,35 @@ let eval_obs t q =
         raise e
   end
 
-(* Store a verdict's provenance: join the group of an equal entry, or
-   intern a new group and post it under every symbol it mentions.  A key
-   recorded again (a snapshot import over a warm cache) first leaves its
-   old group.  With a disabled cache (capacity 0) nothing is recorded:
-   no verdict can be retained, so there is nothing to invalidate, and
-   recording would grow without bound. *)
-let record_prov t k (entry : prov_entry) =
-  if t.config.cache_capacity > 0 then begin
-    detach t k;
-    let g =
-      match EH.find_opt t.groups entry with
-      | Some g -> g
-      | None ->
-          let g =
-            { g_id = t.next_group; g_entry = entry; g_keys = KH.create 4 }
-          in
-          t.next_group <- t.next_group + 1;
-          EH.replace t.groups entry g;
-          List.iter (fun s -> post t.ind_index s g) entry.individuals;
-          List.iter (fun s -> post t.atom_index s g) entry.concepts;
-          g
-    in
-    KH.replace g.g_keys k ();
-    KH.replace t.prov k g
-  end
+(* Join [k] to the group of an equal entry, or intern a new group and post
+   it under every symbol it mentions. *)
+let join t k (entry : prov_entry) =
+  let g =
+    match EH.find_opt t.groups entry with
+    | Some g -> g
+    | None ->
+        let g =
+          { g_id = t.next_group; g_entry = entry; g_keys = KH.create 4 }
+        in
+        t.next_group <- t.next_group + 1;
+        EH.replace t.groups entry g;
+        List.iter (fun s -> post t.ind_index s g) entry.individuals;
+        List.iter (fun s -> post t.atom_index s g) entry.concepts;
+        g
+  in
+  KH.replace g.g_keys k ();
+  g
 
-let entry_of t k = Option.map (fun g -> g.g_entry) (KH.find_opt t.prov k)
+(* Make [k] resident with its verdict, provenance and cost record.  A
+   disabled cache (capacity 0) stores, interns and posts nothing: no
+   verdict can be retained, so there is nothing to invalidate, and the
+   groups would grow without bound. *)
+let store t k verdict entry cost =
+  if t.config.cache_capacity > 0 then
+    Cache.add t.cache k
+      { verdict; group = Option.map (join t k) entry; cost }
+
+let entry_of r = Option.map (fun g -> g.g_entry) r.group
 
 (* One slow verdict as a JSONL record: the cost record, the provenance
    symbols and the cache's disposition of the verdict. *)
@@ -396,10 +391,9 @@ let slow_json t (c : cost) (p : prov_entry) =
            ("cache_stored", Bool (t.config.cache_capacity > 0));
            ("cache_size", int (Cache.length t.cache)) ]))
 
-(* Account one computed verdict: per-key record (when the cache can
-   retain it), session totals (always), slow-query log (when armed and
-   over threshold). *)
-let record_cost t k (c : cost) (p : prov_entry) =
+(* Account one computed verdict: session totals (always), slow-query log
+   (when armed and over threshold). *)
+let record_cost t (c : cost) (p : prov_entry) =
   let a = t.acc in
   a.a_verdicts <- a.a_verdicts + 1;
   Hashtbl.replace a.a_backends c.c_backend
@@ -407,7 +401,6 @@ let record_cost t k (c : cost) (p : prov_entry) =
   Obs.incr (if String.equal c.c_backend "horn" then c_route_horn else c_route_tableau);
   a.a_wall <- a.a_wall +. c.c_wall_ns;
   Tableau.add_stats ~into:a.a_work c.c_work;
-  if t.config.cache_capacity > 0 then KH.replace t.costs k c;
   if c.c_wall_ns /. 1e6 >= Obs.slow_threshold_ms () then begin
     a.a_slow <- a.a_slow + 1;
     Obs.incr c_slow;
@@ -416,23 +409,20 @@ let record_cost t k (c : cost) (p : prov_entry) =
 
 let check t q =
   let k = key_of q in
-  let computed = ref false in
   let v =
-    Cache.find_or_add t.cache k (fun () ->
-        computed := true;
+    match Cache.find t.cache k with
+    | Some r ->
+        t.acc.a_served <- t.acc.a_served + 1;
+        Option.iter (fun c -> c.c_hits <- c.c_hits + 1) r.cost;
+        r.verdict
+    | None ->
         t.tableau_calls <- t.tableau_calls + 1;
         Obs.incr c_tableau_calls;
         let v, p, c = eval_obs t q in
-        record_prov t k p;
-        record_cost t k c p;
-        v)
+        record_cost t c p;
+        store t k v (Some p) (Some c);
+        v
   in
-  if not !computed then begin
-    t.acc.a_served <- t.acc.a_served + 1;
-    match KH.find_opt t.costs k with
-    | Some c -> c.c_hits <- c.c_hits + 1
-    | None -> ()
-  end;
   Obs.set_gauge g_cache_size (float_of_int (Cache.length t.cache));
   v
 
@@ -440,15 +430,15 @@ let check_all t qs =
   Obs.with_span ~cat:"oracle" "oracle.check_all" (fun () ->
       List.map (check t) qs)
 
-let provenance t q = entry_of t (key_of q)
+let peek t q = Cache.peek t.cache (key_of q)
+let provenance t q = Option.bind (peek t q) entry_of
+let cost t q = Option.bind (peek t q) (fun r -> r.cost)
 
 let provenances t =
-  KH.fold (fun _ g acc -> g.g_entry :: acc) t.prov []
-
-let cost t q = KH.find_opt t.costs (key_of q)
+  List.filter_map (fun (_, r) -> entry_of r) (Cache.entries t.cache)
 
 let costs t =
-  KH.fold (fun _ c acc -> c :: acc) t.costs []
+  List.filter_map (fun (_, r) -> r.cost) (Cache.entries t.cache)
   |> List.sort (fun a b -> Float.compare b.c_wall_ns a.c_wall_ns)
 
 let cost_totals t =
@@ -466,8 +456,8 @@ let cost_totals t =
 (* Snapshot export / import (PR 6).  The persistence layer must not see
    the cache's internal key type, so the export vocabulary is the public
    [query] (keys canonicalize idempotently: [key_of (query_of_key k) = k],
-   because [Concept.canon] is a retraction), paired with the verdict and
-   the satellite prov/cost records whose lifetime is tied to residency. *)
+   because [Concept.canon] is a retraction), paired with the rest of the
+   resident record: the verdict, its provenance entry and cost record. *)
 
 type export_entry = {
   x_query : query;
@@ -486,25 +476,20 @@ let query_of_key = function
 
 let export_entries t =
   List.map
-    (fun (k, v) ->
+    (fun (k, r) ->
       { x_query = query_of_key k;
-        x_verdict = v;
-        x_prov = entry_of t k;
-        x_cost = KH.find_opt t.costs k })
+        x_verdict = r.verdict;
+        x_prov = entry_of r;
+        x_cost = r.cost })
     (Cache.entries t.cache)
 
+(* An import overflowing the capacity evicts older imports through the
+   regular on_evict hook; one over a resident key first leaves its old
+   group. *)
 let import_entry t e =
   let k = key_of e.x_query in
-  Cache.add t.cache k e.x_verdict;
-  (* [add] is a no-op at capacity 0, and an import overflowing the
-     capacity evicts older imports through the regular on_evict hook —
-     only record satellites for keys the cache actually retained *)
-  if Cache.mem t.cache k then begin
-    Option.iter (record_prov t k) e.x_prov;
-    Option.iter
-      (fun c -> if t.config.cache_capacity > 0 then KH.replace t.costs k c)
-      e.x_cost
-  end
+  Option.iter (detach t k) (Cache.peek t.cache k);
+  store t k e.x_verdict e.x_prov e.x_cost
 
 let import_entries t es =
   List.iter (import_entry t) es;
@@ -552,16 +537,44 @@ let pp_apply_stats ppf s =
    eviction). *)
 let flush_all t =
   Cache.purge t.cache;
-  KH.reset t.prov;
   EH.reset t.groups;
-  KH.reset t.costs;
   Hashtbl.reset t.ind_index;
   Hashtbl.reset t.atom_index
 
-let evict_key t k =
-  ignore (Cache.remove t.cache k : bool);
-  KH.remove t.costs k;
-  detach t k
+let evict_key t k = Option.iter (detach t k) (Cache.remove t.cache k)
+
+(* What a delta edits: K, K̄, the reasoner's prepared state (with its
+   cached consistency bit) and the completion engine.  Each is an
+   immutable value or an object the delta replaces without touching, so
+   keeping the old ones is enough to undo an update. *)
+type saved = {
+  s_kb : Kb4.t;
+  s_classical_kb : Axiom.kb;
+  s_reasoner : Reasoner.state;
+  s_horn : Completion.t option;
+}
+
+let atomically t f =
+  let s =
+    { s_kb = t.kb;
+      s_classical_kb = t.classical_kb;
+      s_reasoner = Reasoner.state t.primary;
+      s_horn = t.horn }
+  in
+  match f () with
+  | v -> v
+  | exception e ->
+      (* [apply] edits K first, and [Delta.apply_kb4] always allocates:
+         a K still physically the saved one means nothing was edited *)
+      if t.kb != s.s_kb then begin
+        t.kb <- s.s_kb;
+        t.classical_kb <- s.s_classical_kb;
+        Reasoner.restore t.primary s.s_reasoner;
+        t.horn <- s.s_horn;
+        (* the probes paid after the first edit answered the edited KB *)
+        flush_all t
+      end;
+      raise e
 
 (* Drop every group posted under [sym] whole: all of its keys leave the
    cache, and the last one to go unposts the group. *)
@@ -651,7 +664,7 @@ let apply t (d : Delta.t) =
       recheck_calls = 0 }
   else
     Obs.with_span ~cat:"oracle" "oracle.apply" @@ fun () ->
-    begin
+    atomically t @@ fun () ->
     let calls0 = t.tableau_calls in
     (* the transition guard below needs the pre-delta status — read it
        before mutating (pays one tableau call if not already cached) *)
@@ -701,26 +714,19 @@ let apply t (d : Delta.t) =
           (t.classical_kb.Axiom.abox @ cadd)
           (Delta.individuals d)
     in
-    (* structural update: K in place, K̄ through the reasoner's
-       incremental prep (told indexes, absorption, hierarchy refresh) *)
+    (* structural update: K in place (the first edit), K̄ through the
+       reasoner's incremental prep (told indexes, absorption, hierarchy
+       refresh); from here on a failure rolls all of it back *)
     t.kb <- Delta.apply_kb4 t.kb d;
     Reasoner.apply_delta t.primary ~add_abox:cadd ~retract_abox:cretract
       ~add_tbox:ctbox;
     t.classical_kb <- Reasoner.kb t.primary;
     (* rebuild the completion engine: fragment eligibility can change
        with the KB (a delta can push K̄ out of — or back into — the Horn
-       fragment).  K and K̄ are already edited, so a rebuild that fails
-       (a node-budget trip) must leave neither the old engine nor any
-       verdict behind; the tableau route stays complete. *)
-    (match
-       Horn_backend.create t.config.backend ~max_nodes:t.config.max_nodes
-         t.classical_kb
-     with
-    | horn -> t.horn <- horn
-    | exception e ->
-        t.horn <- None;
-        flush_all t;
-        raise e);
+       fragment) *)
+    t.horn <-
+      Horn_backend.create t.config.backend ~max_nodes:t.config.max_nodes
+        t.classical_kb;
     let size0 = Cache.length t.cache in
     if flush then flush_all t
     else begin
@@ -736,24 +742,17 @@ let apply t (d : Delta.t) =
        entailments at once), so flush what survived.  Inconsistent on
        both sides retains everything: those verdicts are already the
        trivially-determined ones. *)
-    let post =
-      (* a trip here leaves retained verdicts the guard never vetted *)
-      match check t Consistent with
-      | post -> post
-      | exception e ->
-          flush_all t;
-          raise e
-    in
+    let post = check t Consistent in
     let flipped = post <> pre in
     let evicted =
       if flipped && not flush then begin
-        let consistency_prov = entry_of t Key.K_consistent in
+        (* the re-stored bit keeps its provenance; its cost record goes *)
+        let consistency =
+          Option.bind (Cache.peek t.cache Key.K_consistent) entry_of
+        in
         let n = Cache.length t.cache in
         flush_all t;
-        Cache.add t.cache Key.K_consistent post;
-        (match consistency_prov with
-        | Some e -> record_prov t Key.K_consistent e
-        | None -> ());
+        store t Key.K_consistent post consistency None;
         evicted + n - Cache.length t.cache
       end
       else evicted
@@ -770,5 +769,4 @@ let apply t (d : Delta.t) =
     if st.flushed then Obs.incr c_delta_flushes;
     Obs.add c_delta_recheck st.recheck_calls;
     st
-  end
 

@@ -13,9 +13,10 @@
     ({!Backend_tableau.eval}) otherwise.
 
     {b Single owner.}  An oracle is single-domain and unsynchronized:
-    every verdict is computed on the calling domain, and the cache, the
-    provenance and cost records and the dependency indexes are updated in
-    place.  The (intrusive-list) LRU structure therefore needs no lock.
+    every verdict is computed on the calling domain, and the cache (one
+    record per verdict: the verdict, its provenance and its cost record)
+    and the dependency indexes are updated in place.  The (intrusive-list)
+    LRU structure therefore needs no lock.
     Callers that share an oracle across threads must serialize access to
     it, as [dl4 serve] does by handling one request at a time. *)
 
@@ -114,13 +115,14 @@ val check_all : t -> query list -> bool list
     below return the group's entry, so readers see the recorded values
     unchanged.
 
-    Provenance lifetime is tied to cache residency: an entry lives exactly
-    as long as its verdict is retained.  A capacity eviction, an explicit
-    eviction and a re-record on import each detach the verdict from its
-    group in O(1), and a group left without verdicts leaves the index, so
-    the index holds exactly the resident verdicts.  A disabled cache
-    ([cache_capacity = 0]) records no provenance at all — nothing can be
-    retained, so there is nothing to invalidate. *)
+    A verdict's group is part of its record in the cache, so provenance
+    lives exactly as long as the verdict is resident.  A capacity
+    eviction, an explicit eviction and an import over a resident key each
+    detach the verdict from its group in O(1), and a group left without
+    verdicts leaves the index, so the index holds exactly the resident
+    verdicts.  A disabled cache ([cache_capacity = 0]) records no
+    provenance at all — nothing can be retained, so there is nothing to
+    invalidate. *)
 
 type prov_entry = {
   individuals : string list;  (** named ABox individuals touched, sorted *)
@@ -145,8 +147,10 @@ val provenances : t -> prov_entry list
     tableau's own record, carried unchanged from the hook sites through
     cost records and session totals into snapshots.  Like provenance,
     recording is unconditional — no {!Obs} sink needs to be armed — and
-    the per-key records share the cache-residency lifetime (session
-    totals in {!cost_totals} survive eviction).
+    the cost record is part of the verdict's cache record, so it lives
+    exactly as long as the verdict is resident (session totals in
+    {!cost_totals} survive eviction).  The consistency bit re-stored
+    across a consistency flip ({!apply}) has no cost record.
 
     When the {!Obs} slow-query log is armed, each computed verdict at or
     over the threshold additionally emits one JSONL record (cost,
@@ -196,8 +200,8 @@ val query_to_string : query -> string
 (** {1 Snapshot export / import}
 
     The explicit state-transfer surface behind {!Dl_store}'s persistent
-    snapshots: the warm contents of the verdict cache (with the
-    provenance and cost records whose lifetime is tied to residency) and
+    snapshots: the warm contents of the verdict cache (each resident
+    record: the verdict with its provenance entry and cost record) and
     the session-lifetime cost totals, expressed in the public {!query}
     vocabulary so the cache's internal canonical key type never leaks.
     Keys canonicalize idempotently, so re-importing an exported entry
@@ -207,9 +211,7 @@ type export_entry = {
   x_query : query;  (** the key, re-canonicalized on import *)
   x_verdict : bool;
   x_prov : prov_entry option;
-      (** absent only for verdicts recorded without provenance (e.g. the
-          consistency bit re-seeded across a flush) *)
-  x_cost : cost option;
+  x_cost : cost option;  (** absent for a re-stored consistency bit *)
 }
 
 val export_entries : t -> export_entry list
@@ -218,12 +220,13 @@ val export_entries : t -> export_entry list
     the same LRU structure. *)
 
 val import_entries : t -> export_entry list -> int
-(** Warm the cache with previously exported entries: each verdict is
-    inserted (subject to this oracle's capacity — overflow evicts the
+(** Warm the cache with previously exported entries: each is stored as
+    one record (subject to this oracle's capacity — overflow evicts the
     oldest imports) and its provenance re-posted into the dependency
-    indexes, so selective invalidation by later deltas remains sound.
-    Imported verdicts do not count as tableau calls.  Returns the cache
-    size after the import.
+    indexes, so selective invalidation by later deltas remains sound; an
+    entry over a resident key replaces its record and group.  Imported
+    verdicts do not count as tableau calls.  Returns the cache size after
+    the import.
 
     Soundness is the {e caller}'s contract: entries must have been
     exported from an oracle over an identical KB ({!Dl_store} validates
@@ -281,12 +284,20 @@ val apply : t -> Delta.t -> apply_stats
 (** Apply a delta in place: updates the four-valued KB, pushes the delta
     through the axiom-local incremental transform into [K̄] and the
     reasoner's prepared state, rebuilds the completion engine, and
-    invalidates exactly the cached verdicts the delta can affect.  Subsequent queries answer against the updated KB; retained
-    verdicts are served without new tableau calls.
+    invalidates exactly the cached verdicts the delta can affect.
+    Subsequent queries answer against the updated KB; retained verdicts
+    are served without new tableau calls.
     @raise Tableau.Resource_limit if a consistency probe or the
-    completion-engine rebuild exceeds its budget.  A trip before the KB
-    is edited changes nothing; a later one keeps the edited KB, drops
-    every cached verdict and, if the rebuild tripped, the completion
-    engine (the tableau answers every query from then on). *)
+    completion-engine rebuild exceeds its budget.  The delta is then not
+    applied: [apply] runs under {!atomically}. *)
+
+val atomically : t -> (unit -> 'a) -> 'a
+(** [atomically t f] runs [f ()] as one update.  If [f] raises after an
+    {!apply} inside it edited the KB, K, K̄, the reasoner's prepared
+    state (with its cached consistency bit) and the completion engine go
+    back to what they were when [f] began, every cached verdict is
+    dropped and the exception is re-raised.  A failure before the first
+    edit changes nothing.  The saved state is the old immutable values,
+    so only the failure path pays. *)
 
 val pp_apply_stats : Format.formatter -> apply_stats -> unit

@@ -130,8 +130,8 @@ let apply t (d : Delta.t) =
     match Oracle.apply t.oracle d with
     | s -> s
     | exception e ->
-        (* a trip may come after the KB was edited: the indexes go with
-           the verdicts the oracle dropped *)
+        (* the oracle rolled the update back and dropped its verdicts:
+           the indexes go with them *)
         t.classification <- None;
         t.realization <- None;
         raise e
@@ -143,8 +143,11 @@ let apply t (d : Delta.t) =
   s
 
 let apply_all t ds =
-  (* seed the fold with a no-op apply so an empty list still reports the
-     true retained count (and the zero record stays in one place) *)
+  (* one script is one update: a later delta's failure undoes the earlier
+     ones.  The fold is seeded with a no-op apply so an empty list still
+     reports the true retained count (and the zero record stays in one
+     place). *)
+  Oracle.atomically t.oracle @@ fun () ->
   List.fold_left
     (fun (acc : Oracle.apply_stats) d ->
       let s = apply t d in

@@ -110,13 +110,15 @@ val apply : t -> Delta.t -> Oracle.apply_stats
     flushed the cache nor introduced new atomic concepts (it is a pure
     function of TBox and concept signature); realization is dropped on
     any non-empty delta and rebuilt lazily, re-using every cached verdict
-    that survived.  When {!Oracle.apply} raises, both indexes are dropped
-    too. *)
+    that survived.  When {!Oracle.apply} raises, the update was not
+    applied (the KB is the one before it) and both indexes are dropped. *)
 
 val apply_all : t -> Delta.t list -> Oracle.apply_stats
-(** Replay a delta script in order.  The returned stats accumulate
-    [evicted]/[recheck_calls] and OR the flush/flip flags; [retained] is
-    the final value. *)
+(** Replay a delta script in order, as one update ({!Oracle.atomically}):
+    if any delta raises, the deltas before it are undone too, so {!kb} is
+    the pre-script KB, and both indexes are dropped.  The returned stats
+    accumulate [evicted]/[recheck_calls] and OR the flush/flip flags;
+    [retained] is the final value. *)
 
 (** {1 Cost accounting}
 

@@ -25,7 +25,7 @@ module Make (K : Hashtbl.HashedType) = struct
 
   type 'v t = {
     capacity : int;
-    mutable on_evict : K.t -> unit;
+    mutable on_evict : K.t -> 'v -> unit;
     table : 'v node H.t;
     mutable front : 'v node option;
     mutable back : 'v node option;
@@ -37,7 +37,7 @@ module Make (K : Hashtbl.HashedType) = struct
   let create ~capacity =
     let capacity = max 0 capacity in
     { capacity;
-      on_evict = (fun _ -> ());
+      on_evict = (fun _ _ -> ());
       table = H.create (max 16 (min capacity 4096));
       front = None;
       back = None;
@@ -47,7 +47,6 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let on_evict t f = t.on_evict <- f
 
-  let capacity t = t.capacity
   let length t = H.length t.table
 
   let unlink t n =
@@ -81,7 +80,7 @@ module Make (K : Hashtbl.HashedType) = struct
         Obs.incr c_misses;
         None
 
-  let mem t k = H.mem t.table k
+  let peek t k = Option.map (fun n -> n.value) (H.find_opt t.table k)
 
   let evict_lru t =
     match t.back with
@@ -91,7 +90,7 @@ module Make (K : Hashtbl.HashedType) = struct
         H.remove t.table n.key;
         t.evictions <- t.evictions + 1;
         Obs.incr c_evictions;
-        t.on_evict n.key
+        t.on_evict n.key n.value
 
   let add t k v =
     if t.capacity > 0 then begin
@@ -108,21 +107,13 @@ module Make (K : Hashtbl.HashedType) = struct
       done
     end
 
-  let find_or_add t k f =
-    match find t k with
-    | Some v -> v
-    | None ->
-        let v = f () in
-        add t k v;
-        v
-
   let remove t k =
     match H.find_opt t.table k with
-    | None -> false
+    | None -> None
     | Some n ->
         unlink t n;
         H.remove t.table k;
-        true
+        Some n.value
 
   let entries t =
     (* walk back-to-front along [prev] links: LRU first, MRU last *)
@@ -139,11 +130,6 @@ module Make (K : Hashtbl.HashedType) = struct
       size = H.length t.table;
       capacity = t.capacity }
 
-  let reset_stats t =
-    t.hits <- 0;
-    t.misses <- 0;
-    t.evictions <- 0
-
   let restore_stats t ~hits ~misses ~evictions =
     t.hits <- hits;
     t.misses <- misses;
@@ -153,8 +139,4 @@ module Make (K : Hashtbl.HashedType) = struct
     H.reset t.table;
     t.front <- None;
     t.back <- None
-
-  let clear t =
-    purge t;
-    reset_stats t
 end

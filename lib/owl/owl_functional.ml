@@ -492,18 +492,17 @@ let parse_document s =
       advance s
     done
   end;
-  let kb = ref Axiom.empty in
+  (* newest first; each list is reversed once at the end *)
+  let tbox = ref [] and abox = ref [] in
   let stop () = if wrapped then peek s = RPAREN else peek s = EOF in
   while not (stop ()) do
     match parse_axiom s with
     | None -> ()
-    | Some (Either.Left axs) ->
-        kb := List.fold_left Axiom.add_tbox !kb axs
-    | Some (Either.Right axs) ->
-        kb := List.fold_left Axiom.add_abox !kb axs
+    | Some (Either.Left axs) -> tbox := List.rev_append axs !tbox
+    | Some (Either.Right axs) -> abox := List.rev_append axs !abox
   done;
   if wrapped then expect s RPAREN "')'";
-  !kb
+  Axiom.make ~tbox:(List.rev !tbox) ~abox:(List.rev !abox)
 
 let parse_ontology src =
   match

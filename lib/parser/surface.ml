@@ -359,25 +359,30 @@ let wrap f src =
   | exception Parse_error (message, offset) -> Error { message; offset }
   | exception Lex_error (message, offset) -> Error { message; offset }
 
+(* One partition builds each list once, in statement order. *)
 let parse_kb4 =
   wrap (fun src ->
-      let stmts = parse_statements src Four_valued in
-      List.fold_left
-        (fun kb -> function
-          | S_tbox4 ax -> Kb4.add_tbox kb ax
-          | S_abox ax -> Kb4.add_abox kb ax
-          | S_tbox _ -> assert false)
-        Kb4.empty stmts)
+      let tbox, abox =
+        List.partition_map
+          (function
+            | S_tbox4 ax -> Either.Left ax
+            | S_abox ax -> Either.Right ax
+            | S_tbox _ -> assert false)
+          (parse_statements src Four_valued)
+      in
+      Kb4.make ~tbox ~abox)
 
 let parse_kb =
   wrap (fun src ->
-      let stmts = parse_statements src Classical in
-      List.fold_left
-        (fun kb -> function
-          | S_tbox ax -> Axiom.add_tbox kb ax
-          | S_abox ax -> Axiom.add_abox kb ax
-          | S_tbox4 _ -> assert false)
-        Axiom.empty stmts)
+      let tbox, abox =
+        List.partition_map
+          (function
+            | S_tbox ax -> Either.Left ax
+            | S_abox ax -> Either.Right ax
+            | S_tbox4 _ -> assert false)
+          (parse_statements src Classical)
+      in
+      Axiom.make ~tbox ~abox)
 
 let parse_concept =
   wrap (fun src ->

@@ -385,17 +385,17 @@ let op_update t req =
         match t.drift with None -> None | Some _ -> Some (census t)
       in
       let s =
-        (* a script that trips midway has still changed the KB *)
-        Fun.protect
-          ~finally:(fun () ->
-            t.dirty <- true;
-            (* told statistics changed under the cached plans; recompile
-               lazily *)
-            Hashtbl.reset t.plans;
-            (* the census describes the pre-delta KB *)
-            t.census <- None)
-          (fun () -> Session.apply_all t.session deltas)
+        (* a script that trips is rolled back whole: the KB, the plans
+           and the census stay as they were *)
+        try Session.apply_all t.session deltas
+        with Tableau.Resource_limit msg ->
+          raise (Tableau.Resource_limit (msg ^ "; the update was not applied"))
       in
+      t.dirty <- true;
+      (* told statistics changed under the cached plans; recompile lazily *)
+      Hashtbl.reset t.plans;
+      (* the census describes the pre-delta KB *)
+      t.census <- None;
       Option.iter
         (fun before -> drift_note t ~before ~after:(census t))
         before;
@@ -630,8 +630,8 @@ let handle t line =
         | exception Bad_request msg -> (false, fail msg)
         | exception Tableau.Resource_limit msg ->
             (* a tripped verdict is never cached, and an update that trips
-               drops what it invalidated, so a later request within the
-               budget answers soundly *)
+               is rolled back, so a later request within the budget
+               answers soundly *)
             (false, fail ("resource limit: " ^ msg))
         | exception e ->
             (* last-ditch: a handler bug must degrade to an error

@@ -16,8 +16,17 @@ type kb = { tbox : tbox_axiom list; abox : abox_axiom list }
 let empty = { tbox = []; abox = [] }
 let make ~tbox ~abox = { tbox; abox }
 let union k1 k2 = { tbox = k1.tbox @ k2.tbox; abox = k1.abox @ k2.abox }
-let add_tbox kb ax = { kb with tbox = kb.tbox @ [ ax ] }
-let add_abox kb ax = { kb with abox = kb.abox @ [ ax ] }
+
+let remove_each axs abox =
+  List.fold_left
+    (fun abox ax ->
+      let rec drop = function
+        | [] -> []
+        | hd :: tl -> if hd = ax then tl else hd :: drop tl
+      in
+      drop abox)
+    abox axs
+
 let size kb = List.length kb.tbox + List.length kb.abox
 
 let concept_equiv c d = [ Concept_sub (c, d); Concept_sub (d, c) ]

@@ -23,8 +23,12 @@ val empty : kb
 val make : tbox:tbox_axiom list -> abox:abox_axiom list -> kb
 val union : kb -> kb -> kb
 
-val add_tbox : kb -> tbox_axiom -> kb
-val add_abox : kb -> abox_axiom -> kb
+val remove_each : abox_axiom list -> abox_axiom list -> abox_axiom list
+(** [remove_each axs abox] drops the first structurally equal occurrence
+    of each of [axs] from [abox]; absent ones are ignored.  The one
+    retraction both the four-valued KB ([Delta.apply_kb4]) and [K̄]
+    ([Reasoner.apply_delta]) go through, so the two stay in Definition-7
+    correspondence. *)
 
 val size : kb -> int
 (** Total number of axioms. *)

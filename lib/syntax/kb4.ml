@@ -20,8 +20,6 @@ type t = { tbox : tbox_axiom list; abox : Axiom.abox_axiom list }
 let empty = { tbox = []; abox = [] }
 let make ~tbox ~abox = { tbox; abox }
 let union k1 k2 = { tbox = k1.tbox @ k2.tbox; abox = k1.abox @ k2.abox }
-let add_tbox kb ax = { kb with tbox = kb.tbox @ [ ax ] }
-let add_abox kb ax = { kb with abox = kb.abox @ [ ax ] }
 let size kb = List.length kb.tbox + List.length kb.abox
 
 let of_classical ?(inclusion = Internal) (kb : Axiom.kb) =

@@ -30,8 +30,6 @@ type t = { tbox : tbox_axiom list; abox : Axiom.abox_axiom list }
 val empty : t
 val make : tbox:tbox_axiom list -> abox:Axiom.abox_axiom list -> t
 val union : t -> t -> t
-val add_tbox : t -> tbox_axiom -> t
-val add_abox : t -> Axiom.abox_axiom -> t
 val size : t -> int
 
 val of_classical : ?inclusion:inclusion -> Axiom.kb -> t

@@ -20,24 +20,21 @@ let create ?(max_nodes = 20_000) ?(max_branches = max_int) kb =
 let kb t = Tableau.prep_kb t.prep
 let stats t = t.stats
 
-(* Remove the first structurally-equal occurrence of each [axs] element;
-   missing retractions are silently ignored (deltas are idempotent about
-   absent assertions). *)
-let remove_each axs abox =
-  List.fold_left
-    (fun abox ax ->
-      let rec drop = function
-        | [] -> []
-        | hd :: tl -> if hd = ax then tl else hd :: drop tl
-      in
-      drop abox)
-    abox axs
-
 let apply_delta t ~add_abox ~retract_abox ~add_tbox =
-  let abox = remove_each retract_abox (Tableau.prep_kb t.prep).Axiom.abox in
-  let abox = abox @ add_abox in
+  let abox =
+    Axiom.remove_each retract_abox (Tableau.prep_kb t.prep).Axiom.abox
+    @ add_abox
+  in
   t.prep <- Tableau.prep_add_tbox (Tableau.prep_with_abox t.prep abox) add_tbox;
   t.consistent <- None
+
+type state = Tableau.prep * bool option
+
+let state t = (t.prep, t.consistent)
+
+let restore t (prep, consistent) =
+  t.prep <- prep;
+  t.consistent <- consistent
 
 let sat ?prov t extra_abox =
   Tableau.prepared_satisfiable ~max_nodes:t.max_nodes

@@ -26,6 +26,17 @@ val apply_delta :
     ABox changes only rescan the ABox blocking signals — and the cached
     consistency verdict is reset. *)
 
+type state
+(** The prepared state with the cached consistency verdict.  Both are
+    immutable values that {!apply_delta} replaces rather than edits, so
+    keeping one is enough to undo later deltas. *)
+
+val state : t -> state
+
+val restore : t -> state -> unit
+(** Put back a {!state}, undoing every {!apply_delta} since it was
+    taken.  The cumulative {!stats} are kept. *)
+
 val stats : t -> Tableau.stats
 (** Cumulative tableau statistics over all queries run so far. *)
 

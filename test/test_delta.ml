@@ -14,6 +14,8 @@
      them pays zero new tableau calls, proven on the oracle's call
      counter; their provenance demonstrably excludes the delta's
      individuals.
+   - Rollback: an update that trips, as one delta or within a script,
+     leaves K and K̄ as they were.
    - Session config: the unified record and the deprecated optional-arg
      constructors build equivalent stacks. *)
 
@@ -479,7 +481,96 @@ let residency_tests =
         ignore (Para.satisfiable p);
         ignore (Para.instance_truth p "bill" (Concept.Atom "Doctor"));
         checki "nothing recorded" 0
-          (List.length (Oracle.provenances (Session.oracle s)))) ]
+          (List.length (Oracle.provenances (Session.oracle s))));
+    Alcotest.test_case "a consistency flip keeps only the bit, uncosted"
+      `Quick (fun () ->
+        let o =
+          Oracle.of_config Oracle.default_config
+            (Surface.parse_kb4_exn "a : A.\nb : B.\n")
+        in
+        checkb "consistent" true (Oracle.check o Oracle.Consistent);
+        ignore (Oracle.check o (Oracle.Instance ("a", Concept.Atom "A")) : bool);
+        ignore (Oracle.check o (Oracle.Instance ("b", Concept.Atom "B")) : bool);
+        let st = Oracle.apply o (ok_parse "+ c : Bottom.\n") in
+        checkb "the delta flips consistency" true st.Oracle.consistency_flipped;
+        checki "only the consistency bit is retained" 1 st.Oracle.retained;
+        checkb "the bit keeps its provenance" true
+          (Oracle.provenance o Oracle.Consistent <> None);
+        checkb "but not its cost record" true
+          (Oracle.cost o Oracle.Consistent = None));
+    Alcotest.test_case "an import over a resident key moves it to the new group"
+      `Quick (fun () ->
+        let o =
+          Oracle.of_config Oracle.default_config
+            (Surface.parse_kb4_exn "a : A.\nb : B.\n")
+        in
+        let q = Oracle.Instance ("a", Concept.Atom "A") in
+        checkb "a : A" true (Oracle.check o q);
+        checkb "resident with a's provenance" true
+          (match Oracle.provenance o q with
+          | Some e -> e.Oracle.individuals = [ "a" ]
+          | None -> false);
+        let moved = { Oracle.individuals = [ "b" ]; concepts = [ "B" ] } in
+        ignore
+          (Oracle.import_entries o
+             [ { Oracle.x_query = q;
+                 x_verdict = true;
+                 x_prov = Some moved;
+                 x_cost = None } ]
+            : int);
+        checkb "the import's provenance" true
+          (Oracle.provenance o q = Some moved);
+        ignore (Oracle.apply o (ok_parse "+ a : C.\n") : Oracle.apply_stats);
+        checkb "a delta reaching only a keeps the verdict" true
+          (Oracle.provenance o q = Some moved);
+        ignore (Oracle.apply o (ok_parse "+ b : C.\n") : Oracle.apply_stats);
+        checkb "a delta reaching b evicts it" true
+          (Oracle.provenance o q = None)) ]
+
+(* ------------------------------------------------------------------ *)
+(* Rollback: an update that fails changes nothing *)
+
+(* refuting b's assertion takes one run 14 branches, so under a budget of
+   8 the post-delta consistency probe trips *)
+let tripping =
+  "+ b : (X1 | Y1) & (X2 | Y2) & (X3 | Y3) & ((>= 1 r) | Bottom) & (only \
+   r.Bottom).\n"
+
+let rollback_tests =
+  [ Alcotest.test_case "a tripped probe leaves K and the classical KB" `Quick
+      (fun () ->
+        let o =
+          Oracle.of_config
+            { Oracle.default_config with Oracle.max_branches = 8 }
+            (Surface.parse_kb4_exn "a : A.\n")
+        in
+        let kb0 = Oracle.kb o and ckb0 = Oracle.classical_kb o in
+        ignore (Oracle.check o (Oracle.Instance ("a", Concept.Atom "A")) : bool);
+        (match Oracle.apply o (ok_parse tripping) with
+        | _ -> Alcotest.fail "the probe must trip"
+        | exception Tableau.Resource_limit _ -> ());
+        checkb "K is the pre-update one" true (Oracle.kb o = kb0);
+        checkb "so is the classical KB" true (Oracle.classical_kb o = ckb0);
+        checki "no cached verdict is left" 0
+          (Oracle.cache_stats o).Verdict_cache.size;
+        checkb "the next probe answers the old KB" true
+          (Oracle.check o Oracle.Consistent));
+    Alcotest.test_case "a script whose second delta trips is undone whole"
+      `Quick (fun () ->
+        let kb0 = Surface.parse_kb4_exn "a : A.\n" in
+        let s =
+          Session.create
+            ~config:{ Session.default_config with max_branches = 8 }
+            kb0
+        in
+        (match
+           Session.apply_all s [ ok_parse "+ c : C.\n"; ok_parse tripping ]
+         with
+        | _ -> Alcotest.fail "the second delta must trip"
+        | exception Tableau.Resource_limit _ -> ());
+        checkb "the KB is the pre-script one" true (Session.kb s = kb0);
+        checkb "the classical KB too" true
+          (Session.classical_kb s = Transform.kb kb0)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Session config *)
@@ -517,4 +608,5 @@ let () =
       ("retention", retention_tests);
       ("guards", guard_tests);
       ("residency", residency_tests);
+      ("rollback", rollback_tests);
       ("config", config_tests) ]

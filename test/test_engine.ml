@@ -105,32 +105,58 @@ let cache_tests =
         Alcotest.(check (option string)) "2 evicted" None (Int_cache.find c 2));
     Alcotest.test_case "capacity 0 disables storage" `Quick (fun () ->
         let c = Int_cache.create ~capacity:0 in
-        let computed = ref 0 in
-        let f () = incr computed; "v" in
-        Alcotest.(check string) "computed" "v" (Int_cache.find_or_add c 1 f);
-        Alcotest.(check string) "recomputed" "v" (Int_cache.find_or_add c 1 f);
-        Alcotest.(check int) "no memoization" 2 !computed;
-        Alcotest.(check int) "empty" 0 (Int_cache.length c));
-    Alcotest.test_case "find_or_add memoizes" `Quick (fun () ->
-        let c = Int_cache.create ~capacity:4 in
-        let computed = ref 0 in
-        let f () = incr computed; "v" in
-        ignore (Int_cache.find_or_add c 1 f);
-        ignore (Int_cache.find_or_add c 1 f);
-        Alcotest.(check int) "computed once" 1 !computed);
+        Int_cache.add c 1 "v";
+        Alcotest.(check (option string)) "not stored" None (Int_cache.find c 1);
+        Alcotest.(check int) "empty" 0 (Int_cache.length c);
+        Alcotest.(check int) "the lookup missed" 1
+          (Int_cache.stats c).Verdict_cache.misses);
     Alcotest.test_case "on_evict fires on capacity eviction only" `Quick
       (fun () ->
         let c = Int_cache.create ~capacity:2 in
         let evicted = ref [] in
-        Int_cache.on_evict c (fun k -> evicted := k :: !evicted);
+        Int_cache.on_evict c (fun k _ -> evicted := k :: !evicted);
         Int_cache.add c 1 "one";
         Int_cache.add c 2 "two";
         Int_cache.add c 3 "three";
         Alcotest.(check (list int)) "LRU key reported" [ 1 ] !evicted;
         (* explicit invalidation and flushes stay silent *)
-        ignore (Int_cache.remove c 2 : bool);
+        ignore (Int_cache.remove c 2 : string option);
         Int_cache.purge c;
-        Alcotest.(check (list int)) "remove/purge do not fire" [ 1 ] !evicted)
+        Alcotest.(check (list int)) "remove/purge do not fire" [ 1 ] !evicted);
+    Alcotest.test_case "the eviction hook sees the evicted value" `Quick
+      (fun () ->
+        let c = Int_cache.create ~capacity:1 in
+        let seen = ref [] in
+        Int_cache.on_evict c (fun k v -> seen := (k, v) :: !seen);
+        Int_cache.add c 1 "one";
+        Int_cache.add c 2 "two";
+        Alcotest.(check (list (pair int string)))
+          "key and value" [ (1, "one") ] !seen);
+    Alcotest.test_case "remove returns the removed value" `Quick (fun () ->
+        let c = Int_cache.create ~capacity:4 in
+        Int_cache.add c 1 "one";
+        Alcotest.(check (option string))
+          "present" (Some "one") (Int_cache.remove c 1);
+        Alcotest.(check (option string)) "gone" None (Int_cache.remove c 1);
+        Alcotest.(check int) "empty" 0 (Int_cache.length c);
+        Alcotest.(check int) "not an eviction" 0
+          (Int_cache.stats c).Verdict_cache.evictions);
+    Alcotest.test_case "peek moves no counter and no recency" `Quick
+      (fun () ->
+        let c = Int_cache.create ~capacity:2 in
+        Int_cache.add c 1 "one";
+        Int_cache.add c 2 "two";
+        Alcotest.(check (option string))
+          "resident" (Some "one") (Int_cache.peek c 1);
+        Alcotest.(check (option string)) "absent" None (Int_cache.peek c 3);
+        let s = Int_cache.stats c in
+        Alcotest.(check (pair int int)) "no hit, no miss" (0, 0)
+          (s.Verdict_cache.hits, s.Verdict_cache.misses);
+        (* 1 is still the least recent, so it makes room for 3 *)
+        Int_cache.add c 3 "three";
+        Alcotest.(check (option string)) "1 evicted" None (Int_cache.peek c 1);
+        Alcotest.(check (option string))
+          "2 survives" (Some "two") (Int_cache.peek c 2))
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -202,14 +202,15 @@ let protocol_tests =
         checki "with one tableau call" 1 (cost_tableau_calls r));
     Alcotest.test_case "an update that trips leaves no stale verdict" `Quick
       (fun () ->
-        (* the delta's Horn rebuild needs more than three contexts, but
-           K and K̄ are already edited when it trips: the old engine and
-           the cached BOT for b : B must not answer the updated KB *)
+        (* the delta's Horn rebuild needs more than three contexts and
+           trips after K and K̄ were edited: the update is rolled back, so
+           the KB is the pre-update one and b and c are still unknown *)
+        let kb0 = Surface.parse_kb4_exn "A < B.\na : A.\n" in
         let s =
           Session.create
             ~config:
               { Session.default_config with backend = Backend.Auto; max_nodes = 3 }
-            (Surface.parse_kb4_exn "A < B.\na : A.\n")
+            kb0
         in
         let t = Serve.create s in
         let q = {|{"op":"query","individual":"b","concept":"B"}|} in
@@ -218,23 +219,27 @@ let protocol_tests =
         checkb "the update fails" false (ok r);
         checkb "with a resource limit" true
           (String.starts_with ~prefix:"resource limit: " (str "error" r));
-        checks "b : B answers the updated KB" "t" (str "truth" (ask t q));
-        checks "so does c : B" "t"
+        checkb "saying it was not applied" true
+          (String.ends_with ~suffix:"; the update was not applied"
+             (str "error" r));
+        checkb "the KB is the pre-update one" true (Session.kb s = kb0);
+        checks "b : B answers the pre-update KB" "BOT" (str "truth" (ask t q));
+        checks "so does c : B" "BOT"
           (str "truth"
              (ask t {|{"op":"query","individual":"c","concept":"B"}|}));
-        checkb "the audit sees both" true
-          (ok (ask t {|{"op":"audit"}|})));
+        checkb "the audit answers" true (ok (ask t {|{"op":"audit"}|})));
     Alcotest.test_case "an update whose consistency probe trips keeps nothing"
       `Quick (fun () ->
         (* b's new assertion makes K 4-unsatisfiable, but refuting it
-           takes one run 14 branches: the post-delta probe trips, and a
-           verdict of a's component, which the delta does not touch,
-           must not survive to answer as if K were still satisfiable;
-           nor may the taxonomy or the census built before the update *)
+           takes one run 14 branches: the post-delta probe trips, so the
+           update is rolled back whole — the KB is the pre-update one,
+           a's verdict answers it, and the taxonomy and the census answer
+           as before *)
+        let kb0 = Surface.parse_kb4_exn "a : A.\n" in
         let s =
           Session.create
             ~config:{ Session.default_config with max_branches = 8 }
-            (Surface.parse_kb4_exn "a : A.\n")
+            kb0
         in
         let t = Serve.create s in
         let q = {|{"op":"query","individual":"a","concept":"B"}|} in
@@ -246,14 +251,13 @@ let protocol_tests =
           ask t
             {|{"op":"update","script":"+ b : (X1 | Y1) & (X2 | Y2) & (X3 | Y3) & ((>= 1 r) | Bottom) & (only r.Bottom)."}|}
         in
-        checks "the update trips" "resource limit: branch limit 8 exceeded"
+        checks "the update trips"
+          "resource limit: branch limit 8 exceeded; the update was not applied"
           (str "error" r);
-        let r = ask t q in
-        checkb "a : B is not served from the cache" false
-          (ok r && str "truth" r = "BOT");
-        checkb "nor the taxonomy from the old index" false
-          (ok (ask t classify));
-        checkb "nor the census from the old KB" false (ok (ask t audit)));
+        checkb "the KB is the pre-update one" true (Session.kb s = kb0);
+        checks "a : B answers the pre-update KB" "BOT" (str "truth" (ask t q));
+        checkb "the taxonomy answers" true (ok (ask t classify));
+        checkb "the census answers" true (ok (ask t audit)));
     Alcotest.test_case "stats reports request and call counters" `Quick
       (fun () ->
         let t = warm_server () in
