@@ -419,6 +419,16 @@ let report_engine_cache () =
      spans allocate + lock, measured as wall-clock delta on a
      classification workload (a seeded 14-concept, 10-individual KB).
 
+   The wall-clock regimes (disabled, flight armed, enabled) run
+   interleaved, one classify each per round with their order rotating
+   round by round, each from a compacted heap: back-to-back blocks let
+   host drift between the blocks pass for overhead.  An overhead is the
+   median over rounds of the regime's time over the disabled time of
+   the same round.  Each regime's minimum is reported too, but not
+   gated: on a shared 2-vCPU VM a lone fast run sets it, and the
+   minima's ratio read 1-20% over 30 rounds of unchanged code where the
+   paired median read 2-4%.
+
    Answers must be byte-identical either way; the taxonomy is asserted
    equal across regimes before any number is reported. *)
 
@@ -440,48 +450,54 @@ let report_obs_overhead () =
     let x = f () in
     (x, Unix.gettimeofday () -. t0)
   in
-  let median xs =
-    let a = List.sort compare xs in
-    List.nth a (List.length a / 2)
-  in
-  let runs = 5 in
+  let rounds = 15 in
   let classify_once () = Session.classify (Session.create kb) in
-  let time_runs () =
-    List.init runs (fun _ ->
-        let tax, dt = wall classify_once in
-        (tax, dt))
-  in
   let was_enabled = Obs.enabled () in
   Obs.set_enabled false;
   (* warm-up before any timed regime: the first classify of the process
      pays allocator/code warm-up that would otherwise inflate whichever
      regime happens to run first *)
   ignore (classify_once ());
-  let disabled = time_runs () in
-  (* flight recorder armed (rings only, no dump path), every Obs sink
-     still off and the slow-query log disarmed — the always-on
-     diagnostic regime the <5% budget covers *)
   Flight.reset ();
-  Flight.arm ();
-  let flight = time_runs () in
-  Flight.disarm ();
+  Obs.reset ();
+  (* each regime arms its sinks for one run: the flight recorder with
+     rings only (no dump path), every Obs sink off and the slow-query
+     log disarmed — the always-on diagnostic regime the <5% budget
+     covers — and the enabled registry with the recorder off *)
+  let regimes =
+    [| ignore; (fun () -> Flight.arm ()); (fun () -> Obs.set_enabled true) |]
+  in
+  let times = Array.make_matrix rounds 3 0. in
+  let taxonomies = ref [] in
+  let counter_ops = ref 0 and span_records = ref 0 in
+  for round = 0 to rounds - 1 do
+    for k = 0 to 2 do
+      let r = (round + k) mod 3 in
+      (* every run starts from a compacted heap, and the enabled run's
+         records are tallied and dropped so the heap does not grow *)
+      Gc.compact ();
+      regimes.(r) ();
+      let tax, dt = wall classify_once in
+      Flight.disarm ();
+      if Obs.enabled () then begin
+        counter_ops :=
+          List.fold_left (fun n (_, c) -> n + c) !counter_ops (Obs.counters ());
+        span_records := !span_records + Obs.span_count ();
+        Obs.reset ();
+        Obs.set_enabled false
+      end;
+      times.(round).(r) <- dt;
+      taxonomies := tax :: !taxonomies
+    done
+  done;
   let flight_events = Flight.events_recorded () in
   Flight.reset ();
-  Obs.set_enabled true;
-  Obs.reset ();
-  let enabled = time_runs () in
-  let counter_ops =
-    List.fold_left (fun n (_, c) -> n + c) 0 (Obs.counters ())
-  in
-  let span_records = Obs.span_count () in
-  Obs.reset ();
   Obs.set_enabled was_enabled;
-  let tax_disabled = fst (List.hd disabled) in
-  List.iter
-    (fun (tax, _) ->
-      if tax <> tax_disabled then
-        failwith "S7: taxonomy differs between Obs on and Obs off")
-    (enabled @ flight);
+  (match !taxonomies with
+  | tax :: rest ->
+      if List.exists (fun t -> t <> tax) rest then
+        failwith "S7: taxonomy differs between Obs on and Obs off"
+  | [] -> ());
   (* the disabled hot path is one load + branch per hook site; measure it
      directly so the "overhead when off" claim is not lost in run-to-run
      wall-clock noise of the full workload *)
@@ -504,20 +520,29 @@ let report_obs_overhead () =
         done)
   in
   let flight_guard_ns = fguard_total /. float_of_int guard_iters *. 1e9 in
-  let t_off = median (List.map snd disabled) in
-  let t_flight = median (List.map snd flight) in
-  let t_on = median (List.map snd enabled) in
-  let ops_per_run = counter_ops / runs in
-  let spans_per_run = span_records / runs in
+  let best r = Array.fold_left (fun m t -> Float.min m t.(r)) Float.infinity times in
+  let t_off = best 0 and t_flight = best 1 and t_on = best 2 in
+  let overhead_pct r =
+    let ratios =
+      List.sort compare
+        (Array.to_list (Array.map (fun t -> t.(r) /. t.(0)) times))
+    in
+    (List.nth ratios (rounds / 2) -. 1.) *. 100.
+  in
+  let ops_per_run = !counter_ops / rounds in
+  let spans_per_run = !span_records / rounds in
   (* per enabled run, [ops_per_run] counter bumps happened; the disabled
      run crosses the same hook sites but pays only the guard *)
   let disabled_overhead_pct =
     guard_ns *. float_of_int ops_per_run /. 1e9 /. t_off *. 100.
   in
-  let enabled_overhead_pct = (t_on -. t_off) /. t_off *. 100. in
-  let flight_overhead_pct = (t_flight -. t_off) /. t_off *. 100. in
-  let flight_events_per_run = flight_events / runs in
-  Printf.printf "  classify (seed-29 KB), median of %d runs:\n" runs;
+  let enabled_overhead_pct = overhead_pct 2 in
+  let flight_overhead_pct = overhead_pct 1 in
+  let flight_events_per_run = flight_events / rounds in
+  Printf.printf
+    "  classify (seed-29 KB), %d interleaved rounds: minimum, and the \
+     median paired overhead\n"
+    rounds;
   Printf.printf "    disabled      %8.4fs\n" t_off;
   Printf.printf "    flight armed  %8.4fs   (+%.1f%%, %d events/run)\n"
     t_flight flight_overhead_pct flight_events_per_run;
@@ -538,10 +563,10 @@ let report_obs_overhead () =
   Printf.printf "  answers identical on/off:     true\n";
   write_bench "BENCH_obs.json" ~experiment:"S7_obs_overhead"
     ~metrics:
-      [ ("runs", string_of_int runs);
-        ("median_seconds_disabled", Printf.sprintf "%.6f" t_off);
-        ("median_seconds_flight_armed", Printf.sprintf "%.6f" t_flight);
-        ("median_seconds_enabled", Printf.sprintf "%.6f" t_on);
+      [ ("rounds", string_of_int rounds);
+        ("min_seconds_disabled", Printf.sprintf "%.6f" t_off);
+        ("min_seconds_flight_armed", Printf.sprintf "%.6f" t_flight);
+        ("min_seconds_enabled", Printf.sprintf "%.6f" t_on);
         ("enabled_overhead_pct", Printf.sprintf "%.3f" enabled_overhead_pct);
         ("flight_overhead_pct", Printf.sprintf "%.3f" flight_overhead_pct);
         ("flight_overhead_budget_pct", "5.0");
@@ -555,7 +580,9 @@ let report_obs_overhead () =
         ("answers_identical", "1") ]
     ~detail:
       "{\"kb\": {\"seed\": 29, \"concepts\": 14, \"individuals\": 10, \
-       \"tbox\": 20, \"abox\": 24}, \"workload\": \"classify\"}"
+       \"tbox\": 20, \"abox\": 24}, \"workload\": \"classify\",\n\
+      \  \"overhead\": \"median over interleaved rounds of the regime's \
+       time over the same round's disabled time\"}"
 
 (* ------------------------------------------------------------------ *)
 (* S8: incremental deltas vs from-scratch rebuild.  One evolving KB, a

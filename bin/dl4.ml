@@ -85,12 +85,6 @@ let cache_size_arg =
     & info [ "cache-size" ] ~docv:"N"
         ~doc:"Capacity of the LRU verdict cache (number of tableau verdicts).")
 
-let no_cache_flag =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Disable the verdict cache: every query pays its tableau calls.")
-
 let backend_arg =
   let backend_conv =
     Arg.conv
@@ -174,27 +168,50 @@ let obs_term =
     const pack $ stats_flag $ metrics_json_arg $ trace_arg $ slow_log_arg
     $ slow_ms_arg $ flight_arg)
 
+(* The failure rule for files named by a flag (see sink.mli): the
+   message names the path the user gave. *)
+let cannot_write ~cmd msg = Format.eprintf "dl4 %s: cannot write %s@." cmd msg
+
 (* Run a subcommand under a root span with the observability sinks the
    user asked for.  Arming happens before any KB is loaded, so the root
    span covers parsing, reduction and reasoning — (almost) the whole
-   wall time of the invocation.  Sinks flush on every path, including a
-   tableau resource-limit trip (exit 3): a truncated run is exactly the
-   one whose footer, metrics and flight dump are worth reading. *)
+   wall time of the invocation; a slow log that cannot be opened stops
+   the command there, before any work.  Artifacts are written after the
+   command's own output, on every path, including a tableau
+   resource-limit trip (exit 3): a truncated run is exactly the one
+   whose footer, metrics and flight dump are worth reading.  One that
+   cannot be written makes the exit code 2; a trip keeps its 3. *)
 let with_obs ~cmd (stats, metrics, trace, slow_log, slow_ms, flight) run =
+  (try Option.iter (Obs.arm_slow_log ~threshold_ms:slow_ms) slow_log
+   with Sys_error msg ->
+     cannot_write ~cmd msg;
+     exit 2);
   if stats || metrics <> None || trace <> None then Obs.set_enabled true;
-  Option.iter (fun p -> Obs.arm_slow_log ~threshold_ms:slow_ms p) slow_log;
   Option.iter (fun p -> Flight.arm ~path:p ()) flight;
   (* one trace ID per CLI invocation: every cost record, span, slow-log
      line and flight event of this run carries it.  The serve loop
      re-mints per request on top of this. *)
   let trace_id = Obs.new_trace_id () in
   Obs.set_trace_id trace_id;
-  let finish code =
+  let written write = function
+    | None -> true
+    | Some path -> (
+        match write path with
+        | () -> true
+        | exception Sys_error msg ->
+            cannot_write ~cmd msg;
+            false)
+  in
+  let finish ?(tripped = false) code =
     if stats then Obs.print_footer ();
-    Option.iter Obs.write_metrics_json metrics;
-    Option.iter Obs.write_trace trace;
-    Option.iter Flight.write flight;
-    code
+    let metrics_ok = written Obs.write_metrics_json metrics in
+    let trace_ok = written Obs.write_trace trace in
+    let flight_ok = written Flight.write flight in
+    (match flight with
+    | Some p when tripped && flight_ok ->
+        Format.eprintf "flight recording dumped to %s@." p
+    | _ -> ());
+    if metrics_ok && trace_ok && flight_ok then code else max code 2
   in
   let sp = Obs.enter ~cat:"cli" ("cli." ^ cmd) in
   Obs.set_attr sp "trace_id" trace_id;
@@ -212,13 +229,11 @@ let with_obs ~cmd (stats, metrics, trace, slow_log, slow_ms, flight) run =
   | exception Tableau.Resource_limit msg ->
       Obs.exit_span sp;
       Format.eprintf "dl4 %s: tableau resource limit: %s@." cmd msg;
-      (match Flight.armed_path () with
-      | Some p -> Format.eprintf "flight recording dumped to %s@." p
-      | None ->
-          Format.eprintf
-            "hint: re-run with --flight FILE to capture the events \
-             leading up to the trip@.");
-      finish 3
+      if flight = None then
+        Format.eprintf
+          "hint: re-run with --flight FILE to capture the events leading \
+           up to the trip@.";
+      finish ~tripped:true 3
   | exception e ->
       Obs.exit_span sp;
       raise e
@@ -244,11 +259,8 @@ let from_snapshot_arg =
            repeated queries pay zero tableau calls.  --cache-size, \
            --max-nodes and --max-branches are taken from the snapshot.")
 
-let make_config ~max_nodes ~max_branches ~cache_size ~no_cache ~backend =
-  { Session.max_nodes;
-    max_branches;
-    cache_capacity = (if no_cache then 0 else cache_size);
-    backend }
+let make_config ~max_nodes ~max_branches ~cache_size ~backend =
+  { Session.max_nodes; max_branches; cache_capacity = cache_size; backend }
 
 let session_of ~config ~from_snapshot kb =
   match from_snapshot with
@@ -295,8 +307,7 @@ let check_cmd =
           let kb = load_kb4 file in
           let config =
             make_config ~max_nodes ~max_branches
-              ~cache_size:Oracle.default_cache_capacity ~no_cache:false
-              ~backend
+              ~cache_size:Oracle.default_cache_capacity ~backend
           in
           let t = session_of ~config ~from_snapshot kb in
           if not (Para.satisfiable t) then begin
@@ -413,7 +424,7 @@ let query_cmd =
         let kb = load_kb4 file in
         let config =
           make_config ~max_nodes ~max_branches
-            ~cache_size:Oracle.default_cache_capacity ~no_cache:false ~backend
+            ~cache_size:Oracle.default_cache_capacity ~backend
         in
         let t = session_of ~config ~from_snapshot kb in
         match cq with
@@ -503,8 +514,8 @@ let audit_cmd =
             "Write the report to $(docv) atomically (tmp + rename) instead \
              of stdout, so a concurrent reader never sees a torn file.")
   in
-  let run file top exactly out max_nodes max_branches cache_size no_cache
-      backend from_snapshot obs =
+  let run file top exactly out max_nodes max_branches cache_size backend
+      from_snapshot obs =
     with_obs ~cmd:"audit" obs (fun () ->
         if top < 0 then begin
           Format.eprintf "--top must be non-negative@.";
@@ -522,23 +533,22 @@ let audit_cmd =
         in
         let kb = load_kb4 file in
         let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
-            ~backend
+          make_config ~max_nodes ~max_branches ~cache_size ~backend
         in
         let t = session_of ~config ~from_snapshot kb in
         let report =
           Audit.report_json ~top ?exactly t (Audit.census t)
         in
-        (match out with
-        | None -> print_endline report
-        | Some path ->
-            let tmp = path ^ ".tmp" in
-            let oc = open_out tmp in
-            output_string oc report;
-            output_char oc '\n';
-            close_out oc;
-            Sys.rename tmp path);
-        0)
+        match out with
+        | None ->
+            print_endline report;
+            0
+        | Some path -> (
+            match Sink.replace path (report ^ "\n") with
+            | () -> 0
+            | exception Sys_error msg ->
+                cannot_write ~cmd:"audit" msg;
+                2))
   in
   Cmd.v
     (Cmd.info "audit"
@@ -551,17 +561,16 @@ let audit_cmd =
           individuals and concepts with provenance.")
     Term.(
       const run $ file_arg $ top $ exactly $ out $ max_nodes_arg
-      $ max_branches_arg $ cache_size_arg $ no_cache_flag
+      $ max_branches_arg $ cache_size_arg
       $ backend_arg $ from_snapshot_arg $ obs_term)
 
 let classify_cmd =
-  let run file max_nodes max_branches cache_size no_cache backend
+  let run file max_nodes max_branches cache_size backend
       from_snapshot obs =
     with_obs ~cmd:"classify" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
-            ~backend
+          make_config ~max_nodes ~max_branches ~cache_size ~backend
         in
         let s = session_of ~config ~from_snapshot kb in
         List.iter
@@ -584,7 +593,7 @@ let classify_cmd =
           one.")
     Term.(
       const run $ file_arg $ max_nodes_arg $ max_branches_arg $ cache_size_arg
-      $ no_cache_flag $ backend_arg $ from_snapshot_arg $ obs_term)
+      $ backend_arg $ from_snapshot_arg $ obs_term)
 
 let realize_cmd =
   let all =
@@ -595,13 +604,12 @@ let realize_cmd =
             "Also print the full Belnap truth value grid (default: only the \
              most-specific types and the contradictions).")
   in
-  let run file all max_nodes max_branches cache_size no_cache backend
+  let run file all max_nodes max_branches cache_size backend
       from_snapshot obs =
     with_obs ~cmd:"realize" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
-            ~backend
+          make_config ~max_nodes ~max_branches ~cache_size ~backend
         in
         let s = session_of ~config ~from_snapshot kb in
         List.iter
@@ -635,7 +643,7 @@ let realize_cmd =
           pruned through the classified hierarchy.")
     Term.(
       const run $ file_arg $ all $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ backend_arg
+      $ cache_size_arg $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let update_cmd =
@@ -661,7 +669,7 @@ let update_cmd =
         Format.eprintf "%s: %s@." path e;
         None
   in
-  let run file deltas max_nodes max_branches cache_size no_cache backend
+  let run file deltas max_nodes max_branches cache_size backend
       from_snapshot obs =
     with_obs ~cmd:"update" obs (fun () ->
         let kb = load_kb4 file in
@@ -674,8 +682,7 @@ let update_cmd =
           if List.exists Option.is_none scripts then 2
           else begin
             let config =
-              make_config ~max_nodes ~max_branches ~cache_size ~no_cache
-                ~backend
+              make_config ~max_nodes ~max_branches ~cache_size ~backend
             in
             let s = session_of ~config ~from_snapshot kb in
             (* warm the stack before replaying so the per-delta stats show
@@ -709,7 +716,7 @@ let update_cmd =
           selectively evicted (see the per-delta stats lines).")
     Term.(
       const run $ file_arg $ delta_args $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ backend_arg
+      $ cache_size_arg $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let transform_cmd =
@@ -775,7 +782,7 @@ let retrieve_cmd =
         let c = load_concept csrc in
         let config =
           make_config ~max_nodes ~max_branches
-            ~cache_size:Oracle.default_cache_capacity ~no_cache:false ~backend
+            ~cache_size:Oracle.default_cache_capacity ~backend
         in
         let t = session_of ~config ~from_snapshot kb in
         List.iter
@@ -949,7 +956,7 @@ let explain_plan_cmd =
         let q = load_cq cqsrc in
         let config =
           make_config ~max_nodes ~max_branches
-            ~cache_size:Oracle.default_cache_capacity ~no_cache:false ~backend
+            ~cache_size:Oracle.default_cache_capacity ~backend
         in
         let t = session_of ~config ~from_snapshot kb in
         let plan = Cq.compile ?threshold ?force:join ~order t q in
@@ -1392,13 +1399,12 @@ let snapshot_cmd =
              atomic truth grid and the classification index — so restored \
              sessions answer atomic queries with zero tableau calls.")
   in
-  let run file out cold max_nodes max_branches cache_size no_cache backend
+  let run file out cold max_nodes max_branches cache_size backend
       from_snapshot obs =
     with_obs ~cmd:"snapshot" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
-            ~backend
+          make_config ~max_nodes ~max_branches ~cache_size ~backend
         in
         let s = session_of ~config ~from_snapshot kb in
         if not cold then warm_session s;
@@ -1420,7 +1426,7 @@ let snapshot_cmd =
           and autosave it.")
     Term.(
       const run $ file_arg $ out $ cold $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ backend_arg
+      $ cache_size_arg $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let serve_cmd =
@@ -1498,16 +1504,6 @@ let serve_cmd =
           ~doc:"Rotate the access log when it would exceed $(docv) bytes \
                 (default 16 MiB, clamped to >= 1024).")
   in
-  let no_telemetry =
-    Arg.(
-      value & flag
-      & info [ "no-telemetry" ]
-          ~doc:
-            "Disarm the per-request telemetry plane: no trace IDs, no \
-             per-op registry, no 'metrics' op, no access log.  Exists as \
-             the baseline bench S11 measures overhead against; leave it \
-             off in production.")
-  in
   let drift_log =
     Arg.(
       value
@@ -1521,13 +1517,12 @@ let serve_cmd =
              censuses each.")
   in
   let run file socket snapshot_to idle_save cold metrics_out metrics_interval
-      access_log access_log_rotate no_telemetry drift_log max_nodes
-      max_branches cache_size no_cache backend from_snapshot obs =
+      access_log access_log_rotate drift_log max_nodes
+      max_branches cache_size backend from_snapshot obs =
     with_obs ~cmd:"serve" obs (fun () ->
         let kb = load_kb4 file in
         let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~no_cache
-            ~backend
+          make_config ~max_nodes ~max_branches ~cache_size ~backend
         in
         let s = session_of ~config ~from_snapshot kb in
         (* a warm-up run over a budget leaves the session sound (a
@@ -1544,16 +1539,26 @@ let serve_cmd =
         let snapshot_path =
           match snapshot_to with Some _ -> snapshot_to | None -> from_snapshot
         in
-        let t =
-          Serve.create ?snapshot_path ~telemetry:(not no_telemetry)
-            ?access_log ~access_log_max_bytes:access_log_rotate ?drift_log s
-        in
-        Format.printf "dl4 serve: listening on %s (NDJSON; ops: %s)@." socket
-          (String.concat " " Serve.op_names);
-        Serve.run ~idle_save ?metrics_out ~metrics_interval
-          ~socket_path:socket t;
-        Format.printf "dl4 serve: shut down@.";
-        0)
+        (* the logs open in [Serve.create] and the scrape file is first
+           written before [Serve.run] binds: either failing ends here,
+           with no socket; after the bind nothing written raises *)
+        match
+          let t =
+            Serve.create ?snapshot_path ?access_log
+              ~access_log_max_bytes:access_log_rotate ?drift_log s
+          in
+          Format.printf "dl4 serve: listening on %s (NDJSON; ops: %s)@."
+            socket
+            (String.concat " " Serve.op_names);
+          Serve.run ~idle_save ?metrics_out ~metrics_interval
+            ~socket_path:socket t
+        with
+        | () ->
+            Format.printf "dl4 serve: shut down@.";
+            0
+        | exception Sys_error msg ->
+            cannot_write ~cmd:"serve" msg;
+            2)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1568,8 +1573,8 @@ let serve_cmd =
     Term.(
       const run $ file_arg $ socket $ snapshot_to $ idle_save $ cold
       $ metrics_out $ metrics_interval $ access_log $ access_log_rotate
-      $ no_telemetry $ drift_log $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ no_cache_flag $ backend_arg
+      $ drift_log $ max_nodes_arg $ max_branches_arg
+      $ cache_size_arg $ backend_arg
       $ from_snapshot_arg $ obs_term)
 
 let client_cmd =

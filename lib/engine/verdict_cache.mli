@@ -25,7 +25,7 @@ module Make (K : Hashtbl.HashedType) : sig
 
   val create : capacity:int -> 'v t
   (** [capacity <= 0] creates a disabled cache: every lookup misses, nothing
-      is stored — the switch behind the CLI's [--no-cache]. *)
+      is stored — what the CLI's [--cache-size 0] selects. *)
 
   val on_evict : 'v t -> (K.t -> 'v -> unit) -> unit
   (** Install a hook called with the key and value of every entry dropped

@@ -60,7 +60,6 @@ let arm ?path () =
   on := true
 
 let disarm () = on := false
-let armed_path () = !dump_path
 
 let events_recorded () =
   match !ring with Some r -> r.r_total | None -> 0
@@ -99,22 +98,12 @@ let dump () =
                      ("dropped", int (total - kept));
                      ("events", Arr (List.init kept event)) ] ] ) ]))
 
-let write_mutex = Mutex.create ()
-
-let write path =
-  Mutex.lock write_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock write_mutex)
-    (fun () ->
-      match open_out path with
-      | oc ->
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () ->
-              output_string oc (dump ());
-              output_char oc '\n')
-      | exception Sys_error _ -> ())
+let write path = Sink.replace path (dump () ^ "\n")
 
 let trip reason =
   record "trip" (-1) (-1) reason;
-  match !dump_path with Some p -> write p | None -> ()
+  (* the trip's own exception is the news: a dump that cannot be
+     written is left to the caller's final write to report *)
+  match !dump_path with
+  | Some p -> ( try write p with Sys_error _ -> ())
+  | None -> ()

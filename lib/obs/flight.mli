@@ -33,8 +33,6 @@ val arm : ?path:string -> unit -> unit
 val disarm : unit -> unit
 (** Stop recording; retained events survive until {!reset}. *)
 
-val armed_path : unit -> string option
-
 val record : string -> int -> int -> string -> unit
 (** [record kind node other note] appends an event to the ring.  [node]/[other] are tableau node ids ([-1] when not
     applicable).  Callers must check [!on] first — the function itself
@@ -44,7 +42,8 @@ val trip : string -> unit
 (** Record a ["trip"] event carrying [reason] as its note and, when a
     dump path is armed, write the dump immediately — called from the
     tableau's resource-limit raise sites so the dump exists even if the
-    exception escapes the process. *)
+    exception escapes the process.  A dump that cannot be written is
+    skipped here, so the trip still raises its own exception. *)
 
 val dump : unit -> string
 (** The JSON snapshot: [{"schema", "capacity", "overflow_dropped",
@@ -57,8 +56,8 @@ val dump : unit -> string
     caused them. *)
 
 val write : string -> unit
-(** {!dump} and a newline, written to [path]; a path that cannot be
-    opened is skipped. *)
+(** {!dump} and a newline, written to [path] by {!Sink.replace}
+    (atomic; raises [Sys_error]). *)
 
 val events_recorded : unit -> int
 (** Total events recorded since the last {!reset}, including

@@ -8,7 +8,9 @@ type t =
 
 exception Fail of string
 
-let parse (s : string) : (t, string) result =
+(* [read ?top s] parses [s]; when [s] is an object, [top] sees each
+   member's key and the byte span of its value's source text. *)
+let read ?top (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Fail (msg ^ " at byte " ^ string_of_int !pos)) in
@@ -97,7 +99,7 @@ let parse (s : string) : (t, string) result =
     | Some f -> f
     | None -> fail "malformed number"
   in
-  let rec parse_value () =
+  let rec parse_value ?top () =
     skip_ws ();
     match peek () with
     | Some '{' ->
@@ -110,7 +112,10 @@ let parse (s : string) : (t, string) result =
             let k = parse_string () in
             skip_ws ();
             expect ':';
+            skip_ws ();
+            let start = !pos in
             let v = parse_value () in
+            (match top with Some f -> f k start !pos | None -> ());
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -150,13 +155,24 @@ let parse (s : string) : (t, string) result =
     | None -> fail "unexpected end of input"
   in
   match
-    let v = parse_value () in
+    let v = parse_value ?top () in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v
   with
   | v -> Ok v
   | exception Fail msg -> Error msg
+
+let parse s = read s
+
+let member_text k s =
+  let span = ref None in
+  let top k' start stop =
+    if !span = None && String.equal k k' then span := Some (start, stop)
+  in
+  match (read ~top s, !span) with
+  | Ok _, Some (start, stop) -> Some (String.sub s start (stop - start))
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The printer: compact (no whitespace), members in list order *)

@@ -31,6 +31,12 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** Object field lookup; [None] on missing fields and non-objects. *)
 
+val member_text : string -> string -> string option
+(** [member_text k s]: the source text of member [k]'s value, as
+    {!member} would find it in the object the document [s] holds —
+    byte for byte, so a number comes back as it was written.  [None]
+    when [s] does not parse, is not an object or lacks [k]. *)
+
 val to_num : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option

@@ -16,7 +16,7 @@
    closure allocation, no atomic traffic, no record appends — which is
    what bench S7 (BENCH_obs.json) measures.
 
-   Dependencies: stdlib + unix and Json_lite only. *)
+   Dependencies: stdlib + unix, Json_lite and Sink only. *)
 
 let on = ref false
 let enabled () = !on
@@ -393,13 +393,7 @@ let metrics_json () =
                            (histogram_bucket_counts h)) ) ])
             (metrics ()))))
 
-let write_metrics_json path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (metrics_json ());
-      output_char oc '\n')
+let write_metrics_json path = Sink.replace path (metrics_json () ^ "\n")
 
 (* Chrome trace_event JSON: one complete ("ph":"X") event per span
    record; ts/dur in microseconds; every span runs on tid 0.  Span ids
@@ -436,11 +430,7 @@ let trace_json () =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write_trace path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (trace_json ()))
+let write_trace path = Sink.replace path (trace_json ())
 
 (* Human footer for the uniform `--stats` output: non-zero counters,
    histogram summaries, span count. *)
@@ -467,57 +457,33 @@ let pp_footer ppf () =
 let print_footer () = Format.printf "@[<v>%a@]@." pp_footer ()
 
 (* ------------------------------------------------------------------ *)
-(* Slow-query log: an append-only JSONL sink, independent of [on] (cost
-   accounting upstream is unconditional, so slow verdicts are caught
-   even when no metrics sink is armed).  The channel opens lazily on
-   the first slow record and is flushed per line, so a post-mortem
-   after a crash still has every completed record. *)
+(* Slow-query log: an append-only JSONL [Sink.log], independent of [on]
+   (cost accounting upstream is unconditional, so slow verdicts are
+   caught even when no metrics sink is armed).  Flushed per line, so a
+   post-mortem after a crash still has every completed record. *)
 
-let slow_mutex = Mutex.create ()
-let slow_state : (string * float) option ref = ref None (* path, threshold ms *)
-let slow_chan : out_channel option ref = ref None
-
-let arm_slow_log ?(threshold_ms = 100.0) path =
-  with_lock slow_mutex (fun () -> slow_state := Some (path, threshold_ms))
+let slow : (Sink.log * float) option ref = ref None (* log, threshold ms *)
 
 let disarm_slow_log () =
-  with_lock slow_mutex (fun () ->
-      slow_state := None;
-      match !slow_chan with
-      | Some oc ->
-          slow_chan := None;
-          close_out_noerr oc
-      | None -> ())
+  Option.iter (fun (log, _) -> Sink.close log) !slow;
+  slow := None
 
-let slow_log_armed () = !slow_state <> None
+let arm_slow_log ?(threshold_ms = 100.0) path =
+  let log = Sink.log path in
+  disarm_slow_log ();
+  slow := Some (log, threshold_ms)
 
-let slow_log_path () =
-  match !slow_state with Some (p, _) -> Some p | None -> None
+let slow_log_armed () = !slow <> None
 
 let slow_threshold_ms () =
-  match !slow_state with Some (_, t) -> t | None -> Float.infinity
+  match !slow with Some (_, t) -> t | None -> Float.infinity
 
 let slow_log_write line =
-  with_lock slow_mutex (fun () ->
-      match !slow_state with
-      | None -> ()
-      | Some (path, _) -> (
-          let oc =
-            match !slow_chan with
-            | Some oc -> Some oc
-            | None -> (
-                match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-                | oc ->
-                    slow_chan := Some oc;
-                    Some oc
-                | exception Sys_error _ -> None)
-          in
-          match oc with
-          | None -> ()
-          | Some oc ->
-              output_string oc line;
-              output_char oc '\n';
-              flush oc))
+  match !slow with
+  | None -> ()
+  | Some (log, _) ->
+      Sink.line log line;
+      Sink.flush log
 
 (* ------------------------------------------------------------------ *)
 (* DL4_TRACE: arm tracing from the environment so any binary (the CLI,

@@ -158,13 +158,15 @@ val metrics_json : unit -> string
     [name.buckets] ([[index, count]] pairs of its non-empty buckets). *)
 
 val write_metrics_json : string -> unit
-(** {!metrics_json} and a newline, written to [path]. *)
+(** {!metrics_json} and a newline, written to [path] by {!Sink.replace}
+    (atomic; raises [Sys_error]). *)
 
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON (complete "X" events, ts/dur in
     microseconds, tid 0, span id/parent in [args]). *)
 
 val write_trace : string -> unit
+(** {!trace_json}, written to [path] by {!Sink.replace}. *)
 
 val trace_env_path : string option
 (** Path from [DL4_TRACE] ("1" selects ["dl4.trace.json"]); when set,
@@ -172,21 +174,23 @@ val trace_env_path : string option
 
 (** {1 Slow-query log}
 
-    An append-only JSONL sink.  Deliberately independent of {!on}: the
-    oracle's cost accounting is unconditional, so slow verdicts are
-    caught even when no metrics sink is armed.  Writers print their
-    record (one JSON object per line, built as a {!Json_lite.t}) and
-    hand it to {!slow_log_write}, which appends and flushes under a
-    mutex — or drops it when the log is disarmed.  The CLI arms it with
-    [--slow-log FILE --slow-ms N]. *)
+    An append-only JSONL {!Sink.log}.  Deliberately independent of
+    {!on}: the oracle's cost accounting is unconditional, so slow
+    verdicts are caught even when no metrics sink is armed.  Writers
+    print their record (one JSON object per line, built as a
+    {!Json_lite.t}) and hand it to {!slow_log_write}, which appends and
+    flushes it — or drops it when the log is disarmed.  The CLI arms it
+    with [--slow-log FILE --slow-ms N]. *)
 
 val arm_slow_log : ?threshold_ms:float -> string -> unit
-(** Arm the log at [path] (appending).  [threshold_ms] defaults to
-    100 ms. *)
+(** Open the log at [path] (appending) and arm it, replacing any armed
+    log; raises [Sys_error] if the file cannot be opened, per
+    {!Sink.log}.  [threshold_ms] defaults to 100 ms. *)
 
 val disarm_slow_log : unit -> unit
+(** Close the armed log, if any. *)
+
 val slow_log_armed : unit -> bool
-val slow_log_path : unit -> string option
 
 val slow_threshold_ms : unit -> float
 (** The armed threshold; [infinity] when disarmed, so callers can gate

@@ -343,15 +343,4 @@ let prometheus t =
     views;
   Buffer.contents b
 
-let write_prometheus t path =
-  (* atomic: scrape either the old exposition or the new, never a torn
-     half-write *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (match
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (prometheus t))
-   with
-  | () -> Sys.rename tmp path
-  | exception Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ()))
+let write_prometheus t path = Sink.replace path (prometheus t)

@@ -103,8 +103,8 @@ val prometheus : t -> string
     Label values are escaped per the format. *)
 
 val write_prometheus : t -> string -> unit
-(** Render {!prometheus} to [path] atomically (write to [path ^ ".tmp"],
-    then rename), so a concurrent scrape never reads a torn file. *)
+(** Render {!prometheus} to [path] by {!Sink.replace}: a concurrent
+    scrape never reads a torn file, and a failure raises [Sys_error]. *)
 
 val label_escape : string -> string
 (** Exposition-format label escaping: backslash, double quote and

@@ -11,19 +11,17 @@
    full protocol without forking or touching the filesystem, and the
    socket loop stays a dumb byte shuttle. *)
 
-(* Rotating JSONL access log: one line per request.  The request path
-   only records a compact [pending] tuple (~100ns); JSON rendering and
-   the write syscalls are deferred to [access_drain], which runs on the
-   idle tick, the metrics tick, [sync] and shutdown — so per-request
-   overhead stays an allocation, not formatting + I/O (bench S11 gates
-   this).  When the file would exceed [a_max_bytes] it rotates once to
-   [path ^ ".1"] (replacing any previous rotation), always on a line
-   boundary. *)
+(* Rotating JSONL access log ([Sink.log] with [max_bytes]): one line
+   per request.  The request path only records a compact [pending]
+   tuple (~100ns); JSON rendering and the writes are deferred to
+   [access_drain], which runs on the idle tick, the metrics tick, [sync]
+   and shutdown — so per-request overhead stays an allocation, not
+   formatting + I/O (bench S11 gates this). *)
 type pending = {
   p_ts : float;
   p_trace : string;
   p_op : string;
-  p_id : Json_lite.t;
+  p_id : id;
   p_ok : bool;
   p_wall_ns : float;
   p_routes : (string * int) list;
@@ -31,23 +29,15 @@ type pending = {
   p_tableau : int;
 }
 
-type access = {
-  a_path : string;
-  a_max_bytes : int;
-  mutable a_chan : out_channel option;
-  mutable a_bytes : int;  (* bytes already on disk in the live file *)
-  mutable a_pending : pending list;  (* newest first; drained FIFO *)
-  a_scratch : Buffer.t;  (* reused per-line render buffer *)
-}
+(* A request id as echoed: a JSON value, or a number's own source text
+   (the number rule would print 1e20 as 1e+20) *)
+and id = Value of Json_lite.t | Number of string
 
-(* Census-drift JSONL sink: one line per applied delta that changed any
-   fact's truth value.  Drift lines are rare (one per update, none when
-   nothing changed) and each one already paid a census, so rendering
-   inline — unlike the deferred access log — costs nothing that
-   matters. *)
-type drift = {
-  d_path : string;
-  mutable d_chan : out_channel option;
+let no_id = Value Json_lite.Null
+
+type access = {
+  a_log : Sink.log;
+  mutable a_pending : pending list;  (* newest first; drained FIFO *)
 }
 
 type t = {
@@ -68,7 +58,10 @@ type t = {
          telemetry tail *)
   tel : Telemetry.t option;  (* None = telemetry disarmed *)
   access : access option;
-  drift : drift option;
+  drift : Sink.log option;
+      (* census-drift JSONL: one line per applied delta that changed a
+         fact's truth value, rendered and flushed inline (each one
+         already paid a census) *)
 }
 
 let default_access_log_max_bytes = 16 * 1024 * 1024
@@ -85,22 +78,12 @@ let create ?snapshot_path ?(telemetry = true) ?access_log
     census = None;
     last_strategies = [];
     tel = (if telemetry then Some (Telemetry.create ()) else None);
-    drift =
-      Option.map (fun path -> { d_path = path; d_chan = None }) drift_log;
+    drift = Option.map Sink.log drift_log;
     access =
       Option.map
         (fun path ->
-          let existing =
-            match Unix.stat path with
-            | st -> st.Unix.st_size
-            | exception Unix.Unix_error _ -> 0
-          in
-          { a_path = path;
-            a_max_bytes = max 1024 access_log_max_bytes;
-            a_chan = None;
-            a_bytes = existing;
-            a_pending = [];
-            a_scratch = Buffer.create 256 })
+          { a_log = Sink.log ~max_bytes:(max 1024 access_log_max_bytes) path;
+            a_pending = [] })
         access_log }
 
 let session t = t.session
@@ -119,75 +102,46 @@ let counts l = Json_lite.Obj (List.map (fun (k, n) -> (k, int n)) l)
 (* ------------------------------------------------------------------ *)
 (* Access-log plumbing *)
 
-let access_chan a =
-  match a.a_chan with
-  | Some oc -> Some oc
-  | None -> (
-      match open_out_gen [ Open_append; Open_creat ] 0o644 a.a_path with
-      | oc ->
-          a.a_chan <- Some oc;
-          Some oc
-      | exception Sys_error _ -> None)
+(* Append the JSON members of [fields], without the object's braces. *)
+let add_members b fields =
+  let s = Json_lite.to_string (Json_lite.Obj fields) in
+  Buffer.add_substring b s 1 (String.length s - 2)
 
-let access_rotate a =
-  (match a.a_chan with
-  | None -> ()
-  | Some oc ->
-      close_out_noerr oc;
-      a.a_chan <- None);
-  a.a_bytes <- 0;
-  try Sys.rename a.a_path (a.a_path ^ ".1") with Sys_error _ -> ()
-
-(* One pending record -> one JSON line in [a_scratch]. *)
-let render_line a p =
-  let b = a.a_scratch in
-  Buffer.clear b;
+(* One pending record -> one JSON line. *)
+let render_line p =
+  let b = Buffer.create 256 in
   (* the epoch leads with full ms precision, which the number rule's
      %.6g would truncate: printed by hand ahead of the other members *)
   let ms = int_of_float ((p.p_ts *. 1000.) +. 0.5) in
   Printf.bprintf b "{\"ts_unix\":%d.%03d," (ms / 1000) (ms mod 1000);
-  let line =
-    Json_lite.Obj
-      [ ("trace_id", str p.p_trace);
-        ("op", str p.p_op);
-        ("id", p.p_id);
-        ("ok", Json_lite.Bool p.p_ok);
-        ("wall_ns", int (int_of_float p.p_wall_ns));
-        ("routes", counts p.p_routes);
-        ("cache_served", int p.p_cache_served);
-        ("tableau_calls", int p.p_tableau);
-        ("outcome", str (if p.p_ok then "ok" else "error")) ]
-  in
-  (* the members go out without the object's own opening brace *)
-  let body = Json_lite.to_string line in
-  Buffer.add_substring b body 1 (String.length body - 1);
-  Buffer.add_char b '\n'
+  add_members b [ ("trace_id", str p.p_trace); ("op", str p.p_op) ];
+  Buffer.add_string b ",\"id\":";
+  (match p.p_id with
+  | Value id -> Json_lite.to_buffer b id
+  | Number text -> Buffer.add_string b text);
+  Buffer.add_char b ',';
+  add_members b
+    [ ("ok", Json_lite.Bool p.p_ok);
+      ("wall_ns", int (int_of_float p.p_wall_ns));
+      ("routes", counts p.p_routes);
+      ("cache_served", int p.p_cache_served);
+      ("tableau_calls", int p.p_tableau);
+      ("outcome", str (if p.p_ok then "ok" else "error")) ];
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* Render and write the pending records.  Rare by design: called from
    the metrics/idle ticks, [sync] and shutdown — never per request, so
-   the request path stays one allocation.  Rotation decisions are made
-   between lines, so no line is ever split across generations. *)
+   the request path stays one allocation. *)
 let access_drain a =
   match a.a_pending with
   | [] -> ()
   | newest_first ->
-      let records = List.rev newest_first in
       a.a_pending <- [];
       List.iter
-        (fun p ->
-          render_line a p;
-          let len = Buffer.length a.a_scratch in
-          if a.a_bytes > 0 && a.a_bytes + len > a.a_max_bytes then
-            access_rotate a;
-          match access_chan a with
-          | None -> ()
-          | Some oc -> (
-              try
-                Buffer.output_buffer oc a.a_scratch;
-                a.a_bytes <- a.a_bytes + len
-              with Sys_error _ -> ()))
-        records;
-      Option.iter (fun oc -> try flush oc with Sys_error _ -> ()) a.a_chan
+        (fun p -> Sink.line a.a_log (render_line p))
+        (List.rev newest_first);
+      Sink.flush a.a_log
 
 let access_note t p =
   Option.iter (fun a -> a.a_pending <- p :: a.a_pending) t.access
@@ -206,34 +160,18 @@ let census t =
       t.census <- Some cs;
       cs
 
-let drift_chan d =
-  match d.d_chan with
-  | Some oc -> Some oc
-  | None -> (
-      match open_out_gen [ Open_append; Open_creat ] 0o644 d.d_path with
-      | oc ->
-          d.d_chan <- Some oc;
-          Some oc
-      | exception Sys_error _ -> None)
-
 let drift_note t ~before ~after =
   Option.iter
-    (fun d ->
+    (fun log ->
       let trace = match Obs.trace_id () with "" -> None | s -> Some s in
       match
         Audit.drift_line ?trace ~ts_unix:(Unix.gettimeofday ()) ~before
           ~after ()
       with
       | None -> ()
-      | Some line -> (
-          match drift_chan d with
-          | None -> ()
-          | Some oc -> (
-              try
-                output_string oc line;
-                output_char oc '\n';
-                flush oc
-              with Sys_error _ -> ())))
+      | Some line ->
+          Sink.line log line;
+          Sink.flush log)
     t.drift
 
 (* KB-health snapshot for the telemetry gauges: cheap static sizes
@@ -387,9 +325,12 @@ let op_update t req =
       let s =
         (* a script that trips is rolled back whole: the KB, the plans
            and the census stay as they were *)
-        try Session.apply_all t.session deltas
-        with Tableau.Resource_limit msg ->
-          raise (Tableau.Resource_limit (msg ^ "; the update was not applied"))
+        let not_applied = "; the update was not applied" in
+        try Session.apply_all t.session deltas with
+        | Tableau.Resource_limit msg ->
+            raise (Tableau.Resource_limit (msg ^ not_applied))
+        | Backend.Unsupported msg ->
+            raise (Backend.Unsupported (msg ^ not_applied))
       in
       t.dirty <- true;
       (* told statistics changed under the cached plans; recompile lazily *)
@@ -547,9 +488,13 @@ let handle t line =
     match parsed with
     | Ok j -> (
         match Json_lite.member "id" j with
-        | Some (Json_lite.Str _ | Json_lite.Num _ as id) -> id
-        | _ -> Json_lite.Null)
-    | Error _ -> Json_lite.Null
+        | Some (Json_lite.Str _ as id) -> Value id
+        | Some (Json_lite.Num _) -> (
+            match Json_lite.member_text "id" line with
+            | Some text -> Number text
+            | None -> no_id)
+        | _ -> no_id)
+    | Error _ -> no_id
   in
   let op =
     match parsed with
@@ -571,9 +516,7 @@ let handle t line =
   in
   let envelope_trace = if trace = "" then [] else [ ("trace_id", str trace) ] in
   let fail msg =
-    Json_lite.Obj
-      ((("id", id) :: ("ok", Json_lite.Bool false) :: envelope_trace)
-      @ [ ("error", str msg) ])
+    (("ok", Json_lite.Bool false) :: envelope_trace) @ [ ("error", str msg) ]
   in
   let totals0 = Session.cost_totals t.session in
   let calls0 = Oracle.tableau_calls (Session.oracle t.session) in
@@ -623,16 +566,18 @@ let handle t line =
             in
             let cache = cache_json (Oracle.cache_stats (Session.oracle t.session)) in
             ( true,
-              Json_lite.Obj
-                ((("id", id) :: ("ok", Json_lite.Bool true) :: envelope_trace)
-                @ payload
-                @ [ ("cost", cost); ("cache", cache) ]) )
+              (("ok", Json_lite.Bool true) :: envelope_trace)
+              @ payload
+              @ [ ("cost", cost); ("cache", cache) ] )
         | exception Bad_request msg -> (false, fail msg)
         | exception Tableau.Resource_limit msg ->
             (* a tripped verdict is never cached, and an update that trips
                is rolled back, so a later request within the budget
                answers soundly *)
             (false, fail ("resource limit: " ^ msg))
+        | exception Backend.Unsupported msg ->
+            (* a pinned backend refusing an update: rolled back too *)
+            (false, fail msg)
         | exception e ->
             (* last-ditch: a handler bug must degrade to an error
                response, never to a dead daemon *)
@@ -664,7 +609,11 @@ let handle t line =
           p_routes = routes;
           p_cache_served = cache_served;
           p_tableau = calls1 - calls0 });
-  Json_lite.to_string resp
+  match id with
+  | Value id -> Json_lite.to_string (Json_lite.Obj (("id", id) :: resp))
+  | Number text ->
+      let rest = Json_lite.to_string (Json_lite.Obj resp) in
+      "{\"id\":" ^ text ^ "," ^ String.sub rest 1 (String.length rest - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Socket loop: single-threaded select over the listener and every
@@ -703,17 +652,22 @@ let run ?(idle_save = 0.) ?metrics_out ?(metrics_interval = 5.) ~socket_path t
         Telemetry.write_prometheus tel path
     | _ -> ()
   in
+  (* after the bind nothing written may stop the daemon: a scrape file
+     that cannot be written is written again on the next tick *)
+  let rewrite_metrics () = try write_metrics () with Sys_error _ -> () in
   let metrics_tick () =
     match metrics_out with
     | None -> ()
     | Some _ ->
         if Unix.gettimeofday () -. !last_metrics >= metrics_interval then begin
-          write_metrics ();
+          rewrite_metrics ();
           (* the scrape file and the access log share the tick: both
              become externally visible on the same cadence *)
           sync t
         end
   in
+  (* before the bind, a scrape file that cannot be written stops the
+     daemon: [Sys_error] reaches the caller and no socket exists *)
   write_metrics ();
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -800,7 +754,7 @@ let run ?(idle_save = 0.) ?metrics_out ?(metrics_interval = 5.) ~socket_path t
   Fun.protect
     ~finally:(fun () ->
       autosave t;
-      write_metrics ();
+      rewrite_metrics ();
       sync t;
       Hashtbl.iter (fun fd _ -> try Unix.close fd with _ -> ()) clients;
       (try Unix.close srv with Unix.Unix_error _ -> ());

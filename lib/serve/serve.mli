@@ -17,8 +17,9 @@
     snapshot := + "path"?: string (defaults to the configured autosave path)
     v}
 
-    Every response is built as a {!Json_lite.t} and printed once.
-    Every successful response is
+    Every response is built as a {!Json_lite.t} and printed once; a
+    numeric [id] goes back as the request's own number text (the number
+    rule would print [1e20] as [1e+20]).  Every successful response is
     [{"id":…, "ok":true, "trace_id":…, …payload, "cost":{…}, "cache":{…}}]
     where [trace_id] is the request's freshly minted trace ID (present
     when telemetry is armed; the same ID stamps the request's cost
@@ -34,17 +35,22 @@
     the session's per-run node or branch budget fails its request with
     ["error":"resource limit: …"]; the tripped verdict is not cached, so
     the next request within the budget answers normally.  An [update]
-    that trips may leave its script partly applied: the KB keeps the
-    edits made before the trip, and every verdict, index and census
-    they could affect is dropped, so later answers hold for the KB as
-    it stands.
+    is atomic: a script that trips, or that a pinned Horn backend
+    refuses (it leaves the fragment), is rolled back whole and answers
+    ["error":"<reason>; the update was not applied"].
 
     {b Telemetry.}  Unless disarmed at {!create}, the daemon owns a
     {!Telemetry.t} registry fed once per request (op, outcome, wall
     time, backend routes, cache hits).  The [metrics] op returns its
     JSON rendering; {!run} can additionally write the Prometheus text
     exposition to a file on an interval, and every request appends one
-    line to a rotating JSONL access log when one is configured. *)
+    line to a rotating JSONL access log when one is configured.
+
+    {b Files.}  The access log, the drift log, the scrape file and
+    snapshots are written through {!Sink}, under its failure rule: the
+    logs open in {!create} and the scrape file is first written in
+    {!run} before the bind, each raising [Sys_error] there; after the
+    bind nothing written stops the daemon. *)
 
 type t
 
@@ -66,10 +72,11 @@ val create :
     disarmed baseline bench S11 measures against.  [access_log] names a
     JSONL file receiving one line per request; the request path only
     queues a compact pending record, with rendering and writes deferred
-    to a drain on the idle/metrics ticks, {!sync} and shutdown.
-    Rotated once to [path ^ ".1"] — only ever between lines — when it
-    would exceed [access_log_max_bytes] (default 16 MiB, clamped to
-    ≥ 1 KiB).
+    to a drain on the idle/metrics ticks, {!sync} and shutdown.  It is
+    a {!Sink.log} rotated once to [path ^ ".1"] when it would exceed
+    [access_log_max_bytes] (default 16 MiB, clamped to ≥ 1 KiB).
+    Both logs are opened here: a file that cannot be opened raises
+    [Sys_error].
 
     [drift_log] arms truth-value drift tracking: every [update] request
     is bracketed by a census (the cached one before, a fresh one after),
@@ -128,9 +135,11 @@ val run :
     deltas since the last save) is snapshotted to [snapshot_path].
 
     [metrics_out] arms the scrape file: the Prometheus exposition is
-    written there atomically (tmp + rename) at startup, at shutdown and
-    at most every [metrics_interval] seconds (default 5, clamped to
-    ≥ 0.05) while serving; the access log is flushed on the same tick.
+    written there by {!Sink.replace} at startup, at shutdown and at most
+    every [metrics_interval] seconds (default 5, clamped to ≥ 0.05)
+    while serving; the access log is flushed on the same tick.  The
+    startup write comes before the bind and raises [Sys_error] if it
+    fails; a later one that fails is tried again on the next tick.
     Ignored when telemetry was disarmed at {!create}. *)
 
 val request : ?timeout_ms:int -> socket_path:string -> string -> string

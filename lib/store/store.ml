@@ -180,13 +180,9 @@ let of_string data =
 (* Files *)
 
 let save s path =
-  try
-    let data = to_string s in
-    let tmp = path ^ ".tmp" in
-    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
-    Sys.rename tmp path;
-    Ok ()
-  with Sys_error msg -> Error (Io msg)
+  match Sink.replace path (to_string s) with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error (Io msg)
 
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -70,9 +70,8 @@ val of_string : string -> (snapshot, error) result
     does not know are dropped on decode.  [of_string] never raises. *)
 
 val save : snapshot -> string -> (unit, error) result
-(** Write atomically: the bytes land in [path ^ ".tmp"] and are renamed
-    into place, so a crash mid-save never leaves a torn snapshot under
-    the real name. *)
+(** Write by {!Sink.replace} (atomic: a crash mid-save never leaves a
+    torn snapshot under the real name); a failure is [Error (Io msg)]. *)
 
 val load : string -> (snapshot, error) result
 

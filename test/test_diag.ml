@@ -267,6 +267,95 @@ let slow_tests =
           ((not (Sys.file_exists path)) || String.trim (read path) = "")) ]
 
 (* ------------------------------------------------------------------ *)
+(* Sink: the one file writer *)
+
+let sink_tests =
+  [ Alcotest.test_case "replace writes the bytes and leaves no tmp" `Quick
+      (fun () ->
+        let path = tmp_path ".artifact" in
+        Sink.replace path "old";
+        Sink.replace path "new\n";
+        Alcotest.(check string) "bytes" "new\n" (read path);
+        Alcotest.(check bool) "no tmp" false (Sys.file_exists (path ^ ".tmp")));
+    Alcotest.test_case "a failed replace raises and keeps the old file" `Quick
+      (fun () ->
+        (* a directory in the tmp file's place fails even as root *)
+        let path = tmp_path ".artifact" in
+        Sink.replace path "old";
+        Sys.mkdir (path ^ ".tmp") 0o755;
+        Fun.protect
+          ~finally:(fun () -> Sys.rmdir (path ^ ".tmp"))
+          (fun () ->
+            match Sink.replace path "new" with
+            | () -> Alcotest.fail "replace over a directory succeeded"
+            | exception Sys_error msg ->
+                Alcotest.(check bool) "names the path" true
+                  (String.starts_with ~prefix:(path ^ ": ") msg));
+        Alcotest.(check string) "old file intact" "old" (read path));
+    Alcotest.test_case "a reopened log counts the bytes already there" `Quick
+      (fun () ->
+        let path = tmp_path ".log" in
+        Sink.replace path (String.make 1000 'x' ^ "\n");
+        let log = Sink.log ~max_bytes:1024 path in
+        Sink.line log (String.make 99 'y');
+        Sink.close log;
+        Alcotest.(check int) "the old bytes rotated" 1001
+          (String.length (read (path ^ ".1")));
+        Sys.remove (path ^ ".1");
+        Alcotest.(check string) "the live file" (String.make 99 'y' ^ "\n")
+          (read path));
+    Alcotest.test_case "lines after the directory is gone do not raise" `Quick
+      (fun () ->
+        let dir = Filename.temp_dir "dl4_diag" ".logs" in
+        let path = Filename.concat dir "a.jsonl" in
+        let log = Sink.log ~max_bytes:1024 path in
+        Sink.line log "{}";
+        Sink.flush log;
+        Sys.remove path;
+        Sys.rmdir dir;
+        (* enough lines to need rotations, which cannot happen *)
+        for _ = 1 to 64 do
+          Sink.line log (String.make 100 'z')
+        done;
+        Sink.flush log;
+        Sink.close log;
+        Sink.line log "after close";
+        Alcotest.(check bool) "nothing recreated" false (Sys.file_exists dir));
+    Alcotest.test_case "lib/ writes files only through Sink" `Quick (fun () ->
+        (* spelled in pieces so that a search of the tree for them finds
+           only sink.ml *)
+        let banned =
+          [ "open" ^ "_out"; "Out_channel" ^ ".with_open"; "Sys" ^ ".rename";
+            "Unix" ^ ".rename" ]
+        in
+        let rec sources dir =
+          Sys.readdir dir |> Array.to_list |> List.sort String.compare
+          |> List.concat_map (fun f ->
+                 let path = Filename.concat dir f in
+                 if Sys.is_directory path then sources path
+                 else if Filename.check_suffix f ".ml" && f <> "sink.ml" then
+                   [ path ]
+                 else [])
+        in
+        let offenders =
+          List.concat_map
+            (fun path ->
+              let src = read path in
+              List.filter_map
+                (fun pat ->
+                  let n = String.length pat in
+                  let rec found i =
+                    i + n <= String.length src
+                    && (String.sub src i n = pat || found (i + 1))
+                  in
+                  if found 0 then Some (path ^ ": " ^ pat) else None)
+                banned)
+            (sources (Filename.concat ".." "lib"))
+        in
+        Alcotest.(check (list string)) "file writers outside Sink" [] offenders)
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Per-verdict cost accounting *)
 
 let cost_tests =
@@ -494,6 +583,16 @@ let json_tests =
         List.iter
           (fun f -> str "integral" (Printf.sprintf "%.0f" f) (Json_lite.number f))
           [ 7.; -7.; 1e9; -123456789012345.; 999_999_999_999_998. ]);
+    Alcotest.test_case "member_text returns a member's source text" `Quick
+      (fun () ->
+        let text = Alcotest.(check (option string)) in
+        let doc = {| {"x":{"id":1},"s":"\"id\":2","id": 1e20 ,"id":3} |} in
+        text "first top-level id, as written" (Some "1e20")
+          (Json_lite.member_text "id" doc);
+        text "nested value" (Some {|{"id":1}|}) (Json_lite.member_text "x" doc);
+        text "absent" None (Json_lite.member_text "y" doc);
+        text "not an object" None (Json_lite.member_text "id" "[1]");
+        text "not JSON" None (Json_lite.member_text "id" {|{"id":1|}));
     Alcotest.test_case "compact, members in list order" `Quick (fun () ->
         str "document"
           {|{"b":1,"a":null,"b":[true,false,"s",{},[]],"":-3.5}|}
@@ -547,6 +646,7 @@ let () =
     [ ("quantiles", quantile_tests);
       ("flight", flight_tests);
       ("slow_log", slow_tests);
+      ("sink", sink_tests);
       ("costs", cost_tests);
       ("registry", registry_tests);
       ("gauges", gauge_tests);

@@ -35,28 +35,73 @@ let ok j =
 
 let cost_tableau_calls j = int_field "tableau_calls" (mem "cost" j)
 
-let warm_server () =
+let warm_server ?access_log () =
   let s = Session.create Paper_examples.example3 in
   let p = Para.of_session s in
   ignore (Para.satisfiable p : bool);
   ignore (Para.contradictions p : (string * string) list);
   ignore (Session.classification s : Classify.t);
-  Serve.create s
+  Serve.create ?access_log s
 
 let ask t line = parse_resp (Serve.handle t line)
+
+let read path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let read_lines path =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (read path))
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let example1 () =
+  Surface.parse_kb4_exn (read (Filename.concat ".." "examples/kb/example1.dl4"))
 
 (* ------------------------------------------------------------------ *)
 (* In-process protocol *)
 
 let protocol_tests =
   [ Alcotest.test_case "check on a warm session is free" `Quick (fun () ->
-        let t = warm_server () in
+        let access = Filename.temp_file "dl4_serve_test" ".access.jsonl" in
+        let t = warm_server ~access_log:access () in
         let r = ask t {|{"op":"check","id":"c1"}|} in
         checkb "ok" true (ok r);
         checks "id echoed" "c1" (str "id" r);
         checkb "consistent" true
           (match mem "consistent" r with Json_lite.Bool b -> b | _ -> false);
-        checki "zero tableau calls" 0 (cost_tableau_calls r));
+        checki "zero tableau calls" 0 (cost_tableau_calls r);
+        (* a numeric id goes back as the request wrote it, in the
+           response and in the access-log line *)
+        let ids = [ "1234567.891"; "12345678901234567"; "1e20"; "-0"; "2.5" ] in
+        List.iter
+          (fun id ->
+            let resp =
+              Serve.handle t (Printf.sprintf {|{"op":"check","id":%s}|} id)
+            in
+            checkb ("response echoes " ^ id) true
+              (String.starts_with ~prefix:(Printf.sprintf {|{"id":%s,|} id)
+                 resp))
+          ids;
+        Serve.sync t;
+        (match read_lines access with
+        | c1 :: lines when List.length lines = List.length ids ->
+            checkb "access line echoes c1" true (contains ~sub:{|,"id":"c1",|} c1);
+            List.iter2
+              (fun id line ->
+                checkb ("access line echoes " ^ id) true
+                  (contains ~sub:(Printf.sprintf {|,"id":%s,|} id) line))
+              ids lines
+        | lines ->
+            Alcotest.failf "expected %d access-log lines, got %d"
+              (List.length ids + 1) (List.length lines));
+        Sys.remove access);
     Alcotest.test_case "second identical query is zero-tableau-call" `Quick
       (fun () ->
         let t = warm_server () in
@@ -258,6 +303,26 @@ let protocol_tests =
         checks "a : B answers the pre-update KB" "BOT" (str "truth" (ask t q));
         checkb "the taxonomy answers" true (ok (ask t classify));
         checkb "the census answers" true (ok (ask t audit)));
+    Alcotest.test_case "a horn-pinned update that leaves the fragment is refused"
+      `Quick (fun () ->
+        let kb = example1 () in
+        let s =
+          Session.create
+            ~config:{ Session.default_config with backend = Backend.Horn }
+            kb
+        in
+        let t = Serve.create s in
+        let q = {|{"op":"query","individual":"john","concept":"Doctor"}|} in
+        checks "john : Doctor" "TOP" (str "truth" (ask t q));
+        let r = ask t {|{"op":"update","script":"+ Doctor < Patient | Nurse."}|} in
+        checks "a typed refusal"
+          "horn backend: non-Horn disjunction on the right; axiom: Doctor+ << \
+           Patient+ | Nurse+.; the update was not applied"
+          (str "error" r);
+        checkb "the KB is the pre-update one" true (Session.kb s = kb);
+        checkb "check answers" true (ok (ask t {|{"op":"check"}|}));
+        checks "the query answers the pre-update KB" "TOP"
+          (str "truth" (ask t q)));
     Alcotest.test_case "stats reports request and call counters" `Quick
       (fun () ->
         let t = warm_server () in
@@ -297,12 +362,6 @@ let protocol_tests =
    times, so their plans vary from run to run), and so is the metrics op
    (its buckets are timings). *)
 
-let read path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let golden_script =
   [ {|{"op":"check","id":"c1"}|};
     {|{"op":"query","id":7,"individual":"john","concept":"Doctor"}|};
@@ -339,11 +398,7 @@ let mask =
 
 let golden_tests =
   [ Alcotest.test_case "example1 transcript = golden" `Quick (fun () ->
-        let kb =
-          Surface.parse_kb4_exn
-            (read (Filename.concat ".." "examples/kb/example1.dl4"))
-        in
-        let t = Serve.create (Session.create kb) in
+        let t = Serve.create (Session.create (example1 ())) in
         let transcript =
           String.concat ""
             (List.map
@@ -354,6 +409,22 @@ let golden_tests =
 
 (* ------------------------------------------------------------------ *)
 (* A real daemon on a scratch socket *)
+
+(* the first response of a daemon coming up on [socket_path] *)
+let await_daemon socket_path =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec await () =
+    match Serve.request ~socket_path {|{"op":"check"}|} with
+    | resp -> resp
+    | exception Unix.Unix_error _ ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "daemon did not come up"
+        else begin
+          Unix.sleepf 0.05;
+          await ()
+        end
+  in
+  await ()
 
 let socket_tests =
   [ Alcotest.test_case "forked daemon serves and shuts down" `Quick (fun () ->
@@ -367,19 +438,7 @@ let socket_tests =
             (try Serve.run ~socket_path t with _ -> ());
             Unix._exit 0
         | pid ->
-            let deadline = Unix.gettimeofday () +. 10.0 in
-            let rec await () =
-              match Serve.request ~socket_path {|{"op":"check"}|} with
-              | resp -> resp
-              | exception Unix.Unix_error _ ->
-                  if Unix.gettimeofday () > deadline then
-                    Alcotest.fail "daemon did not come up"
-                  else begin
-                    Unix.sleepf 0.05;
-                    await ()
-                  end
-            in
-            let check_resp = parse_resp (await ()) in
+            let check_resp = parse_resp (await_daemon socket_path) in
             checkb "daemon consistent" true (ok check_resp);
             let q = {|{"op":"query","individual":"tweety","concept":"Fly"}|} in
             let r1 = parse_resp (Serve.request ~socket_path q) in
@@ -395,8 +454,44 @@ let socket_tests =
             checkb "shutdown acked" true (ok bye);
             let _, status = Unix.waitpid [] pid in
             checkb "daemon exited cleanly" true (status = Unix.WEXITED 0);
-            checkb "socket file removed" true (not (Sys.file_exists socket_path)))
-  ]
+            checkb "socket file removed" true (not (Sys.file_exists socket_path)));
+    Alcotest.test_case "a daemon outlives its scrape file's directory" `Quick
+      (fun () ->
+        let socket_path = Filename.temp_file "dl4_serve_test" ".sock" in
+        let dir = Filename.temp_dir "dl4_serve_test" ".metrics" in
+        let metrics_out = Filename.concat dir "m.prom" in
+        let access = Filename.temp_file "dl4_serve_test" ".access.jsonl" in
+        match Unix.fork () with
+        | 0 -> (
+            let t = warm_server ~access_log:access () in
+            match
+              Serve.run ~metrics_out ~metrics_interval:0.05 ~socket_path t
+            with
+            | () -> Unix._exit 0
+            | exception _ -> Unix._exit 1)
+        | pid ->
+            checkb "daemon up" true (ok (parse_resp (await_daemon socket_path)));
+            checkb "scrape file written" true (Sys.file_exists metrics_out);
+            (* the daemon may recreate m.prom.tmp between the removals *)
+            let rec remove_dir k =
+              Array.iter
+                (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+                (Sys.readdir dir);
+              try Sys.rmdir dir with Sys_error _ when k > 0 -> remove_dir (k - 1)
+            in
+            remove_dir 100;
+            (* several metrics ticks fail to write *)
+            Unix.sleepf 0.3;
+            let r = parse_resp (Serve.request ~socket_path {|{"op":"check"}|}) in
+            checkb "still answering" true (ok r);
+            let bye = parse_resp (Serve.request ~socket_path {|{"op":"shutdown"}|}) in
+            checkb "shutdown acked" true (ok bye);
+            let _, status = Unix.waitpid [] pid in
+            checkb "daemon exited cleanly" true (status = Unix.WEXITED 0);
+            checkb "socket file removed" true (not (Sys.file_exists socket_path));
+            checki "every request in the access log" 3
+              (List.length (read_lines access));
+            Sys.remove access) ]
 
 let () =
   Alcotest.run "serve"
