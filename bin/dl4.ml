@@ -1547,10 +1547,12 @@ let serve_cmd =
             Serve.create ?snapshot_path ?access_log
               ~access_log_max_bytes:access_log_rotate ?drift_log s
           in
-          Format.printf "dl4 serve: listening on %s (NDJSON; ops: %s)@."
-            socket
-            (String.concat " " Serve.op_names);
-          Serve.run ~idle_save ?metrics_out ~metrics_interval
+          let on_listen () =
+            Format.printf "dl4 serve: listening on %s (NDJSON; ops: %s)@."
+              socket
+              (String.concat " " Serve.op_names)
+          in
+          Serve.run ~idle_save ?metrics_out ~metrics_interval ~on_listen
             ~socket_path:socket t
         with
         | () ->

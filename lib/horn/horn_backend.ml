@@ -1,8 +1,12 @@
+(* [Completion.create] scans K̄'s fragment once; under [Auto] its
+   refusal means the tableau route *)
 let create (choice : Backend.choice) ~max_nodes kb =
   match choice with
   | Backend.Tableau -> None
-  | Backend.Auto when not (Fragment.eligible kb) -> None
-  | Backend.Auto | Backend.Horn -> Some (Completion.create ~max_nodes kb)
+  | Backend.Horn -> Some (Completion.create ~max_nodes kb)
+  | Backend.Auto -> (
+      try Some (Completion.create ~max_nodes kb)
+      with Backend.Unsupported _ -> None)
 
 (* [can_answer] mirrors the tableau backend's query encodings
    (Backend_tableau.eval): each query shape maps to a completion-engine

@@ -1,12 +1,13 @@
 (** The Horn/EL completion engine as the oracle's second route.
 
     {!create} builds the engine when the routing choice and K̄'s fragment
-    ({!Fragment.eligible}) allow it; {!can_answer} narrows per query (a
-    satisfiability probe must be {!Completion.sat_answerable}, an
-    instance goal must be a {!Fragment.body_concept} image, a negative
-    role query needs an inert role).  On everything it accepts, {!eval}
-    agrees with [Backend_tableau.eval] — that equivalence is what the
-    differential suite in [test/test_backend.ml] pins down. *)
+    ({!Fragment.check}, scanned once, by {!Completion.create}) allow it;
+    {!can_answer} narrows per query (a satisfiability probe must be
+    {!Completion.sat_answerable}, an instance goal must be a
+    {!Fragment.body_concept} image, a negative role query needs an inert
+    role).  On everything it accepts, {!eval} agrees with
+    [Backend_tableau.eval] — that equivalence is what the differential
+    suite in [test/test_backend.ml] pins down. *)
 
 val create : Backend.choice -> max_nodes:int -> Axiom.kb -> Completion.t option
 (** The completion engine the routing choice asks for over K̄: [None]

@@ -10,23 +10,18 @@ let capacity = 1024
 let now_ns () = Unix.gettimeofday () *. 1e9
 let t0_ns = now_ns ()
 
-type event = {
-  e_ns : float;
-  e_kind : string;
-  e_node : int;
-  e_other : int;
-  e_note : string;
-  e_trace : string; (* the trace ID current when the event was recorded *)
-}
-
-let dummy_event =
-  { e_ns = 0.0; e_kind = ""; e_node = -1; e_other = -1; e_note = "";
-    e_trace = "" }
-
+(* The ring holds its events as parallel arrays written in place, so
+   recording an event allocates no record and keeps no young block alive
+   in the major-heap ring.  Slot [i] of every array is one event. *)
 type ring = {
   mutable r_next : int; (* next write slot *)
   mutable r_total : int; (* events ever recorded into this ring *)
-  r_events : event array;
+  r_ns : float array;
+  r_kind : string array;
+  r_node : int array;
+  r_other : int array;
+  r_note : string array;
+  r_trace : string array; (* the trace ID current at the event *)
 }
 
 (* Created on first use; [reset] drops it so the next event starts a
@@ -40,19 +35,28 @@ let current () =
   | None ->
       let r =
         { r_next = 0; r_total = 0;
-          r_events = Array.make capacity dummy_event }
+          r_ns = Array.make capacity 0.0;
+          r_kind = Array.make capacity "";
+          r_node = Array.make capacity (-1);
+          r_other = Array.make capacity (-1);
+          r_note = Array.make capacity "";
+          r_trace = Array.make capacity "" }
       in
       ring := Some r;
       r
 
 let record kind node other note =
   let r = current () in
+  let i = r.r_next in
   (* stamped here, not at call sites: every recording site inherits
      request correlation without plumbing *)
-  let e = { e_ns = now_ns () -. t0_ns; e_kind = kind; e_node = node;
-            e_other = other; e_note = note; e_trace = Obs.trace_id () } in
-  r.r_events.(r.r_next) <- e;
-  r.r_next <- (r.r_next + 1) mod capacity;
+  r.r_ns.(i) <- now_ns () -. t0_ns;
+  r.r_kind.(i) <- kind;
+  r.r_node.(i) <- node;
+  r.r_other.(i) <- other;
+  r.r_note.(i) <- note;
+  r.r_trace.(i) <- Obs.trace_id ();
+  r.r_next <- (i + 1) mod capacity;
   r.r_total <- r.r_total + 1
 
 let arm ?path () =
@@ -76,14 +80,14 @@ let dump () =
   let start = if total > capacity then r.r_next else 0 in
   Json_lite.(
     let event k =
-      let e = r.r_events.((start + k) mod capacity) in
+      let i = (start + k) mod capacity in
       Obj
-        ([ ("ns", Num (Float.round e.e_ns));
-           ("kind", Str e.e_kind);
-           ("node", int e.e_node);
-           ("other", int e.e_other);
-           ("note", Str e.e_note) ]
-        @ if e.e_trace = "" then [] else [ ("trace", Str e.e_trace) ])
+        ([ ("ns", Num (Float.round r.r_ns.(i)));
+           ("kind", Str r.r_kind.(i));
+           ("node", int r.r_node.(i));
+           ("other", int r.r_other.(i));
+           ("note", Str r.r_note.(i)) ]
+        @ if r.r_trace.(i) = "" then [] else [ ("trace", Str r.r_trace.(i)) ])
     in
     to_string
       (Obj

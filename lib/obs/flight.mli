@@ -5,8 +5,8 @@
     Design mirrors {!Obs}: one [bool ref] master gate read inline at
     every site ([if !Flight.on then Flight.record ...] is a load and a
     branch when disarmed), and recording stays cheap when armed — events
-    go into one fixed {!capacity}-slot ring, so the hot path takes no
-    lock and performs no allocation beyond the event record.  Each
+    are written in place into one fixed {!capacity}-slot ring of parallel
+    arrays, so the hot path takes no lock and builds no event record.  Each
     tableau hook site records its event from the same call that bumps
     its {!Tableau.stats} cell.
 

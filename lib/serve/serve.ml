@@ -635,8 +635,8 @@ let autosave t =
   if t.dirty then
     Option.iter (fun path -> ignore (save_snapshot t path)) t.snapshot_path
 
-let run ?(idle_save = 0.) ?metrics_out ?(metrics_interval = 5.) ~socket_path t
-    =
+let run ?(idle_save = 0.) ?metrics_out ?(metrics_interval = 5.)
+    ?(on_listen = ignore) ~socket_path t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let metrics_out =
@@ -673,6 +673,7 @@ let run ?(idle_save = 0.) ?metrics_out ?(metrics_interval = 5.) ~socket_path t
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind srv (Unix.ADDR_UNIX socket_path);
   Unix.listen srv 16;
+  on_listen ();
   let clients : (Unix.file_descr, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
   let drop fd =
     (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -124,13 +124,15 @@ val run :
   ?idle_save:float ->
   ?metrics_out:string ->
   ?metrics_interval:float ->
+  ?on_listen:(unit -> unit) ->
   socket_path:string ->
   t ->
   unit
-(** Bind [socket_path] (replacing any stale socket file), serve until a
-    [shutdown] request, then autosave (if due), close every connection
-    and remove the socket file.  Single-threaded [select] loop; SIGPIPE
-    is ignored.  [idle_save > 0] arms the autosave tick: after that many
+(** Bind [socket_path] (replacing any stale socket file), call
+    [on_listen] once the socket listens, serve until a [shutdown]
+    request, then autosave (if due), close every connection and remove
+    the socket file.  Single-threaded [select] loop; SIGPIPE is
+    ignored.  [idle_save > 0] arms the autosave tick: after that many
     seconds with no traffic, a dirty session (new verdicts or applied
     deltas since the last save) is snapshotted to [snapshot_path].
 

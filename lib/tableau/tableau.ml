@@ -1075,18 +1075,27 @@ let rec expand ctx st =
 let rec conjuncts (c : Concept.t) =
   match c with And (a, b) -> conjuncts a @ conjuncts b | c -> [ c ]
 
-let preprocess_tbox tbox =
+(* The split that decides absorption: a left-hand side with an atomic
+   conjunct [a] is absorbed into [a]'s unfolding, with the other
+   conjuncts as its residue; any other left-hand side is internalized. *)
+let absorption_split c =
+  match
+    List.partition (function Concept.Atom _ -> true | _ -> false) (conjuncts c)
+  with
+  | Concept.Atom a :: extra_atoms, rest -> Some (a, extra_atoms @ rest)
+  | _ -> None
+
+(* Absorption folds left to right from the given maps, so extending the
+   maps of a TBox by appended axioms gives what a pass over the
+   concatenated TBox would. *)
+let preprocess_tbox (unfold, gcis) tbox =
   List.fold_left
     (fun (unfold, gcis) ax ->
       match ax with
       | Axiom.Concept_sub (c, d) -> (
-          let cs = conjuncts c in
-          match
-            List.partition (function Concept.Atom _ -> true | _ -> false) cs
-          with
-          | Concept.Atom a :: extra_atoms, rest ->
+          match absorption_split c with
+          | Some (a, residue) ->
               (* absorb into A ⊑ nnf(¬(rest ⊓ extras) ⊔ D) *)
-              let residue = extra_atoms @ rest in
               let rhs =
                 if residue = [] then Concept.nnf d
                 else
@@ -1097,12 +1106,12 @@ let preprocess_tbox tbox =
                 match SMap.find_opt a unfold with Some l -> l | None -> []
               in
               (SMap.add a (rhs :: cur) unfold, gcis)
-          | _ ->
+          | None ->
               let gci = Concept.nnf (Concept.Or (Concept.Not c, d)) in
               (unfold, gci :: gcis))
       | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ ->
           (unfold, gcis))
-    (SMap.empty, []) tbox
+    (unfold, gcis) tbox
 
 let initial_state ctx (kb : Axiom.kb) =
   let st =
@@ -1245,7 +1254,7 @@ type prep = {
 let prep_kb p = p.p_kb
 
 let prepare (kb : Axiom.kb) =
-  let unfold, gcis = preprocess_tbox kb.tbox in
+  let unfold, gcis = preprocess_tbox (SMap.empty, []) kb.tbox in
   { p_kb = kb;
     p_unfold = unfold;
     p_gcis = gcis;
@@ -1262,41 +1271,7 @@ let prep_add_tbox p axs =
   if axs = [] then p
   else begin
     let tbox = p.p_kb.Axiom.tbox @ axs in
-    (* absorption folds left-to-right from the cached maps — appending
-       axioms extends [unfold]/[gcis] exactly as a from-scratch pass over
-       the concatenated TBox would *)
-    let unfold, gcis =
-      List.fold_left
-        (fun (unfold, gcis) ax ->
-          match ax with
-          | Axiom.Concept_sub (c, d) -> (
-              let cs = conjuncts c in
-              match
-                List.partition
-                  (function Concept.Atom _ -> true | _ -> false)
-                  cs
-              with
-              | Concept.Atom a :: extra_atoms, rest ->
-                  let residue = extra_atoms @ rest in
-                  let rhs =
-                    if residue = [] then Concept.nnf d
-                    else
-                      Concept.nnf
-                        (Concept.Or (Concept.Not (Concept.conj residue), d))
-                  in
-                  let cur =
-                    match SMap.find_opt a unfold with
-                    | Some l -> l
-                    | None -> []
-                  in
-                  (SMap.add a (rhs :: cur) unfold, gcis)
-              | _ ->
-                  let gci = Concept.nnf (Concept.Or (Concept.Not c, d)) in
-                  (unfold, gci :: gcis))
-          | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ ->
-              (unfold, gcis))
-        (p.p_unfold, p.p_gcis) axs
-    in
+    let unfold, gcis = preprocess_tbox (p.p_unfold, p.p_gcis) axs in
     { p_kb = { p.p_kb with tbox };
       p_unfold = unfold;
       p_gcis = gcis;
@@ -1305,20 +1280,13 @@ let prep_add_tbox p axs =
       p_abox_sig = p.p_abox_sig }
   end
 
-(* The absorbed atomic left-hand side of a TBox axiom, when [preprocess_tbox]
-   / [prep_add_tbox] would absorb it rather than internalize it as a GCI.
+(* The absorbed atomic left-hand side of a TBox axiom, when
+   [preprocess_tbox] would absorb it rather than internalize it as a GCI.
    Exposed so the invalidation layer can decide, with the exact same test,
    whether a monotone TBox addition is local to one lazily-unfolded atom. *)
 let absorbable_lhs (ax : Axiom.tbox_axiom) =
   match ax with
-  | Axiom.Concept_sub (c, _) -> (
-      match
-        List.partition
-          (function Concept.Atom _ -> true | _ -> false)
-          (conjuncts c)
-      with
-      | Concept.Atom a :: _, _ -> Some a
-      | _ -> None)
+  | Axiom.Concept_sub (c, _) -> Option.map fst (absorption_split c)
   | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ -> None
 
 let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
