@@ -1,7 +1,12 @@
 (* dl4 — command-line front end for the paraconsistent OWL DL reasoner.
 
-   Subcommands: check, query, classify, realize, update, retrieve,
-   transform, models, explain, repair, stats, convert.
+   Subcommands:
+   - reasoning over a session (one front door, [reasoning_cmd]): check,
+     query, audit, classify, realize, update, retrieve, explain-plan,
+     snapshot, serve;
+   - one-shot: transform, models, explain, repair, stats, fragment,
+     convert;
+   - tools: profile, client, top.
    Knowledge bases are read in the surface syntax of [Surface] (see
    README.md for the grammar). *)
 
@@ -13,33 +18,42 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load_kb4 path =
-  match Surface.parse_kb4 (read_file path) with
-  | Ok kb -> kb
+(* The one reader rule: an input that does not parse prints
+   "WHAT: ERROR" and exits 2. *)
+let or_exit what pp = function
+  | Ok v -> v
   | Error e ->
-      Format.eprintf "%s: %a@." path Surface.pp_error e;
+      Format.eprintf "%s: %a@." what pp e;
       exit 2
+
+let load_kb4 path =
+  or_exit path Surface.pp_error (Surface.parse_kb4 (read_file path))
 
 let load_kb path =
-  match Surface.parse_kb (read_file path) with
-  | Ok kb -> kb
-  | Error e ->
-      Format.eprintf "%s: %a@." path Surface.pp_error e;
-      exit 2
-
-let load_concept src =
-  match Surface.parse_concept src with
-  | Ok c -> c
-  | Error e ->
-      Format.eprintf "concept %S: %a@." src Surface.pp_error e;
-      exit 2
+  or_exit path Surface.pp_error (Surface.parse_kb (read_file path))
 
 let load_owl path =
-  match Owl_functional.parse_ontology (read_file path) with
-  | Ok kb -> kb
-  | Error e ->
-      Format.eprintf "%s: %a@." path Owl_functional.pp_error e;
-      exit 2
+  or_exit path Owl_functional.pp_error
+    (Owl_functional.parse_ontology (read_file path))
+
+let load_concept src =
+  or_exit (Printf.sprintf "concept %S" src) Surface.pp_error
+    (Surface.parse_concept src)
+
+let load_cq src =
+  or_exit (Printf.sprintf "cq %S" src) Format.pp_print_string (Cq.parse src)
+
+let load_exactly spec =
+  or_exit
+    (Printf.sprintf "--exactly %S" spec)
+    Format.pp_print_string (Truth.set_of_string spec)
+
+(* A count flag below zero is refused before any work. *)
+let require_non_negative flag n =
+  if n < 0 then begin
+    Format.eprintf "--%s must be non-negative@." flag;
+    exit 2
+  end
 
 let file_arg =
   Arg.(
@@ -172,6 +186,11 @@ let obs_term =
    message names the path the user gave. *)
 let cannot_write ~cmd msg = Format.eprintf "dl4 %s: cannot write %s@." cmd msg
 
+(* Raised by a command body for an output of its own (audit's report,
+   serve's logs and scrape file) that cannot be written; [with_obs]
+   reports it under the failure rule and exits 2. *)
+exception Cannot_write of string
+
 (* Run a subcommand under a root span with the observability sinks the
    user asked for.  Arming happens before any KB is loaded, so the root
    span covers parsing, reduction and reasoning — (almost) the whole
@@ -219,6 +238,10 @@ let with_obs ~cmd (stats, metrics, trace, slow_log, slow_ms, flight) run =
   | code ->
       Obs.exit_span sp;
       finish code
+  | exception Cannot_write msg ->
+      Obs.exit_span sp;
+      cannot_write ~cmd msg;
+      finish 2
   | exception Backend.Unsupported msg ->
       Obs.exit_span sp;
       Format.eprintf
@@ -239,7 +262,9 @@ let with_obs ~cmd (stats, metrics, trace, slow_log, slow_ms, flight) run =
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot plumbing: every reasoning subcommand can warm-start from a
+(* The front door of the reasoning subcommands: one term for a
+   session's inputs, one function that builds the session, one command
+   constructor.  Every reasoning subcommand can warm-start from a
    dl4-snap file.  Loading is strictly best-effort — any validation
    failure (corruption, version skew, different KB) warns and falls
    back to a cold build, because a wrong warm cache would mean wrong
@@ -256,13 +281,30 @@ let from_snapshot_arg =
            over exactly this KB; on mismatch, corruption, truncation or \
            version skew dl4 warns and builds cold.  Cached verdicts, the \
            classification index and the cost history carry over, so \
-           repeated queries pay zero tableau calls.  --cache-size, \
-           --max-nodes and --max-branches are taken from the snapshot.")
+           repeated queries pay zero tableau calls.  --backend, \
+           --cache-size, --max-nodes and --max-branches are taken from \
+           the snapshot.")
 
-let make_config ~max_nodes ~max_branches ~cache_size ~backend =
-  { Session.max_nodes; max_branches; cache_capacity = cache_size; backend }
+type session_args = {
+  file : string;
+  config : Session.config;
+  from_snapshot : string option;
+}
 
-let session_of ~config ~from_snapshot kb =
+let session_term cache_size =
+  let make file max_nodes max_branches cache_capacity backend from_snapshot =
+    { file;
+      config = { Session.max_nodes; max_branches; cache_capacity; backend };
+      from_snapshot }
+  in
+  Term.(
+    const make $ file_arg $ max_nodes_arg $ max_branches_arg $ cache_size
+    $ backend_arg $ from_snapshot_arg)
+
+(* Parse FILE (unless the caller already has [kb]) and build the
+   session: cold, or restored from --from-snapshot. *)
+let open_session ?kb { file; config; from_snapshot } =
+  let kb = match kb with Some kb -> kb | None -> load_kb4 file in
   match from_snapshot with
   | None -> Session.create ~config kb
   | Some path -> (
@@ -272,6 +314,15 @@ let session_of ~config ~from_snapshot kb =
           Format.eprintf "warning: ignoring snapshot %s (%s); building cold@."
             path (Store.error_to_string e);
           Session.create ~config kb)
+
+(* A reasoning subcommand: [run] is the term of its own flags, applied
+   to the session inputs and run under [with_obs].  Only the commands
+   that pass [cache_size] take --cache-size. *)
+let reasoning_cmd name ~doc
+    ?(cache_size = Term.const Oracle.default_cache_capacity) run =
+  let under_obs run args obs = with_obs ~cmd:name obs (fun () -> run args) in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const under_obs $ run $ session_term cache_size $ obs_term)
 
 (* Warm the session the way the snapshot/serve paths want it: the
    consistency bit, the full individuals-by-atoms truth grid (covers
@@ -285,55 +336,47 @@ let warm_session s =
 (* ------------------------------------------------------------------ *)
 
 let check_cmd =
-  let run file classical owl max_nodes max_branches backend from_snapshot
-      obs =
-    with_obs ~cmd:"check" obs (fun () ->
-        if classical || owl then begin
-          let kb = if owl then load_owl file else load_kb file in
-          let r = Reasoner.create ~max_nodes ~max_branches kb in
-          List.iter (Format.printf "warning: %s@.") (Reasoner.validate r);
-          if Reasoner.is_consistent r then begin
-            Format.printf "consistent@.";
-            0
-          end
-          else begin
-            Format.printf
-              "INCONSISTENT: under two-valued semantics every conclusion \
-               follows@.";
-            1
-          end
-        end
-        else begin
-          let kb = load_kb4 file in
-          let config =
-            make_config ~max_nodes ~max_branches
-              ~cache_size:Oracle.default_cache_capacity ~backend
-          in
-          let t = session_of ~config ~from_snapshot kb in
-          if not (Para.satisfiable t) then begin
-            Format.printf "four-valued UNSATISFIABLE@.";
-            1
-          end
-          else begin
-            Format.printf "four-valued satisfiable@.";
-            (match Para.contradictions t with
-            | [] -> Format.printf "no localized contradictions@."
-            | cs ->
-                Format.printf "localized contradictions (value TOP):@.";
-                List.iter (fun (a, c) -> Format.printf "  %s : %s@." a c) cs);
-            0
-          end
-        end)
+  let run classical owl args =
+    if classical || owl then begin
+      let kb = if owl then load_owl args.file else load_kb args.file in
+      let r =
+        Reasoner.create ~max_nodes:args.config.Session.max_nodes
+          ~max_branches:args.config.Session.max_branches kb
+      in
+      List.iter (Format.printf "warning: %s@.") (Reasoner.validate r);
+      if Reasoner.is_consistent r then begin
+        Format.printf "consistent@.";
+        0
+      end
+      else begin
+        Format.printf
+          "INCONSISTENT: under two-valued semantics every conclusion \
+           follows@.";
+        1
+      end
+    end
+    else begin
+      let t = open_session args in
+      if not (Para.satisfiable t) then begin
+        Format.printf "four-valued UNSATISFIABLE@.";
+        1
+      end
+      else begin
+        Format.printf "four-valued satisfiable@.";
+        (match Para.contradictions t with
+        | [] -> Format.printf "no localized contradictions@."
+        | cs ->
+            Format.printf "localized contradictions (value TOP):@.";
+            List.iter (fun (a, c) -> Format.printf "  %s : %s@." a c) cs);
+        0
+      end
+    end
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Check satisfiability; in four-valued mode also report the \
-          localized contradictions.")
-    Term.(
-      const run $ file_arg $ classical_flag $ owl_flag $ max_nodes_arg
-      $ max_branches_arg $ backend_arg $ from_snapshot_arg
-      $ obs_term)
+  reasoning_cmd "check"
+    ~doc:
+      "Check satisfiability; in four-valued mode also report the \
+       localized contradictions."
+    Term.(const run $ classical_flag $ owl_flag)
 
 (* Shared by `query --explain` and `explain-plan`: pretty-print the plan
    with estimated vs (after execution) actual per-step cardinalities. *)
@@ -376,13 +419,6 @@ let cq_arg =
            Variables are ?-prefixed, bare terms are individuals; without \
            '<-' every variable is projected.")
 
-let load_cq src =
-  match Cq.parse src with
-  | Ok q -> q
-  | Error msg ->
-      Format.eprintf "cq %S: %s@." src msg;
-      exit 2
-
 let query_cmd =
   let individual =
     Arg.(
@@ -418,71 +454,55 @@ let query_cmd =
              e.g. --exactly B lists the exactly-contradictory matches, \
              --exactly B,N everything undecided-or-conflicting.")
   in
-  let run file ind csrc cq explain exactly max_nodes max_branches backend
-      from_snapshot obs =
-    with_obs ~cmd:"query" obs (fun () ->
-        let kb = load_kb4 file in
-        let config =
-          make_config ~max_nodes ~max_branches
-            ~cache_size:Oracle.default_cache_capacity ~backend
+  let run ind csrc cq explain exactly args =
+    let t = open_session args in
+    match cq with
+    | Some src ->
+        let q = load_cq src in
+        let plan = Cq.compile t q in
+        let answers =
+          match exactly with
+          | None -> Cq.run plan
+          | Some spec -> Cq.run_exactly plan ~values:(load_exactly spec)
         in
-        let t = session_of ~config ~from_snapshot kb in
-        match cq with
-        | Some src ->
-            let q = load_cq src in
-            let plan = Cq.compile t q in
-            let answers =
-              match exactly with
-              | None -> Cq.run plan
-              | Some spec -> (
-                  match Truth.set_of_string spec with
-                  | Error msg ->
-                      Format.eprintf "--exactly %S: %s@." spec msg;
-                      exit 2
-                  | Ok values -> Cq.run_exactly plan ~values)
-            in
-            if answers = [] then
-              Format.printf "%s@."
-                (if exactly = None then "no designated answers"
-                 else "no answers with exactly those values")
-            else
-              List.iter
-                (fun (tuple, v) ->
-                  Format.printf "%s  =  %a@." (String.concat ", " tuple)
-                    Truth.pp v)
-                answers;
-            if explain then print_plan_text (Cq.explain plan);
+        if answers = [] then
+          Format.printf "%s@."
+            (if exactly = None then "no designated answers"
+             else "no answers with exactly those values")
+        else
+          List.iter
+            (fun (tuple, v) ->
+              Format.printf "%s  =  %a@." (String.concat ", " tuple) Truth.pp
+                v)
+            answers;
+        if explain then print_plan_text (Cq.explain plan);
+        0
+    | None -> (
+        match (ind, csrc) with
+        | Some ind, Some csrc ->
+            let c = load_concept csrc in
+            let v = Para.instance_truth t ind c in
+            Format.printf "%s : %s  =  %a@." ind (Concept.to_string c) Truth.pp
+              v;
+            (match v with
+            | Truth.True -> Format.printf "supported: yes;  denied: no@."
+            | Truth.False -> Format.printf "supported: no;  denied: yes@."
+            | Truth.Both ->
+                Format.printf "supported: yes;  denied: yes  (contradiction)@."
+            | Truth.Neither -> Format.printf "supported: no;  denied: no@.");
             0
-        | None -> (
-            match (ind, csrc) with
-            | Some ind, Some csrc ->
-                let c = load_concept csrc in
-                let v = Para.instance_truth t ind c in
-                Format.printf "%s : %s  =  %a@." ind (Concept.to_string c)
-                  Truth.pp v;
-                (match v with
-                | Truth.True -> Format.printf "supported: yes;  denied: no@."
-                | Truth.False -> Format.printf "supported: no;  denied: yes@."
-                | Truth.Both ->
-                    Format.printf
-                      "supported: yes;  denied: yes  (contradiction)@."
-                | Truth.Neither -> Format.printf "supported: no;  denied: no@.");
-                0
-            | _ ->
-                Format.eprintf
-                  "dl4 query: provide either --cq, or both --individual and \
-                   --concept@.";
-                2))
+        | _ ->
+            Format.eprintf
+              "dl4 query: provide either --cq, or both --individual and \
+               --concept@.";
+            2)
   in
-  Cmd.v
-    (Cmd.info "query"
-       ~doc:
-         "Four-valued query: the Belnap value the KB supports for C(a), or \
-          the designated answers of a conjunctive query (--cq).")
+  reasoning_cmd "query"
+    ~doc:
+      "Four-valued query: the Belnap value the KB supports for C(a), or the \
+       designated answers of a conjunctive query (--cq)."
     Term.(
-      const run $ file_arg $ individual $ concept_src $ cq_arg $ explain_flag
-      $ exactly $ max_nodes_arg $ max_branches_arg $ backend_arg
-      $ from_snapshot_arg $ obs_term)
+      const run $ individual $ concept_src $ cq_arg $ explain_flag $ exactly)
 
 (* dl4 audit: the contradiction census of the KB as a dl4-audit/1
    report — the offline face of the serve daemon's [audit] op. *)
@@ -514,86 +534,49 @@ let audit_cmd =
             "Write the report to $(docv) atomically (tmp + rename) instead \
              of stdout, so a concurrent reader never sees a torn file.")
   in
-  let run file top exactly out max_nodes max_branches cache_size backend
-      from_snapshot obs =
-    with_obs ~cmd:"audit" obs (fun () ->
-        if top < 0 then begin
-          Format.eprintf "--top must be non-negative@.";
-          exit 2
-        end;
-        let exactly =
-          match exactly with
-          | None -> None
-          | Some spec -> (
-              match Truth.set_of_string spec with
-              | Error msg ->
-                  Format.eprintf "--exactly %S: %s@." spec msg;
-                  exit 2
-              | Ok values -> Some values)
-        in
-        let kb = load_kb4 file in
-        let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~backend
-        in
-        let t = session_of ~config ~from_snapshot kb in
-        let report =
-          Audit.report_json ~top ?exactly t (Audit.census t)
-        in
-        match out with
-        | None ->
-            print_endline report;
-            0
-        | Some path -> (
-            match Sink.replace path (report ^ "\n") with
-            | () -> 0
-            | exception Sys_error msg ->
-                cannot_write ~cmd:"audit" msg;
-                2))
+  let run top exactly out args =
+    require_non_negative "top" top;
+    let exactly = Option.map load_exactly exactly in
+    let t = open_session args in
+    let report = Audit.report_json ~top ?exactly t (Audit.census t) in
+    match out with
+    | None ->
+        print_endline report;
+        0
+    | Some path -> (
+        match Sink.replace path (report ^ "\n") with
+        | () -> 0
+        | exception Sys_error msg -> raise (Cannot_write msg))
   in
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:
-         "Sweep every named individual against every atomic concept (and \
-          every told role assertion) through the four-valued semantics and \
-          report the KB's health as one dl4-audit/1 JSON object: per-value \
-          counts, the degree-of-inconsistency ratio |TOP|/|decided|, \
-          per-concept contradiction rates and the most-contradictory \
-          individuals and concepts with provenance.")
-    Term.(
-      const run $ file_arg $ top $ exactly $ out $ max_nodes_arg
-      $ max_branches_arg $ cache_size_arg
-      $ backend_arg $ from_snapshot_arg $ obs_term)
+  reasoning_cmd "audit" ~cache_size:cache_size_arg
+    ~doc:
+      "Sweep every named individual against every atomic concept (and every \
+       told role assertion) through the four-valued semantics and report the \
+       KB's health as one dl4-audit/1 JSON object: per-value counts, the \
+       degree-of-inconsistency ratio |TOP|/|decided|, per-concept \
+       contradiction rates and the most-contradictory individuals and \
+       concepts with provenance."
+    Term.(const run $ top $ exactly $ out)
 
 let classify_cmd =
-  let run file max_nodes max_branches cache_size backend
-      from_snapshot obs =
-    with_obs ~cmd:"classify" obs (fun () ->
-        let kb = load_kb4 file in
-        let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~backend
-        in
-        let s = session_of ~config ~from_snapshot kb in
-        List.iter
-          (fun (cls, direct) ->
-            let lhs = String.concat " = " cls in
-            match direct with
-            | [] -> Format.printf "%s@." lhs
-            | _ -> Format.printf "%s < %s@." lhs (String.concat ", " direct))
-          (Session.taxonomy s);
-        0)
+  let run args =
+    List.iter
+      (fun (cls, direct) ->
+        let lhs = String.concat " = " cls in
+        match direct with
+        | [] -> Format.printf "%s@." lhs
+        | _ -> Format.printf "%s < %s@." lhs (String.concat ", " direct))
+      (Session.taxonomy (open_session args));
+    0
   in
-  Cmd.v
-    (Cmd.info "classify"
-       ~doc:
-         "Reduced taxonomy under internal inclusion: equivalence classes \
-          with their direct super-classes.  Classification is told-subsumer \
-          seeded and DAG-pruned; with --stats, the footer's \
-          classify.tableau_tests counter shows the tableau calls paid and \
-          classify.told_hits/classify.dag_hits the pairs answered without \
-          one.")
-    Term.(
-      const run $ file_arg $ max_nodes_arg $ max_branches_arg $ cache_size_arg
-      $ backend_arg $ from_snapshot_arg $ obs_term)
+  reasoning_cmd "classify" ~cache_size:cache_size_arg
+    ~doc:
+      "Reduced taxonomy under internal inclusion: equivalence classes with \
+       their direct super-classes.  Classification is told-subsumer seeded \
+       and DAG-pruned; with --stats, the footer's classify.tableau_tests \
+       counter shows the tableau calls paid and \
+       classify.told_hits/classify.dag_hits the pairs answered without one."
+    (Term.const run)
 
 let realize_cmd =
   let all =
@@ -604,47 +587,36 @@ let realize_cmd =
             "Also print the full Belnap truth value grid (default: only the \
              most-specific types and the contradictions).")
   in
-  let run file all max_nodes max_branches cache_size backend
-      from_snapshot obs =
-    with_obs ~cmd:"realize" obs (fun () ->
-        let kb = load_kb4 file in
-        let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~backend
+  let run all args =
+    List.iter
+      (fun (entry : Realize.entry) ->
+        let tops =
+          List.filter_map
+            (fun (c, v) -> if v = Truth.Both then Some c else None)
+            entry.Realize.types
         in
-        let s = session_of ~config ~from_snapshot kb in
-        List.iter
-          (fun (entry : Realize.entry) ->
-            let tops =
-              List.filter_map
-                (fun (c, v) -> if v = Truth.Both then Some c else None)
-                entry.Realize.types
-            in
-            Format.printf "%s : %s%s@." entry.Realize.name
-              (match entry.Realize.most_specific with
-              | [] -> "(no told-positive atomic type)"
-              | msc -> String.concat ", " msc)
-              (match tops with
-              | [] -> ""
-              | _ -> "  [TOP: " ^ String.concat ", " tops ^ "]");
-            if all then
-              List.iter
-                (fun (c, v) ->
-                  if v <> Truth.Neither then
-                    Format.printf "    %-20s %a@." c Truth.pp v)
-                entry.Realize.types)
-          (Session.realization s).Realize.entries;
-        0)
+        Format.printf "%s : %s%s@." entry.Realize.name
+          (match entry.Realize.most_specific with
+          | [] -> "(no told-positive atomic type)"
+          | msc -> String.concat ", " msc)
+          (match tops with
+          | [] -> ""
+          | _ -> "  [TOP: " ^ String.concat ", " tops ^ "]");
+        if all then
+          List.iter
+            (fun (c, v) ->
+              if v <> Truth.Neither then
+                Format.printf "    %-20s %a@." c Truth.pp v)
+            entry.Realize.types)
+      (Session.realization (open_session args)).Realize.entries;
+    0
   in
-  Cmd.v
-    (Cmd.info "realize"
-       ~doc:
-         "ABox realization: the most-specific atomic types of every \
-          individual with their Belnap values, computed with instance checks \
-          pruned through the classified hierarchy.")
-    Term.(
-      const run $ file_arg $ all $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ backend_arg
-      $ from_snapshot_arg $ obs_term)
+  reasoning_cmd "realize" ~cache_size:cache_size_arg
+    ~doc:
+      "ABox realization: the most-specific atomic types of every individual \
+       with their Belnap values, computed with instance checks pruned \
+       through the classified hierarchy."
+    Term.(const run $ all)
 
 let update_cmd =
   let delta_args =
@@ -669,55 +641,46 @@ let update_cmd =
         Format.eprintf "%s: %s@." path e;
         None
   in
-  let run file deltas max_nodes max_branches cache_size backend
-      from_snapshot obs =
-    with_obs ~cmd:"update" obs (fun () ->
-        let kb = load_kb4 file in
-        if deltas = [] then begin
-          Format.eprintf "update: pass at least one --delta FILE@.";
-          2
-        end
-        else begin
-          let scripts = List.map load_deltas deltas in
-          if List.exists Option.is_none scripts then 2
-          else begin
-            let config =
-              make_config ~max_nodes ~max_branches ~cache_size ~backend
-            in
-            let s = session_of ~config ~from_snapshot kb in
-            (* warm the stack before replaying so the per-delta stats show
-               what selective invalidation retains *)
-            Format.printf "initial: %s, %d contradictions@."
-              (if Para.satisfiable s then "satisfiable" else "UNSATISFIABLE")
-              (List.length (Para.contradictions s));
-            let n = ref 0 in
+  let run deltas args =
+    let kb = load_kb4 args.file in
+    if deltas = [] then begin
+      Format.eprintf "update: pass at least one --delta FILE@.";
+      2
+    end
+    else begin
+      let scripts = List.map load_deltas deltas in
+      if List.exists Option.is_none scripts then 2
+      else begin
+        let s = open_session ~kb args in
+        (* warm the stack before replaying so the per-delta stats show
+           what selective invalidation retains *)
+        Format.printf "initial: %s, %d contradictions@."
+          (if Para.satisfiable s then "satisfiable" else "UNSATISFIABLE")
+          (List.length (Para.contradictions s));
+        let n = ref 0 in
+        List.iter
+          (fun ds ->
             List.iter
-              (fun ds ->
-                List.iter
-                  (fun d ->
-                    incr n;
-                    let st = Session.apply s d in
-                    Format.printf "delta %d: %a@." !n Oracle.pp_apply_stats st)
-                  ds)
-              (List.filter_map Fun.id scripts);
-            Format.printf "final: %s, %d contradictions@."
-              (if Para.satisfiable s then "satisfiable" else "UNSATISFIABLE")
-              (List.length (Para.contradictions s));
-            if Para.satisfiable s then 0 else 1
-          end
-        end)
+              (fun d ->
+                incr n;
+                let st = Session.apply s d in
+                Format.printf "delta %d: %a@." !n Oracle.pp_apply_stats st)
+              ds)
+          (List.filter_map Fun.id scripts);
+        Format.printf "final: %s, %d contradictions@."
+          (if Para.satisfiable s then "satisfiable" else "UNSATISFIABLE")
+          (List.length (Para.contradictions s));
+        if Para.satisfiable s then 0 else 1
+      end
+    end
   in
-  Cmd.v
-    (Cmd.info "update"
-       ~doc:
-         "Replay incremental KB deltas against a live session.  Each delta \
-          is applied in place; cached verdicts whose provenance avoids the \
-          touched individuals and concepts are retained, the rest are \
-          selectively evicted (see the per-delta stats lines).")
-    Term.(
-      const run $ file_arg $ delta_args $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ backend_arg
-      $ from_snapshot_arg $ obs_term)
+  reasoning_cmd "update" ~cache_size:cache_size_arg
+    ~doc:
+      "Replay incremental KB deltas against a live session.  Each delta is \
+       applied in place; cached verdicts whose provenance avoids the touched \
+       individuals and concepts are retained, the rest are selectively \
+       evicted (see the per-delta stats lines)."
+    Term.(const run $ delta_args)
 
 let transform_cmd =
   let run file =
@@ -744,6 +707,8 @@ let models_cmd =
       & info [ "limit" ] ~docv:"N" ~doc:"Maximum number of models to print.")
   in
   let run file extra limit =
+    require_non_negative "limit" limit;
+    require_non_negative "extra" extra;
     let kb = load_kb4 file in
     let count = ref 0 in
     Seq.iter
@@ -776,30 +741,21 @@ let retrieve_cmd =
           ~doc:"Also print individuals with value f or BOT (default: only \
                 designated answers).")
   in
-  let run file csrc all max_nodes max_branches backend from_snapshot obs =
-    with_obs ~cmd:"retrieve" obs (fun () ->
-        let kb = load_kb4 file in
-        let c = load_concept csrc in
-        let config =
-          make_config ~max_nodes ~max_branches
-            ~cache_size:Oracle.default_cache_capacity ~backend
-        in
-        let t = session_of ~config ~from_snapshot kb in
-        List.iter
-          (fun (a, v) ->
-            if all || Truth.designated v then
-              Format.printf "  %-20s %a@." a Truth.pp v)
-          (Para.retrieve t c);
-        0)
+  let run csrc all args =
+    let kb = load_kb4 args.file in
+    let c = load_concept csrc in
+    List.iter
+      (fun (a, v) ->
+        if all || Truth.designated v then
+          Format.printf "  %-20s %a@." a Truth.pp v)
+      (Para.retrieve (open_session ~kb args) c);
+    0
   in
-  Cmd.v
-    (Cmd.info "retrieve"
-       ~doc:"Four-valued instance retrieval: the Belnap value of C(a) for \
-             every named individual.")
-    Term.(
-      const run $ file_arg $ concept_src $ all $ max_nodes_arg
-      $ max_branches_arg $ backend_arg $ from_snapshot_arg
-      $ obs_term)
+  reasoning_cmd "retrieve"
+    ~doc:
+      "Four-valued instance retrieval: the Belnap value of C(a) for every \
+       named individual."
+    Term.(const run $ concept_src $ all)
 
 let explain_cmd =
   let individual =
@@ -821,11 +777,14 @@ let explain_cmd =
   in
   let run file ind csrc all max_nodes obs =
     with_obs ~cmd:"explain" obs (fun () ->
-        let kb = load_kb4 file in
+        let session kb =
+          Para.create ~config:{ Oracle.default_config with max_nodes } kb
+        in
         match (ind, csrc) with
         | Some ind, Some csrc ->
+            let kb = load_kb4 file in
             let c = load_concept csrc in
-            let t = Para.create ~config:{ Oracle.default_config with Oracle.max_nodes = max_nodes } kb in
+            let t = session kb in
             let v = Para.instance_truth t ind c in
             Format.printf "%s : %s = %a@." ind (Concept.to_string c) Truth.pp
               v;
@@ -852,9 +811,11 @@ let explain_cmd =
                   js)
               queries;
             0
-        | _ ->
-            let t = Para.create ~config:{ Oracle.default_config with Oracle.max_nodes = max_nodes } kb in
-            let explained = Explain.contradictions_explained ~max_nodes t in
+        | None, None ->
+            let explained =
+              Explain.contradictions_explained ~max_nodes
+                (session (load_kb4 file))
+            in
             if explained = [] then
               Format.printf "no localized contradictions@."
             else
@@ -863,7 +824,12 @@ let explain_cmd =
                   Format.printf "%s : %s = TOP, because:@.%s@." a cname
                     (Surface.kb4_to_string j))
                 explained;
-            0)
+            0
+        | _ ->
+            Format.eprintf
+              "dl4 explain: provide both --individual and --concept, or \
+               neither@.";
+            2)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -949,34 +915,25 @@ let explain_plan_cmd =
             "Human-readable rendering instead of the default single-line \
              dl4-plan/1 JSON.")
   in
-  let run file cqsrc join threshold order execute text max_nodes max_branches
-      backend from_snapshot obs =
-    with_obs ~cmd:"explain-plan" obs (fun () ->
-        let kb = load_kb4 file in
-        let q = load_cq cqsrc in
-        let config =
-          make_config ~max_nodes ~max_branches
-            ~cache_size:Oracle.default_cache_capacity ~backend
-        in
-        let t = session_of ~config ~from_snapshot kb in
-        let plan = Cq.compile ?threshold ?force:join ~order t q in
-        if execute then
-          ignore (Cq.run plan : (string list * Truth.t) list);
-        if text then print_plan_text (Cq.explain plan)
-        else print_endline (Cq.explain_json plan);
-        0)
+  let run cqsrc join threshold order execute text args =
+    let kb = load_kb4 args.file in
+    let q = load_cq cqsrc in
+    let plan =
+      Cq.compile ?threshold ?force:join ~order (open_session ~kb args) q
+    in
+    if execute then ignore (Cq.run plan : (string list * Truth.t) list);
+    if text then print_plan_text (Cq.explain plan)
+    else print_endline (Cq.explain_json plan);
+    0
   in
-  Cmd.v
-    (Cmd.info "explain-plan"
-       ~doc:
-         "Compile a conjunctive query into its cost-based execution plan \
-          and print the stable machine-readable description (dl4-plan/1) \
-          without running it (unless --execute).")
+  reasoning_cmd "explain-plan"
+    ~doc:
+      "Compile a conjunctive query into its cost-based execution plan and \
+       print the stable machine-readable description (dl4-plan/1) without \
+       running it (unless --execute)."
     Term.(
-      const run $ file_arg $ cq_required $ join_arg $ threshold_arg
-      $ order_arg $ execute_flag $ text_flag $ max_nodes_arg
-      $ max_branches_arg $ backend_arg $ from_snapshot_arg
-      $ obs_term)
+      const run $ cq_required $ join_arg $ threshold_arg $ order_arg
+      $ execute_flag $ text_flag)
 
 let repair_cmd =
   let run file =
@@ -1399,35 +1356,24 @@ let snapshot_cmd =
              atomic truth grid and the classification index — so restored \
              sessions answer atomic queries with zero tableau calls.")
   in
-  let run file out cold max_nodes max_branches cache_size backend
-      from_snapshot obs =
-    with_obs ~cmd:"snapshot" obs (fun () ->
-        let kb = load_kb4 file in
-        let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~backend
-        in
-        let s = session_of ~config ~from_snapshot kb in
-        if not cold then warm_session s;
-        let snap = Store.capture s in
-        match Store.save snap out with
-        | Error e ->
-            Format.eprintf "snapshot: %s@." (Store.error_to_string e);
-            2
-        | Ok () ->
-            Format.printf "wrote %s@.%a@." out Store.pp_summary snap;
-            0)
+  let run out cold args =
+    let s = open_session args in
+    if not cold then warm_session s;
+    let snap = Store.capture s in
+    match Store.save snap out with
+    | Error e ->
+        Format.eprintf "snapshot: %s@." (Store.error_to_string e);
+        2
+    | Ok () ->
+        Format.printf "wrote %s@.%a@." out Store.pp_summary snap;
+        0
   in
-  Cmd.v
-    (Cmd.info "snapshot"
-       ~doc:
-         "Build (and by default warm) a session over the KB and freeze it \
-          to a versioned snapshot file.  Any subcommand can then \
-          warm-start from it with --from-snapshot; 'dl4 serve' can load \
-          and autosave it.")
-    Term.(
-      const run $ file_arg $ out $ cold $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ backend_arg
-      $ from_snapshot_arg $ obs_term)
+  reasoning_cmd "snapshot" ~cache_size:cache_size_arg
+    ~doc:
+      "Build (and by default warm) a session over the KB and freeze it to a \
+       versioned snapshot file.  Any subcommand can then warm-start from it \
+       with --from-snapshot; 'dl4 serve' can load and autosave it."
+    Term.(const run $ out $ cold)
 
 let serve_cmd =
   let socket =
@@ -1516,68 +1462,54 @@ let serve_cmd =
              the KB) to $(docv).  Arming this makes updates pay up to two \
              censuses each.")
   in
-  let run file socket snapshot_to idle_save cold metrics_out metrics_interval
-      access_log access_log_rotate drift_log max_nodes
-      max_branches cache_size backend from_snapshot obs =
-    with_obs ~cmd:"serve" obs (fun () ->
-        let kb = load_kb4 file in
-        let config =
-          make_config ~max_nodes ~max_branches ~cache_size ~backend
-        in
-        let s = session_of ~config ~from_snapshot kb in
-        (* a warm-up run over a budget leaves the session sound (a
-           tripped verdict is never cached, a tripped classification
-           stays unbuilt), so the daemon serves and fails only the
-           requests that trip again *)
-        (if not cold then
-           try warm_session s
-           with Tableau.Resource_limit msg ->
-             Format.eprintf
-               "dl4 serve: warm-up stopped: resource limit: %s; serving \
-                anyway, over-budget requests will fail@."
-               msg);
-        let snapshot_path =
-          match snapshot_to with Some _ -> snapshot_to | None -> from_snapshot
-        in
-        (* the logs open in [Serve.create] and the scrape file is first
-           written before [Serve.run] binds: either failing ends here,
-           with no socket; after the bind nothing written raises *)
-        match
-          let t =
-            Serve.create ?snapshot_path ?access_log
-              ~access_log_max_bytes:access_log_rotate ?drift_log s
-          in
-          let on_listen () =
-            Format.printf "dl4 serve: listening on %s (NDJSON; ops: %s)@."
-              socket
-              (String.concat " " Serve.op_names)
-          in
-          Serve.run ~idle_save ?metrics_out ~metrics_interval ~on_listen
-            ~socket_path:socket t
-        with
-        | () ->
-            Format.printf "dl4 serve: shut down@.";
-            0
-        | exception Sys_error msg ->
-            cannot_write ~cmd:"serve" msg;
-            2)
+  let run socket snapshot_to idle_save cold metrics_out metrics_interval
+      access_log access_log_rotate drift_log args =
+    let s = open_session args in
+    (* a warm-up run over a budget leaves the session sound (a tripped
+       verdict is never cached, a tripped classification stays
+       unbuilt), so the daemon serves and fails only the requests that
+       trip again *)
+    (if not cold then
+       try warm_session s
+       with Tableau.Resource_limit msg ->
+         Format.eprintf
+           "dl4 serve: warm-up stopped: resource limit: %s; serving anyway, \
+            over-budget requests will fail@."
+           msg);
+    let snapshot_path =
+      match snapshot_to with Some _ -> snapshot_to | None -> args.from_snapshot
+    in
+    (* the logs open in [Serve.create] and the scrape file is first
+       written before [Serve.run] binds: either failing ends here, with
+       no socket; after the bind nothing written raises *)
+    match
+      let t =
+        Serve.create ?snapshot_path ?access_log
+          ~access_log_max_bytes:access_log_rotate ?drift_log s
+      in
+      let on_listen () =
+        Format.printf "dl4 serve: listening on %s (NDJSON; ops: %s)@." socket
+          (String.concat " " Serve.op_names)
+      in
+      Serve.run ~idle_save ?metrics_out ~metrics_interval ~on_listen
+        ~socket_path:socket t
+    with
+    | () ->
+        Format.printf "dl4 serve: shut down@.";
+        0
+    | exception Sys_error msg -> raise (Cannot_write msg)
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Long-running daemon: hold one warm session over the KB and \
-          answer newline-delimited JSON requests on a Unix-domain socket.  \
-          Every response carries the request's trace ID and marginal cost \
-          (tableau calls, cache hits, wall time) so clients can verify \
-          they are being served warm and correlate the daemon's logs.  \
-          Query it with 'dl4 client' or nc, watch it with 'dl4 top', \
-          scrape it with --metrics-out.")
+  reasoning_cmd "serve" ~cache_size:cache_size_arg
+    ~doc:
+      "Long-running daemon: hold one warm session over the KB and answer \
+       newline-delimited JSON requests on a Unix-domain socket.  Every \
+       response carries the request's trace ID and marginal cost (tableau \
+       calls, cache hits, wall time) so clients can verify they are being \
+       served warm and correlate the daemon's logs.  Query it with 'dl4 \
+       client' or nc, watch it with 'dl4 top', scrape it with --metrics-out."
     Term.(
-      const run $ file_arg $ socket $ snapshot_to $ idle_save $ cold
-      $ metrics_out $ metrics_interval $ access_log $ access_log_rotate
-      $ drift_log $ max_nodes_arg $ max_branches_arg
-      $ cache_size_arg $ backend_arg
-      $ from_snapshot_arg $ obs_term)
+      const run $ socket $ snapshot_to $ idle_save $ cold $ metrics_out
+      $ metrics_interval $ access_log $ access_log_rotate $ drift_log)
 
 let client_cmd =
   let socket =

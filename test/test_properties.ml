@@ -363,13 +363,73 @@ let find_model4_bounded ~budget kb =
     (fun i -> Interp4.is_model i kb)
     (Seq.take budget (Enum.interps4 ~signature ()))
 
+(* ------------------------------------------------------------------ *)
+(* Budgeted properties.  Chronological backtracking is worst-case
+   exponential, so a random KB can keep the tableau busy for minutes.
+   A property that runs it on one does so under [max_nodes] and
+   [max_branches] and skips a case whose run blows them.  Its test
+   counts the skipped cases, prints the count when the suite ends, and
+   fails when more than [max_skip_share] of its cases were skipped: a
+   budget that skips most cases would test nothing.  Each test's share
+   is about twice the worst it skipped over 64 seeds (1-60, 42, 1000,
+   99999 and 367319231): the skip count of a seed has a long tail. *)
+
+let max_nodes = 1_000
+let max_branches = 1_500
+
+let with_budget f =
+  match f () with v -> Some v | exception Tableau.Resource_limit _ -> None
+
+(* A case made of several budgeted checks fails when one fails, and
+   else is skipped when one was. *)
+let all_checks checks =
+  if List.mem (Some false) checks then Some false
+  else if List.mem None checks then None
+  else Some true
+
+let skip_log = ref []
+
+let () =
+  at_exit (fun () ->
+      if !skip_log <> [] then print_newline ();
+      List.iter
+        (fun (name, skipped, count) ->
+          Printf.printf "%s: %d of %d cases skipped over the tableau budget\n"
+            name skipped count)
+        (List.rev !skip_log))
+
+(* [prop] answers [None] for a case it skipped. *)
+let budgeted_test ~count ~max_skip_share ~name ~print gen prop =
+  let skipped = ref 0 in
+  let test =
+    Test.make ~count ~name ~print gen (fun x ->
+        match prop x with
+        | Some ok -> ok
+        | None ->
+            incr skipped;
+            true)
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest test in
+  ( name,
+    speed,
+    fun () ->
+      Fun.protect run ~finally:(fun () ->
+          skip_log := (name, !skipped, count) :: !skip_log);
+      if float_of_int !skipped > max_skip_share *. float_of_int count then
+        Alcotest.failf
+          "%d of %d cases skipped over the tableau budget (at most %.0f%% \
+           may be)"
+          !skipped count (100.0 *. max_skip_share) )
+
+let qcheck = QCheck_alcotest.to_alcotest
+
 let differential_tests =
-  [ Test.make ~count:300
+  [ qcheck @@ Test.make ~count:300
       ~name:"propositional KBs: tableau agrees with enumeration exactly"
       ~print:print_kb gen_prop_kb
       (fun kb ->
         Bool.equal (Tableau.kb_satisfiable kb) (Enum.exists_model2 kb));
-    Test.make ~count:100
+    qcheck @@ Test.make ~count:100
       ~name:"shallow KBs: an enumerated model implies tableau-sat"
       ~print:print_kb gen_shallow_kb
       (fun kb ->
@@ -377,7 +437,8 @@ let differential_tests =
         if find_model2_bounded ~budget:30_000 ~extra:0 kb then
           Tableau.kb_satisfiable kb
         else true);
-    Test.make ~count:100
+    (* worst measured: 3 of 100 *)
+    budgeted_test ~count:100 ~max_skip_share:0.1
       ~name:"4-valued: enumerated 4-model implies transformed KB sat"
       ~print:(fun kb -> Surface.kb4_to_string kb)
       Gen.(
@@ -388,17 +449,19 @@ let differential_tests =
         return (Kb4.make ~tbox ~abox))
       (fun kb ->
         if find_model4_bounded ~budget:30_000 kb then
-          Tableau.kb_satisfiable (Transform.kb kb)
-        else true);
+          with_budget (fun () ->
+              Tableau.kb_satisfiable ~max_nodes ~max_branches
+                (Transform.kb kb))
+        else Some true);
     (* Model extraction: [kb_model] self-verifies, so [Some] is always a
        real model; on fragments with the finite-tree/finite-model property
        extraction must succeed whenever the KB is satisfiable. *)
-    Test.make ~count:200
+    qcheck @@ Test.make ~count:200
       ~name:"propositional KBs: satisfiable implies extractable model"
       ~print:print_kb gen_prop_kb
       (fun kb ->
         if Tableau.kb_satisfiable kb then Tableau.kb_model kb <> None else true);
-    Test.make ~count:100
+    qcheck @@ Test.make ~count:100
       ~name:"ABox-only KBs: satisfiable implies extractable model"
       ~print:print_kb gen_shallow_kb
       (fun kb ->
@@ -436,48 +499,45 @@ let gen_kb4_for_native =
   let* abox = list_repeat n_abox gen_abox_axiom in
   return (Kb4.make ~tbox ~abox)
 
-(* Chronological backtracking is worst-case exponential, so pathological
-   random KBs are skipped via a branch budget rather than hanging the
-   suite. *)
-let with_budget f = match f () with v -> Some v | exception Tableau.Resource_limit _ -> None
+(* The two sides of a budgeted comparison: [None] when either side
+   blew the budget. *)
+let agree equal p n =
+  match (with_budget p, with_budget n) with
+  | Some p, Some n -> Some (equal p n)
+  | None, _ | _, None -> None
 
 let native_tests =
-  [ Test.make ~count:80
+  let config = { Oracle.default_config with max_nodes; max_branches } in
+  [ (* worst measured: 14 of 80 *)
+    budgeted_test ~count:80 ~max_skip_share:0.3
       ~name:"native 4-valued tableau agrees with the transformation (sat)"
       ~print:(fun kb -> Surface.kb4_to_string kb)
       gen_kb4_for_native
       (fun kb ->
-        let p =
-          with_budget (fun () ->
-              Para.satisfiable (Para.create ~config:{ Oracle.default_config with Oracle.max_nodes = 1_000; max_branches = 1_500 } kb))
-        in
-        let n =
-          with_budget (fun () ->
-              Tableau4.satisfiable (Tableau4.create ~max_nodes:1_000 ~max_branches:1_500 kb))
-        in
-        match (p, n) with
-        | Some p, Some n -> Bool.equal p n
-        | None, _ | _, None -> true (* budget blown: skip *));
-    Test.make ~count:30
+        agree Bool.equal
+          (fun () -> Para.satisfiable (Para.create ~config kb))
+          (fun () ->
+            Tableau4.satisfiable (Tableau4.create ~max_nodes ~max_branches kb)));
+    (* a case is six checks, any of which may skip it; worst measured:
+       10 of 30 *)
+    budgeted_test ~count:30 ~max_skip_share:0.5
       ~name:"native 4-valued tableau agrees on instance truth values"
       ~print:(fun kb -> Surface.kb4_to_string kb)
       gen_kb4_for_native
       (fun kb ->
-        let para = Para.create ~config:{ Oracle.default_config with Oracle.max_nodes = 1_000; max_branches = 1_500 } kb in
-        let native = Tableau4.create ~max_nodes:1_000 ~max_branches:1_500 kb in
-        List.for_all
-          (fun a ->
-            List.for_all
-              (fun cname ->
-                let c = Concept.Atom cname in
-                match
-                  ( with_budget (fun () -> Para.instance_truth para a c),
-                    with_budget (fun () -> Tableau4.instance_truth native a c) )
-                with
-                | Some vp, Some vn -> Truth.equal vp vn
-                | None, _ | _, None -> true)
-              concept_names)
-          individual_names)
+        let para = Para.create ~config kb in
+        let native = Tableau4.create ~max_nodes ~max_branches kb in
+        all_checks
+          (List.concat_map
+             (fun a ->
+               List.map
+                 (fun cname ->
+                   let c = Concept.Atom cname in
+                   agree Truth.equal
+                     (fun () -> Para.instance_truth para a c)
+                     (fun () -> Tableau4.instance_truth native a c))
+                 concept_names)
+             individual_names))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -589,8 +649,8 @@ let () =
       ("decomposition", to_alcotest decomposition_tests);
       ("theorem6", to_alcotest theorem6_tests);
       ("parser", to_alcotest parser_tests);
-      ("differential", to_alcotest differential_tests);
-      ("native4", to_alcotest native_tests);
+      ("differential", differential_tests);
+      ("native4", native_tests);
       ("prop4", to_alcotest prop4_tests);
       ("baselines", to_alcotest baseline_tests);
       ("datatype", to_alcotest datatype_tests) ]
