@@ -282,8 +282,8 @@ let from_snapshot_arg =
            version skew dl4 warns and builds cold.  Cached verdicts, the \
            classification index and the cost history carry over, so \
            repeated queries pay zero tableau calls.  --backend, \
-           --cache-size, --max-nodes and --max-branches are taken from \
-           the snapshot.")
+           --max-nodes, --max-branches and the verdict cache's size are \
+           taken from the snapshot.")
 
 type session_args = {
   file : string;
@@ -455,9 +455,10 @@ let query_cmd =
              --exactly B,N everything undecided-or-conflicting.")
   in
   let run ind csrc cq explain exactly args =
-    let t = open_session args in
-    match cq with
-    | Some src ->
+    (* the flags are checked before FILE is read, as in explain *)
+    match (cq, ind, csrc) with
+    | Some src, _, _ ->
+        let t = open_session args in
         let q = load_cq src in
         let plan = Cq.compile t q in
         let answers =
@@ -477,25 +478,23 @@ let query_cmd =
             answers;
         if explain then print_plan_text (Cq.explain plan);
         0
-    | None -> (
-        match (ind, csrc) with
-        | Some ind, Some csrc ->
-            let c = load_concept csrc in
-            let v = Para.instance_truth t ind c in
-            Format.printf "%s : %s  =  %a@." ind (Concept.to_string c) Truth.pp
-              v;
-            (match v with
-            | Truth.True -> Format.printf "supported: yes;  denied: no@."
-            | Truth.False -> Format.printf "supported: no;  denied: yes@."
-            | Truth.Both ->
-                Format.printf "supported: yes;  denied: yes  (contradiction)@."
-            | Truth.Neither -> Format.printf "supported: no;  denied: no@.");
-            0
-        | _ ->
-            Format.eprintf
-              "dl4 query: provide either --cq, or both --individual and \
-               --concept@.";
-            2)
+    | None, Some ind, Some csrc ->
+        let t = open_session args in
+        let c = load_concept csrc in
+        let v = Para.instance_truth t ind c in
+        Format.printf "%s : %s  =  %a@." ind (Concept.to_string c) Truth.pp v;
+        (match v with
+        | Truth.True -> Format.printf "supported: yes;  denied: no@."
+        | Truth.False -> Format.printf "supported: no;  denied: yes@."
+        | Truth.Both ->
+            Format.printf "supported: yes;  denied: yes  (contradiction)@."
+        | Truth.Neither -> Format.printf "supported: no;  denied: no@.");
+        0
+    | None, _, _ ->
+        Format.eprintf
+          "dl4 query: provide either --cq, or both --individual and \
+           --concept@.";
+        2
   in
   reasoning_cmd "query"
     ~doc:

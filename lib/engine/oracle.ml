@@ -672,15 +672,16 @@ let apply t (d : Delta.t) =
     let ctbox = Transform.tbox_delta d.add_tbox in
     let cadd = Transform.abox_delta d.add_abox in
     let cretract = Transform.abox_delta d.retract_abox in
-    (* TBox additions: an axiom the preprocessor will absorb (atomic LHS)
-       only strengthens the unfolding of that one atom — evict verdicts
-       whose provenance mentions the (demangled) atom.  Anything else
-       (GCIs, role axioms, transitivity) changes global saturation and
-       forces a full flush. *)
+    (* TBox additions: an axiom the pre-delta prep will absorb
+       positively (atomic LHS) only strengthens the unfolding of that one
+       atom — evict verdicts whose provenance mentions the (demangled)
+       atom.  Anything else (GCIs, negatively absorbed axioms, role
+       axioms, transitivity, a positive rule on a name absorbed
+       negatively) changes global saturation and forces a full flush. *)
     let tbox_flush, evict_atoms =
       List.fold_left
         (fun (flush, atoms) ax ->
-          match Tableau.absorbable_lhs ax with
+          match Reasoner.absorbable_lhs t.primary ax with
           | None -> (true, atoms)
           | Some a -> (
               match Mangle.atom_origin a with

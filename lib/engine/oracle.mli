@@ -259,7 +259,10 @@ val restore_cache_stats : t -> Verdict_cache.stats -> unit
       interact, so untouched-component verdicts are bitwise identical.
     - An absorbable TBox addition ([A ⊑ C] with atomic LHS) evicts the
       verdicts whose provenance mentions [A]; any other TBox axiom (GCI,
-      role inclusion, transitivity) forces a full flush.
+      negatively absorbed [¬A ⊑ C], role inclusion, transitivity) forces
+      a full flush.  So does an [A ⊑ C] whose [A] the pre-delta KB
+      absorbs negatively ({!Tableau.absorbable_lhs}): [A] was true at
+      every node not labelled [¬A], which no provenance records.
     - The global {!Consistent} verdict is always evicted, and if its value
       flips across the delta everything else is flushed too — an
       (in)consistency transition re-decides every entailment at once.

@@ -6,7 +6,8 @@
     records and the [--metrics-json] registry dump — is built as a {!t}
     and printed by {!to_buffer}/{!to_string}, so the escaping rule, the
     number rule and the separators live here and nowhere else.  The
-    reader serves [dl4 profile], the validators and the serve protocol.
+    reader serves [dl4 profile], the artifact checker ([check_artifact])
+    and the serve protocol.
 
     Two sinks keep a hand-written number format, because {!number}
     would truncate their fixed-point values: the Chrome trace

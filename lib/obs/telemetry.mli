@@ -108,5 +108,5 @@ val write_prometheus : t -> string -> unit
 
 val label_escape : string -> string
 (** Exposition-format label escaping: backslash, double quote and
-    newline become two-character escapes.  Exposed for the validator
-    and tests. *)
+    newline become two-character escapes.  Exposed for the artifact
+    checker ([check_artifact]) and tests. *)

@@ -1,7 +1,7 @@
 type t = {
   mutable prep : Tableau.prep;
       (* cached preprocessing (absorption, hierarchy, blocking signals):
-         computed once per KB, refreshed incrementally by [apply_delta],
+         computed once per KB, refreshed by [apply_delta],
          shared by every query instead of being re-derived per tableau
          run *)
   max_nodes : int;
@@ -27,6 +27,8 @@ let apply_delta t ~add_abox ~retract_abox ~add_tbox =
   in
   t.prep <- Tableau.prep_add_tbox (Tableau.prep_with_abox t.prep abox) add_tbox;
   t.consistent <- None
+
+let absorbable_lhs t ax = Tableau.absorbable_lhs t.prep ax
 
 type state = Tableau.prep * bool option
 

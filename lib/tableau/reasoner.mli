@@ -5,7 +5,7 @@
     Each query runs the tableau on the KB plus the query assertions, but
     the query-independent preprocessing (absorption, role hierarchy,
     blocking-strategy signals) is computed once per KB as a cached
-    {!Tableau.prep} and refreshed incrementally by {!apply_delta}. *)
+    {!Tableau.prep} and refreshed by {!apply_delta}. *)
 
 type t
 
@@ -21,10 +21,14 @@ val apply_delta :
   unit
 (** Update the KB in place: retractions remove the first structurally
     equal occurrence each (absent retractions are ignored), additions are
-    appended.  The cached preprocessing is refreshed incrementally — TBox
-    additions extend the absorption maps and rebuild the role hierarchy,
-    ABox changes only rescan the ABox blocking signals — and the cached
-    consistency verdict is reset. *)
+    appended.  The cached preprocessing is refreshed — TBox additions
+    prepare the whole TBox again, since one can change the direction a
+    name is absorbed in; ABox changes only rescan the ABox blocking
+    signals — and the cached consistency verdict is reset. *)
+
+val absorbable_lhs : t -> Axiom.tbox_axiom -> string option
+(** {!Tableau.absorbable_lhs} on the current prepared state: the atom a
+    TBox addition would only extend the unfolding of, if any. *)
 
 type state
 (** The prepared state with the cached consistency verdict.  Both are

@@ -196,7 +196,8 @@ type blocking = Subset | Equal | Pairwise
 
 type ctx = {
   h : Hierarchy.t;
-  unfold : Concept.t list SMap.t;  (* lazily unfolded atomic-LHS axioms *)
+  unfold : Concept.t list SMap.t;  (* lazily unfolded on [A] *)
+  unfold_neg : Concept.t list SMap.t;  (* lazily unfolded on [¬A] *)
   gcis : Concept.t list;           (* internalized: added to every node *)
   blocking : blocking;
   max_nodes : int;
@@ -646,6 +647,10 @@ let saturate ctx st =
                     match SMap.find_opt a ctx.unfold with
                     | Some cs -> add r_unfold x cs
                     | None -> ())
+                | Not (Atom a) -> (
+                    match SMap.find_opt a ctx.unfold_neg with
+                    | Some cs -> add r_unfold x cs
+                    | None -> ())
                 | Forall (s, body) ->
                     List.iter
                       (fun y -> add r_forall y [ body ])
@@ -993,6 +998,18 @@ let data_ok ctx st =
 (* ------------------------------------------------------------------ *)
 (* Main expansion loop *)
 
+(* A live disjunct that is a negatively absorbed name already holds
+   (its negation is absent, though no label shows the name): try it
+   first, or a GCI offering the name sends the search through its other
+   disjuncts first. *)
+let holds_first ctx ds =
+  let holds = function
+    | Concept.Atom a -> SMap.mem a ctx.unfold_neg
+    | _ -> false
+  in
+  let yes, no = List.partition holds ds in
+  yes @ no
+
 (* Expand to a complete, clash-free state ([Some]) or fail ([None]). *)
 let rec expand ctx st =
   match saturate ctx st with
@@ -1029,7 +1046,7 @@ let rec expand ctx st =
                       backtracked ctx x;
                       try_branches (Concept.nnf (Concept.Not d) :: negs) rest)
             in
-            try_branches [] ds
+            try_branches [] (holds_first ctx ds)
         | Some (Merge_pairs pairs) ->
             List.find_map
               (fun (src, dst) ->
@@ -1075,9 +1092,10 @@ let rec expand ctx st =
 let rec conjuncts (c : Concept.t) =
   match c with And (a, b) -> conjuncts a @ conjuncts b | c -> [ c ]
 
-(* The split that decides absorption: a left-hand side with an atomic
-   conjunct [a] is absorbed into [a]'s unfolding, with the other
-   conjuncts as its residue; any other left-hand side is internalized. *)
+(* The split that decides positive absorption: a left-hand side with an
+   atomic conjunct [a] is absorbed into [a]'s unfolding, with the other
+   conjuncts as its residue.  A name it picks for some axiom has a
+   positive rule. *)
 let absorption_split c =
   match
     List.partition (function Concept.Atom _ -> true | _ -> false) (conjuncts c)
@@ -1085,33 +1103,56 @@ let absorption_split c =
   | Concept.Atom a :: extra_atoms, rest -> Some (a, extra_atoms @ rest)
   | _ -> None
 
-(* Absorption folds left to right from the given maps, so extending the
-   maps of a TBox by appended axioms gives what a pass over the
-   concatenated TBox would. *)
-let preprocess_tbox (unfold, gcis) tbox =
-  List.fold_left
-    (fun (unfold, gcis) ax ->
-      match ax with
-      | Axiom.Concept_sub (c, d) -> (
-          match absorption_split c with
-          | Some (a, residue) ->
-              (* absorb into A ⊑ nnf(¬(rest ⊓ extras) ⊔ D) *)
-              let rhs =
-                if residue = [] then Concept.nnf d
-                else
-                  Concept.nnf
-                    (Concept.Or (Concept.Not (Concept.conj residue), d))
-              in
-              let cur =
-                match SMap.find_opt a unfold with Some l -> l | None -> []
-              in
-              (SMap.add a (rhs :: cur) unfold, gcis)
-          | None ->
-              let gci = Concept.nnf (Concept.Or (Concept.Not c, d)) in
-              (unfold, gci :: gcis))
-      | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ ->
-          (unfold, gcis))
-    (unfold, gcis) tbox
+(* The split for a left-hand side [absorption_split] leaves alone: the
+   first conjunct [¬a] of its NNF whose [a] has no positive rule is the
+   key, the other conjuncts are the residue.  A name is absorbed one way
+   only: a node without [¬a] is read as an [a], which a positive rule on
+   [a] would have to see in its label (Horrocks & Tobies, KR 2000). *)
+let negative_split ~positive c =
+  let rec go seen = function
+    | [] -> None
+    | Concept.Not (Concept.Atom a) :: rest when not (SMap.mem a positive) ->
+        Some (a, List.rev_append seen rest)
+    | c :: rest -> go (c :: seen) rest
+  in
+  go [] (conjuncts (Concept.nnf c))
+
+(* [X ⊓ residue ⊑ D] absorbed under [X] unfolds to nnf(¬residue ⊔ D). *)
+let add_rule key residue d rules =
+  let rhs =
+    if residue = [] then Concept.nnf d
+    else Concept.nnf (Concept.Or (Concept.Not (Concept.conj residue), d))
+  in
+  let cur = match SMap.find_opt key rules with Some l -> l | None -> [] in
+  SMap.add key (rhs :: cur) rules
+
+(* The direction of every name is decided first: the positive pass runs
+   over all of [tbox], and only then does the negative split see which
+   names have a positive rule. *)
+let preprocess_tbox tbox =
+  let unfold, rest =
+    List.fold_left
+      (fun (unfold, rest) ax ->
+        match ax with
+        | Axiom.Concept_sub (c, d) -> (
+            match absorption_split c with
+            | Some (a, residue) -> (add_rule a residue d unfold, rest)
+            | None -> (unfold, (c, d) :: rest))
+        | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ ->
+            (unfold, rest))
+      (SMap.empty, []) tbox
+  in
+  let unfold_neg, gcis =
+    List.fold_left
+      (fun (unfold_neg, gcis) (c, d) ->
+        match negative_split ~positive:unfold c with
+        | Some (a, residue) -> (add_rule a residue d unfold_neg, gcis)
+        | None ->
+            let gci = Concept.nnf (Concept.Or (Concept.Not c, d)) in
+            (unfold_neg, gci :: gcis))
+      (SMap.empty, []) (List.rev rest)
+  in
+  (unfold, unfold_neg, gcis)
 
 let initial_state ctx (kb : Axiom.kb) =
   let st =
@@ -1189,11 +1230,12 @@ let initial_state ctx (kb : Axiom.kb) =
 (* Blocking signals and prepared (cached) preprocessing.
 
    A [prep] caches everything about a KB that does not change between
-   tableau runs: absorption ([unfold]/[gcis]), the role hierarchy and the
-   blocking-relevant expressivity signals of the TBox and the base ABox.
-   Reasoners keep one [prep] per KB and refresh it incrementally when a
-   delta arrives, instead of re-running absorption, [Hierarchy.build] and
-   the full signal scan on every single tableau call. *)
+   tableau runs: absorption ([unfold]/[unfold_neg]/[gcis]), the role
+   hierarchy and the blocking-relevant expressivity signals of the TBox
+   and the base ABox.  Reasoners keep one [prep] per KB and refresh it
+   when a delta arrives (an ABox change rescans only the ABox signals),
+   instead of re-running absorption, [Hierarchy.build] and the full
+   signal scan on every single tableau call. *)
 
 (* Expressivity signals deciding the blocking strategy. *)
 type signals = { s_inverse : bool; s_at_most : bool }
@@ -1245,6 +1287,7 @@ let blocking_of { s_inverse; s_at_most } =
 type prep = {
   p_kb : Axiom.kb;
   p_unfold : Concept.t list SMap.t;
+  p_unfold_neg : Concept.t list SMap.t;
   p_gcis : Concept.t list;
   p_h : Hierarchy.t;
   p_tbox_sig : signals;
@@ -1254,9 +1297,10 @@ type prep = {
 let prep_kb p = p.p_kb
 
 let prepare (kb : Axiom.kb) =
-  let unfold, gcis = preprocess_tbox (SMap.empty, []) kb.tbox in
+  let unfold, unfold_neg, gcis = preprocess_tbox kb.tbox in
   { p_kb = kb;
     p_unfold = unfold;
+    p_unfold_neg = unfold_neg;
     p_gcis = gcis;
     p_h = Hierarchy.build kb.tbox;
     p_tbox_sig = List.fold_left tbox_axiom_signals no_signals kb.tbox;
@@ -1267,26 +1311,26 @@ let prep_with_abox p abox =
     p_kb = { p.p_kb with abox };
     p_abox_sig = List.fold_left abox_axiom_signals no_signals abox }
 
+(* A TBox addition can change the direction of a name absorbed
+   negatively, so the whole TBox is prepared again. *)
 let prep_add_tbox p axs =
   if axs = [] then p
-  else begin
-    let tbox = p.p_kb.Axiom.tbox @ axs in
-    let unfold, gcis = preprocess_tbox (p.p_unfold, p.p_gcis) axs in
-    { p_kb = { p.p_kb with tbox };
-      p_unfold = unfold;
-      p_gcis = gcis;
-      p_h = Hierarchy.build tbox;
-      p_tbox_sig = List.fold_left tbox_axiom_signals p.p_tbox_sig axs;
-      p_abox_sig = p.p_abox_sig }
-  end
+  else prepare { p.p_kb with tbox = p.p_kb.Axiom.tbox @ axs }
 
-(* The absorbed atomic left-hand side of a TBox axiom, when
-   [preprocess_tbox] would absorb it rather than internalize it as a GCI.
-   Exposed so the invalidation layer can decide, with the exact same test,
-   whether a monotone TBox addition is local to one lazily-unfolded atom. *)
-let absorbable_lhs (ax : Axiom.tbox_axiom) =
+(* The atomic left-hand side under which [prep_add_tbox] would absorb
+   [ax] positively into [p], when that extends one name's unfolding and
+   nothing else.  Exposed so the invalidation layer can decide, with the
+   exact same test, whether a monotone TBox addition is local to one
+   lazily-unfolded atom.  [None] for a GCI, a role axiom, a negatively
+   absorbed axiom, and an axiom that gives a name [p] absorbs negatively
+   a positive rule: that name was implicitly true at every node not
+   labelled with its negation, which no provenance records. *)
+let absorbable_lhs p (ax : Axiom.tbox_axiom) =
   match ax with
-  | Axiom.Concept_sub (c, _) -> Option.map fst (absorption_split c)
+  | Axiom.Concept_sub (c, _) -> (
+      match absorption_split c with
+      | Some (a, _) when not (SMap.mem a p.p_unfold_neg) -> Some a
+      | _ -> None)
   | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ -> None
 
 let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
@@ -1340,6 +1384,7 @@ let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
     let ctx =
       { h = prep.p_h;
         unfold = prep.p_unfold;
+        unfold_neg = prep.p_unfold_neg;
         gcis = prep.p_gcis;
         blocking = blocking_of sg;
         max_nodes;
@@ -1506,23 +1551,34 @@ let extract_model ctx (kb : Axiom.kb) st =
       (fun name m -> Interp.SMap.add name (canonical_ext name) m)
       role_names Interp.SMap.empty
   in
-  (* concept extensions from the node labels *)
+  (* concept extensions from the node labels: a name is true where its
+     label holds it, and a negatively absorbed name also where the label
+     lacks its negation *)
+  let add_member a x m =
+    let cur =
+      match Interp.SMap.find_opt a m with
+      | Some s -> s
+      | None -> Interp.ESet.empty
+    in
+    Interp.SMap.add a (Interp.ESet.add x cur) m
+  in
   let concepts =
     IMap.fold
       (fun x n m ->
         if keep x then
-          CSet.fold
-            (fun c m ->
-              match (c : Concept.t) with
-              | Atom a ->
-                  let cur =
-                    match Interp.SMap.find_opt a m with
-                    | Some s -> s
-                    | None -> Interp.ESet.empty
-                  in
-                  Interp.SMap.add a (Interp.ESet.add x cur) m
-              | _ -> m)
-            n.labels m
+          let m =
+            CSet.fold
+              (fun c m ->
+                match (c : Concept.t) with
+                | Atom a -> add_member a x m
+                | _ -> m)
+              n.labels m
+          in
+          SMap.fold
+            (fun a _ m ->
+              if CSet.mem (Concept.Not (Concept.Atom a)) n.labels then m
+              else add_member a x m)
+            ctx.unfold_neg m
         else m)
       st.nodes Interp.SMap.empty
   in

@@ -3,9 +3,15 @@
     A from-scratch completion-graph tableau in the style of Horrocks &
     Sattler's algorithms for the SH* family:
 
-    - negation normal form on entry; lazy unfolding of absorbed
-      atomic-left-hand-side axioms, remaining GCIs internalized as
-      disjunctions added to every node;
+    - negation normal form on entry; lazy unfolding of absorbed axioms,
+      remaining GCIs internalized as disjunctions added to every node.
+      An axiom whose left side has an atomic conjunct [A] unfolds when [A]
+      enters a node's label; otherwise one whose NNF left side has a
+      conjunct [¬A] unfolds when [¬A] does, provided no axiom unfolds on
+      [A] itself (a name is absorbed one way only, decided over the whole
+      TBox: Horrocks & Tobies, KR 2000).  Model extraction reads a
+      negatively absorbed name as true at every node whose label lacks
+      its negation;
     - role hierarchies (closed under inverses) and transitive roles with the
       ∀₊ propagation rule;
     - inverse roles with {e pairwise} ancestor blocking;
@@ -126,8 +132,8 @@ val prov_union : into:prov -> prov -> unit
     Absorption, GCI internalization, the role hierarchy and the
     blocking-strategy signals depend only on the KB, not on the query —
     a {!prep} computes them once so repeated tableau runs (every verdict
-    of a reasoning session) stop paying them, and KB deltas refresh them
-    incrementally instead of from scratch. *)
+    of a reasoning session) stop paying them.  An ABox delta refreshes
+    only the ABox signals; a TBox delta prepares the TBox again. *)
 
 type prep
 
@@ -140,15 +146,19 @@ val prep_with_abox : prep -> Axiom.abox_axiom list -> prep
     TBox preprocessing is reused). *)
 
 val prep_add_tbox : prep -> Axiom.tbox_axiom list -> prep
-(** Append monotone TBox additions: new axioms are absorbed/internalized
-    into the cached unfolding maps exactly as a from-scratch pass over the
-    concatenated TBox would, and the role hierarchy is rebuilt. *)
+(** Append monotone TBox additions: {!prepare} over the concatenated
+    TBox, since an addition that gives a negatively absorbed name a
+    positive rule changes the direction of that name. *)
 
-val absorbable_lhs : Axiom.tbox_axiom -> string option
-(** The atomic left-hand side under which the preprocessor would absorb
-    this axiom for lazy unfolding, or [None] if it is internalized as a
-    GCI (or is a role axiom).  The invalidation layer uses this exact test
-    to decide whether a TBox addition is local to one atom. *)
+val absorbable_lhs : prep -> Axiom.tbox_axiom -> string option
+(** The atomic left-hand side under which {!prep_add_tbox} would absorb
+    this axiom positively into [prep], or [None] if it would be
+    internalized as a GCI, absorbed negatively, or is a role axiom.
+    [None] too when the axiom gives a name [prep] absorbs negatively a
+    positive rule: that name was true at every node not labelled with its
+    negation, so no run's labels record what the new rule changes.  The
+    invalidation layer uses this exact test to decide whether a TBox
+    addition is local to one atom. *)
 
 val prepared_satisfiable :
   ?max_nodes:int -> ?max_branches:int -> ?stats:stats -> ?prov:prov ->

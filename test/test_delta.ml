@@ -105,8 +105,11 @@ let snapshot t kb =
 
 (* A deterministic delta sequence over the KB's signature: new-component
    additions, in-place additions, retractions of told assertions, and an
-   absorbable TBox addition; one GCI-shaped addition exercises the full
-   flush.  Every choice comes from a seeded PRNG so failures reproduce. *)
+   atomic TBox addition of any inclusion kind (internal ones absorb on
+   their left atom; material ones absorb on its negation and flush;
+   strong ones can give a negatively absorbed name a positive rule and
+   flush); one GCI-shaped addition exercises the full flush.  Every
+   choice comes from a seeded PRNG so failures reproduce. *)
 let gen_deltas rng kb steps =
   let s = Kb4.signature kb in
   let atoms = match sorted s.Axiom.concepts with [] -> [ "C" ] | l -> l in
@@ -151,11 +154,11 @@ let gen_deltas rng kb steps =
                     [ List.nth abox (Random.State.int rng (List.length abox)) ]
                 })
         | 4 ->
-            (* absorbable TBox addition *)
+            (* atomic TBox addition *)
             { Delta.empty with
               Delta.add_tbox =
                 [ Kb4.Concept_inclusion
-                    ( Kb4.Internal,
+                    ( pick [ Kb4.Internal; Kb4.Material; Kb4.Strong ],
                       Concept.Atom (pick atoms),
                       Concept.Atom (pick atoms) ) ] }
         | _ ->
@@ -405,7 +408,35 @@ let guard_tests =
         let fresh = Session.create acc in
         checkb "incremental = rebuild after the nominal merge"
           (Oracle.check (Session.oracle fresh) q)
-          (Oracle.check o q)) ]
+          (Oracle.check o q));
+    Alcotest.test_case "a positive rule on a negatively absorbed name flushes"
+      `Quick (fun () ->
+        (* ~A- << C+ unfolds on ~A-, and C+ << Bottom makes every node
+           an A-, so x's label never mentions A.  B -> A adds
+           A- << B-, a positive rule on A-: now every node is a B-, and
+           B- << E+ makes x an E.  The pre-delta verdict on x : E
+           records only x and E, so evicting by A and B would serve it
+           stale. *)
+        let kb = Surface.parse_kb4_exn "A |-> C.
+C < Bottom.
+~B < E.
+x : D.
+" in
+        let s = Session.create kb in
+        let p = Para.of_session s in
+        let e = Concept.Atom "E" in
+        check Alcotest.string "x : E before" "N"
+          (Truth.short_string (Para.instance_truth p "x" e));
+        let d = ok_parse "+ B -> A.
+" in
+        let st = Session.apply s d in
+        checkb "the update flushes" true st.Oracle.flushed;
+        let fresh = Para.create (Delta.apply_kb4 kb d) in
+        check Alcotest.string "incremental = rebuild"
+          (Truth.short_string (Para.instance_truth fresh "x" e))
+          (Truth.short_string (Para.instance_truth p "x" e));
+        check Alcotest.string "x : E after" "t"
+          (Truth.short_string (Para.instance_truth p "x" e))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Provenance lifetime tracks cache residency *)

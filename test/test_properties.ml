@@ -469,6 +469,63 @@ let differential_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Absorption on K̄.  The transformation of a four-valued KB gives the
+   tableau each shape its preprocessing absorbs: a material inclusion
+   [C ↦ D] becomes [¬C⁻ ⊑ D⁺], unfolded on [¬A⁻] when no axiom unfolds
+   on [A⁻] (a strong inclusion into [C], or one with [~C] on the left,
+   gives [A⁻] such a rule); internal and strong inclusions unfold on a
+   positive atom.  Literals and binary ∧/∨ of literals over three atoms
+   keep K̄ propositional, so enumeration over the named individuals
+   decides it exactly.  The count is sized so that absorbing a name
+   both ways, which is unsound, fails the property at every seed it was
+   tried with (CHANGES.md lists them). *)
+
+let gen_literal =
+  Gen.oneof [ gen_atom; Gen.map (fun a -> Concept.Not a) gen_atom ]
+
+let gen_small_concept =
+  let open Gen in
+  oneof
+    [ gen_literal;
+      map2 (fun a b -> Concept.And (a, b)) gen_literal gen_literal;
+      map2 (fun a b -> Concept.Or (a, b)) gen_literal gen_literal ]
+
+let gen_absorption_kb =
+  let open Gen in
+  let* n_tbox = int_range 1 4 in
+  let* tbox =
+    list_repeat n_tbox
+      (map3
+         (fun k c d -> Kb4.Concept_inclusion (k, c, d))
+         gen_inclusion gen_small_concept gen_small_concept)
+  in
+  let* n_abox = int_range 1 3 in
+  let* abox =
+    list_repeat n_abox
+      (map2
+         (fun a c -> Axiom.Instance_of (a, c))
+         (oneofl individual_names) gen_literal)
+  in
+  let* query =
+    option
+      (map3
+         (fun q c a -> q c a)
+         (oneofl [ Transform.instance_query; Transform.negative_instance_query ])
+         gen_small_concept (oneofl individual_names))
+  in
+  let kb = Transform.kb (Kb4.make ~tbox ~abox) in
+  return { kb with Axiom.abox = kb.Axiom.abox @ Option.to_list query }
+
+let absorption_tests =
+  [ qcheck @@ Test.make ~count:300
+      ~name:"K̄ of literal inclusions: tableau agrees with enumeration"
+      ~print:print_kb gen_absorption_kb
+      (fun kb ->
+        let sat = Tableau.kb_satisfiable kb in
+        Bool.equal sat (Enum.exists_model2 kb)
+        && ((not sat) || Tableau.kb_model kb <> None)) ]
+
+(* ------------------------------------------------------------------ *)
 (* Baseline invariants *)
 
 let baseline_tests =
@@ -649,7 +706,7 @@ let () =
       ("decomposition", to_alcotest decomposition_tests);
       ("theorem6", to_alcotest theorem6_tests);
       ("parser", to_alcotest parser_tests);
-      ("differential", differential_tests);
+      ("differential", differential_tests @ absorption_tests);
       ("native4", native_tests);
       ("prop4", to_alcotest prop4_tests);
       ("baselines", to_alcotest baseline_tests);

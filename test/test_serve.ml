@@ -221,10 +221,10 @@ let protocol_tests =
     Alcotest.test_case "a limit trip fails one request, the next answers"
       `Quick (fun () ->
         (* on Example 3 both runs of this query (told true, told false)
-           explore 7 branches each, the consistency run 2 *)
+           explore 5 branches each, the consistency run at most 2 *)
         let s =
           Session.create
-            ~config:{ Session.default_config with max_branches = 5 }
+            ~config:{ Session.default_config with max_branches = 3 }
             Paper_examples.example3
         in
         let t = Serve.create s in
@@ -237,7 +237,7 @@ let protocol_tests =
             {|{"op":"query","individual":"tweety","concept":"(A1 & B1 | A2 & B2 | A3 & B3 | A4 & B4) & ~(C1 & D1 | C2 & D2 | C3 & D3 | C4 & D4)"}|}
         in
         checkb "the tripping request fails" false (ok r);
-        checks "typed error" "resource limit: branch limit 5 exceeded"
+        checks "typed error" "resource limit: branch limit 3 exceeded"
           (str "error" r);
         checki "nothing cached" size0 (size ());
         checkb "cost totals unchanged" true (Session.cost_totals s = totals0);
