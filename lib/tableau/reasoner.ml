@@ -1,9 +1,9 @@
 type t = {
   mutable prep : Tableau.prep;
-      (* cached preprocessing (absorption, hierarchy, blocking signals):
-         computed once per KB, refreshed by [apply_delta],
-         shared by every query instead of being re-derived per tableau
-         run *)
+      (* cached preprocessing (absorption, hierarchy, blocking signals,
+         the saturated told ABox): computed once per KB, refreshed by
+         [apply_delta], shared by every query instead of being
+         re-derived per tableau run *)
   max_nodes : int;
   max_branches : int;
   stats : Tableau.stats;
@@ -21,11 +21,14 @@ let kb t = Tableau.prep_kb t.prep
 let stats t = t.stats
 
 let apply_delta t ~add_abox ~retract_abox ~add_tbox =
-  let abox =
-    Axiom.remove_each retract_abox (Tableau.prep_kb t.prep).Axiom.abox
-    @ add_abox
+  let prep =
+    if retract_abox = [] then Tableau.prep_add_abox t.prep add_abox
+    else
+      Tableau.prep_with_abox t.prep
+        (Axiom.remove_each retract_abox (Tableau.prep_kb t.prep).Axiom.abox
+        @ add_abox)
   in
-  t.prep <- Tableau.prep_add_tbox (Tableau.prep_with_abox t.prep abox) add_tbox;
+  t.prep <- Tableau.prep_add_tbox prep add_tbox;
   t.consistent <- None
 
 let absorbable_lhs t ax = Tableau.absorbable_lhs t.prep ax

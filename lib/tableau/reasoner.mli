@@ -3,8 +3,9 @@
     DL entailment reduces to [SHOIN(D)] KB (un)satisfiability).
 
     Each query runs the tableau on the KB plus the query assertions, but
-    the query-independent preprocessing (absorption, role hierarchy,
-    blocking-strategy signals) is computed once per KB as a cached
+    the query-independent work (absorption, role hierarchy,
+    blocking-strategy signals, and the told ABox's saturation, done by
+    the first run that needs it) is done once per KB as a cached
     {!Tableau.prep} and refreshed by {!apply_delta}. *)
 
 type t
@@ -24,16 +25,22 @@ val apply_delta :
     appended.  The cached preprocessing is refreshed — TBox additions
     prepare the whole TBox again, since one can change the direction a
     name is absorbed in; ABox changes only rescan the ABox blocking
-    signals — and the cached consistency verdict is reset. *)
+    signals — and the cached consistency verdict is reset.  A delta of
+    ABox additions only keeps the saturated told ABox, which the next
+    run extends by the additions ({!Tableau.prep_add_abox}); a
+    retraction or a TBox addition drops it, and the next run saturates
+    the told ABox again. *)
 
 val absorbable_lhs : t -> Axiom.tbox_axiom -> string option
 (** {!Tableau.absorbable_lhs} on the current prepared state: the atom a
     TBox addition would only extend the unfolding of, if any. *)
 
 type state
-(** The prepared state with the cached consistency verdict.  Both are
-    immutable values that {!apply_delta} replaces rather than edits, so
-    keeping one is enough to undo later deltas. *)
+(** The prepared state with the cached consistency verdict.
+    {!apply_delta} replaces both rather than editing them, so keeping
+    one is enough to undo later deltas: the one part of a prep a run
+    writes, its saturated told ABox, describes that prep's own KB, so a
+    restored prep still answers its KB. *)
 
 val state : t -> state
 

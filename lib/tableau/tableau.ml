@@ -300,12 +300,15 @@ let add_edge_label st x y rs =
     dirty = ISet.add x (ISet.add y st.dirty);
     gen_pending = ISet.add x (ISet.add y st.gen_pending) }
 
+let adjacent st x = ISet.union (iset_at st.succs x) (iset_at st.preds x)
+
+let node_limit ctx =
+  let msg = Printf.sprintf "node limit %d exceeded" ctx.max_nodes in
+  if !Flight.on then Flight.trip msg;
+  raise (Resource_limit msg)
+
 let new_node ctx st ~parent ~labels:lbls =
-  if st.next_id >= ctx.max_nodes then begin
-    let msg = Printf.sprintf "node limit %d exceeded" ctx.max_nodes in
-    if !Flight.on then Flight.trip msg;
-    raise (Resource_limit msg)
-  end;
+  if st.next_id >= ctx.max_nodes then node_limit ctx;
   node_created ctx st.next_id;
   let id = st.next_id in
   let n = { labels = CSet.empty; parent; data_asserted = [] } in
@@ -491,9 +494,12 @@ let rec merge ctx st ~src ~dst =
       { st with
         edges = EMap.filter (fun (a, b) _ -> a <> src && b <> src) st.edges }
     in
-    (* transfer distinctness *)
+    (* transfer distinctness; a node distinct from itself passes that on
+       as dst ≠ dst, the clash below *)
     let st =
-      ISet.fold (fun y st -> add_distinct st y dst) (distinct_of st src) st
+      ISet.fold
+        (fun y st -> add_distinct st (if y = src then dst else y) dst)
+        (distinct_of st src) st
     in
     (* purge src from the adjacency indices of its neighbours *)
     let preds' =
@@ -516,10 +522,7 @@ let rec merge ctx st ~src ~dst =
     in
     (* re-examine the merged node and everything around it *)
     let st =
-      ISet.fold
-        (fun y st -> mark_dirty st y)
-        (ISet.union (iset_at st.succs dst) (iset_at st.preds dst))
-        (mark_dirty st dst)
+      ISet.fold (fun y st -> mark_dirty st y) (adjacent st dst) (mark_dirty st dst)
     in
     (* dst absorbed src's label: it may now carry choices or new work *)
     let st =
@@ -527,9 +530,7 @@ let rec merge ctx st ~src ~dst =
         open_or = ISet.add dst st.open_or;
         counting = ISet.add dst st.counting;
         gen_pending =
-          ISet.union st.gen_pending
-            (ISet.add dst
-               (ISet.union (iset_at st.succs dst) (iset_at st.preds dst))) }
+          ISet.union st.gen_pending (ISet.add dst (adjacent st dst)) }
     in
     if are_distinct st dst dst then None else Some st
   end
@@ -1010,8 +1011,11 @@ let holds_first ctx ds =
   let yes, no = List.partition holds ds in
   yes @ no
 
-(* Expand to a complete, clash-free state ([Some]) or fail ([None]). *)
-let rec expand ctx st =
+(* Saturate, then look for a clash on the nodes the pass touched
+   ([None] on one).  A full check whenever every other node was checked
+   before and kept its label: the start of a run on its base, and every
+   pass after it. *)
+let settle ctx st =
   match saturate ctx st with
   | exception Clashed -> None
   | st, touched ->
@@ -1022,7 +1026,13 @@ let rec expand ctx st =
             && (prov_record_node ctx st x; true))
           touched
       then None
-      else begin
+      else Some st
+
+(* Expand to a complete, clash-free state ([Some]) or fail ([None]). *)
+let rec expand ctx st =
+  match settle ctx st with
+  | None -> None
+  | Some st ->
         if ctx.stats.branches_explored - ctx.branches0 > ctx.max_branches
         then begin
           let msg =
@@ -1084,7 +1094,6 @@ let rec expand ctx st =
                   clash_hit ctx x_data (-1);
                   None
                 end)
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Preprocessing: absorption and internalization *)
@@ -1154,20 +1163,24 @@ let preprocess_tbox tbox =
   in
   (unfold, unfold_neg, gcis)
 
-let initial_state ctx (kb : Axiom.kb) =
-  let st =
-    { nodes = IMap.empty;
-      edges = EMap.empty;
-      succs = IMap.empty;
-      preds = IMap.empty;
-      distinct = IMap.empty;
-      names = SMap.empty;
-      next_id = 0;
-      dirty = ISet.empty;
-      open_or = ISet.empty;
-      counting = ISet.empty;
-      gen_pending = ISet.empty }
-  in
+let empty_state =
+  { nodes = IMap.empty;
+    edges = EMap.empty;
+    succs = IMap.empty;
+    preds = IMap.empty;
+    distinct = IMap.empty;
+    names = SMap.empty;
+    next_id = 0;
+    dirty = ISet.empty;
+    open_or = ISet.empty;
+    counting = ISet.empty;
+    gen_pending = ISet.empty }
+
+(* The one ABox fold: a told ABox onto [empty_state], additions onto a
+   base, a query onto a base.  Everything it changes is left dirty for
+   the next saturation pass.
+   Raises [Clashed] on a merge clash. *)
+let add_abox ctx st axs =
   let get_node st a =
     (* Note: merely naming an individual does NOT enter it into the run's
        provenance — only rule firings, merges and clashes do (see
@@ -1179,63 +1192,69 @@ let initial_state ctx (kb : Axiom.kb) =
         let x, st = new_node ctx st ~parent:None ~labels:[] in
         (x, { st with names = SMap.add a x st.names })
   in
-  let st =
-    List.fold_left
-      (fun st ax ->
-        match (ax : Axiom.abox_axiom) with
-        | Instance_of (a, c) ->
-            let x, st = get_node st a in
-            add_labels st x [ Concept.nnf c ]
-        | Role_assertion (a, r, b) ->
-            let x, st = get_node st a in
-            let y, st = get_node st b in
-            let x, y, r =
-              match r with Role.Inv s -> (y, x, Role.Name s) | _ -> (x, y, r)
-            in
-            add_edge_label st x y (RSet.singleton r)
-        | Data_assertion (a, u, v) ->
-            let x, st = get_node st a in
-            let n = node st x in
-            { st with
-              nodes =
-                IMap.add x
-                  { n with data_asserted = (u, v) :: n.data_asserted }
-                  st.nodes }
-        | Same (a, b) ->
-            let x, st = get_node st a in
-            let y, st = get_node st b in
-            (match merge ctx st ~src:y ~dst:x with
-            | Some st -> st
-            | None ->
-                clash_hit ctx x_merge x;
-                (match ctx.prov with
-                | Some p ->
-                    prov_add_ind p a;
-                    prov_add_ind p b
-                | None -> ());
-                raise Clashed)
-        | Different (a, b) ->
-            let x, st = get_node st a in
-            let y, st = get_node st b in
-            add_distinct st x y)
-      st kb.abox
-  in
-  (* non-empty domain *)
-  if IMap.is_empty st.nodes then
-    let _, st = new_node ctx st ~parent:None ~labels:[] in
-    st
-  else st
+  List.fold_left
+    (fun st ax ->
+      match (ax : Axiom.abox_axiom) with
+      | Instance_of (a, c) ->
+          let x, st = get_node st a in
+          add_labels st x [ Concept.nnf c ]
+      | Role_assertion (a, r, b) ->
+          let x, st = get_node st a in
+          let y, st = get_node st b in
+          let x, y, r =
+            match r with Role.Inv s -> (y, x, Role.Name s) | _ -> (x, y, r)
+          in
+          add_edge_label st x y (RSet.singleton r)
+      | Data_assertion (a, u, v) ->
+          let x, st = get_node st a in
+          let n = node st x in
+          { st with
+            nodes =
+              IMap.add x
+                { n with data_asserted = (u, v) :: n.data_asserted }
+                st.nodes }
+      | Same (a, b) -> (
+          let x, st = get_node st a in
+          let y, st = get_node st b in
+          match merge ctx st ~src:y ~dst:x with
+          | Some st ->
+              (* every name the merge gathers on [x] took part in it: a
+                 pass over a base would not see them join a node on
+                 which a rule fired in the base *)
+              prov_record_node ctx st x;
+              st
+          | None ->
+              clash_hit ctx x_merge x;
+              (match ctx.prov with
+              | Some p ->
+                  prov_add_ind p a;
+                  prov_add_ind p b
+              | None -> ());
+              raise Clashed)
+      | Different (a, b) ->
+          let x, st = get_node st a in
+          let y, st = get_node st b in
+          (* a common neighbour's ≤-restriction may clash now: check
+             every neighbour, as a start from the empty state checks
+             every node *)
+          ISet.fold
+            (fun z st -> mark_dirty st z)
+            (ISet.union (adjacent st x) (adjacent st y))
+            (add_distinct st x y))
+    st axs
 
 (* ------------------------------------------------------------------ *)
 (* Blocking signals and prepared (cached) preprocessing.
 
    A [prep] caches everything about a KB that does not change between
    tableau runs: absorption ([unfold]/[unfold_neg]/[gcis]), the role
-   hierarchy and the blocking-relevant expressivity signals of the TBox
-   and the base ABox.  Reasoners keep one [prep] per KB and refresh it
-   when a delta arrives (an ABox change rescans only the ABox signals),
-   instead of re-running absorption, [Hierarchy.build] and the full
-   signal scan on every single tableau call. *)
+   hierarchy, the blocking-relevant expressivity signals of the TBox
+   and the told ABox, and the told ABox saturated (its base, built by
+   the first run that needs it).  Reasoners keep one [prep] per KB and
+   refresh it when a delta arrives (an ABox change rescans only the
+   ABox signals, and additions extend the base), instead of re-running
+   absorption, [Hierarchy.build], the full signal scan and the told
+   ABox's saturation on every single tableau call. *)
 
 (* Expressivity signals deciding the blocking strategy. *)
 type signals = { s_inverse : bool; s_at_most : bool }
@@ -1284,32 +1303,74 @@ let abox_axiom_signals acc (ax : Axiom.abox_axiom) =
 let blocking_of { s_inverse; s_at_most } =
   if s_inverse then Pairwise else if s_at_most then Equal else Subset
 
+(* The TBox half of a prep, shared by every ABox change. *)
+type tbox_prep = {
+  t_unfold : Concept.t list SMap.t;
+  t_unfold_neg : Concept.t list SMap.t;
+  t_gcis : Concept.t list;
+  t_h : Hierarchy.t;
+  t_sig : signals;
+}
+
+(* The told ABox after [add_abox] and [settle] from [empty_state]:
+   [b_state] is [None] when it clashes by itself; [b_prov] is what
+   building it harvested, never written after. *)
+type base = { b_state : state option; b_prov : prov }
+
+type memo =
+  | Unbuilt
+  | Built of base
+  | Extend of base * Axiom.abox_axiom list
+      (* the base of a told ABox this one extends, with the additions
+         since, newest first *)
+
 type prep = {
   p_kb : Axiom.kb;
-  p_unfold : Concept.t list SMap.t;
-  p_unfold_neg : Concept.t list SMap.t;
-  p_gcis : Concept.t list;
-  p_h : Hierarchy.t;
-  p_tbox_sig : signals;
+  p_tbox : tbox_prep;
   p_abox_sig : signals;
+  mutable p_base : memo;
+      (* the one mutable cell: written by the run that builds or
+         extends the base, and only with a whole one *)
 }
+
+(* The one constructor: [memo] must describe [kb]'s told ABox. *)
+let make_prep p_tbox (p_kb : Axiom.kb) p_abox_sig p_base =
+  { p_kb; p_tbox; p_abox_sig; p_base }
 
 let prep_kb p = p.p_kb
 
+let abox_signals acc axs = List.fold_left abox_axiom_signals acc axs
+
 let prepare (kb : Axiom.kb) =
   let unfold, unfold_neg, gcis = preprocess_tbox kb.tbox in
-  { p_kb = kb;
-    p_unfold = unfold;
-    p_unfold_neg = unfold_neg;
-    p_gcis = gcis;
-    p_h = Hierarchy.build kb.tbox;
-    p_tbox_sig = List.fold_left tbox_axiom_signals no_signals kb.tbox;
-    p_abox_sig = List.fold_left abox_axiom_signals no_signals kb.abox }
+  make_prep
+    { t_unfold = unfold;
+      t_unfold_neg = unfold_neg;
+      t_gcis = gcis;
+      t_h = Hierarchy.build kb.tbox;
+      t_sig = List.fold_left tbox_axiom_signals no_signals kb.tbox }
+    kb (abox_signals no_signals kb.abox) Unbuilt
 
 let prep_with_abox p abox =
-  { p with
-    p_kb = { p.p_kb with abox };
-    p_abox_sig = List.fold_left abox_axiom_signals no_signals abox }
+  make_prep p.p_tbox { p.p_kb with abox } (abox_signals no_signals abox)
+    Unbuilt
+
+(* Additions keep a built base, to be extended by the next run; with
+   no base built there is nothing to extend, and the next run builds
+   one over the whole told ABox. *)
+let prep_add_abox p axs =
+  if axs = [] then p
+  else
+    let memo =
+      match p.p_base with
+      | Unbuilt -> Unbuilt
+      | Built b -> Extend (b, List.rev axs)
+      | Extend (b, pending) -> Extend (b, List.rev_append axs pending)
+    in
+    make_prep p.p_tbox
+      { p.p_kb with abox = p.p_kb.Axiom.abox @ axs }
+      (abox_signals p.p_abox_sig axs)
+      memo
 
 (* A TBox addition can change the direction of a name absorbed
    negatively, so the whole TBox is prepared again. *)
@@ -1329,9 +1390,46 @@ let absorbable_lhs p (ax : Axiom.tbox_axiom) =
   match ax with
   | Axiom.Concept_sub (c, _) -> (
       match absorption_split c with
-      | Some (a, _) when not (SMap.mem a p.p_unfold_neg) -> Some a
+      | Some (a, _) when not (SMap.mem a p.p_tbox.t_unfold_neg) -> Some a
       | _ -> None)
   | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ -> None
+
+(* [b] with the told assertions [axs] added and settled, harvesting
+   into a copy of its provenance.  [saturate] reads the TBox half of
+   [ctx] only, never the blocking strategy or a query, so the result
+   serves every run of the prep.  A clashing base stays one: the
+   deterministic rules that derived its clash still apply. *)
+let extend_base ctx b axs =
+  match b.b_state with
+  | None -> b
+  | Some st ->
+      let p = fresh_prov () in
+      prov_union ~into:p b.b_prov;
+      let ctx = { ctx with prov = Some p } in
+      let b_state =
+        match add_abox ctx st axs with
+        | exception Clashed -> None
+        | st -> settle ctx st
+      in
+      { b_state; b_prov = p }
+
+(* [prep]'s base, built or extended by the run of [ctx] that first
+   needs it, so its work lands in that run's stats cells and under its
+   budget.  The memo is written only once the base is whole: a trip
+   leaves [prep] as it was. *)
+let base_of ctx prep =
+  let remember b =
+    prep.p_base <- Built b;
+    b
+  in
+  match prep.p_base with
+  | Built b -> b
+  | Extend (b, pending) -> remember (extend_base ctx b (List.rev pending))
+  | Unbuilt ->
+      remember
+        (extend_base ctx
+           { b_state = Some empty_state; b_prov = fresh_prov () }
+           prep.p_kb.Axiom.abox)
 
 let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
     ?(stats = fresh_stats ()) ?prov prep extra =
@@ -1376,16 +1474,13 @@ let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
       if extra = [] then prep.p_kb
       else { prep.p_kb with abox = prep.p_kb.Axiom.abox @ extra }
     in
-    let sg =
-      List.fold_left abox_axiom_signals
-        (join_signals prep.p_tbox_sig prep.p_abox_sig)
-        extra
-    in
+    let tb = prep.p_tbox in
+    let sg = abox_signals (join_signals tb.t_sig prep.p_abox_sig) extra in
     let ctx =
-      { h = prep.p_h;
-        unfold = prep.p_unfold;
-        unfold_neg = prep.p_unfold_neg;
-        gcis = prep.p_gcis;
+      { h = tb.t_h;
+        unfold = tb.t_unfold;
+        unfold_neg = tb.t_unfold_neg;
+        gcis = tb.t_gcis;
         blocking = blocking_of sg;
         max_nodes;
         max_branches;
@@ -1393,9 +1488,27 @@ let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
         stats;
         prov }
     in
-    match initial_state ctx kb with
-    | exception Clashed -> (ctx, kb, None)
-    | st -> (ctx, kb, expand ctx st)
+    (* Saturating the base, then the query's assertions on it, reaches
+       the state one pass over both would: the deterministic rules have
+       one fixpoint, and the told nodes keep their ids. *)
+    let base = base_of ctx prep in
+    Option.iter (fun p -> prov_union ~into:p base.b_prov) prov;
+    match base.b_state with
+    | None -> (ctx, kb, None)
+    | Some st -> (
+        (* a run with a smaller budget than the one that built the base
+           trips where it would have building it *)
+        if st.next_id > max_nodes then node_limit ctx;
+        match add_abox ctx st extra with
+        | exception Clashed -> (ctx, kb, None)
+        | st ->
+            (* non-empty domain *)
+            let st =
+              if IMap.is_empty st.nodes then
+                snd (new_node ctx st ~parent:None ~labels:[])
+              else st
+            in
+            (ctx, kb, expand ctx st))
   with
   | (_, _, outcome) as r ->
       finish outcome;

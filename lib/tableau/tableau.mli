@@ -30,12 +30,16 @@
     simple roles (no transitive subroles), the standard [SHOIN] restriction;
     {!Reasoner.validate} reports violations.
 
-    Nondeterminism is explored by chronological backtracking over immutable
-    states.  Both budgets are per run: [max_nodes] bounds the run's
-    completion graph and [max_branches] the alternatives the run explores
-    (counted from the [stats] cells' value when the run starts, so cells
-    shared across runs do not carry one run's branches into the next);
-    {!Resource_limit} is raised when either is exceeded. *)
+    A run starts from its KB's {e base}, the told ABox saturated once by
+    the deterministic rules (see {!prep}), adds the query's assertions,
+    and explores the nondeterminism by chronological backtracking over
+    immutable states.  Both budgets are per run: [max_nodes] bounds the
+    run's completion graph, base included, and [max_branches] the
+    alternatives the run explores (counted from the [stats] cells' value
+    when the run starts, so cells shared across runs do not carry one
+    run's branches into the next); {!Resource_limit} is raised when
+    either is exceeded, and by a run whose [max_nodes] the base alone
+    exceeds, as it would have been building it. *)
 
 exception Resource_limit of string
 
@@ -68,7 +72,11 @@ type stats = {
     per-verdict cost records and session totals hold diffs and sums of
     them, snapshots persist them, and the ["tableau.*"] registry
     counters are folded from a run's diff once, when the run ends with
-    its span live — so a disarmed run pays for nothing but the cells. *)
+    its span live — so a disarmed run pays for nothing but the cells.
+    Building or extending a prep's base is work of the run that needs it
+    first: it counts in that run's cells ([nodes_created] for the told
+    individuals among them), and the runs after it count only their
+    own. *)
 
 type prov
 (** Per-run provenance accumulator — the dependency set of a verdict, fed
@@ -89,7 +97,20 @@ type prov
     all labels, including branches that were later backtracked.
 
     Fresh query artefacts (names containing [':'], e.g. [q:fresh]) are
-    excluded, so runs over reduced KBs report only user-level names. *)
+    excluded, so runs over reduced KBs report only user-level names.
+
+    {b The base.}  A run adds to its sink what building its prep's base
+    harvested, then harvests its own passes.  That is a superset of what
+    one pass over the told ABox and the query together records: the
+    nodes on which a rule fired in the base pass or in the query's pass
+    include those on which one fired in the combined pass, and a name
+    an asserted [a = b] brings onto a node is recorded at the merge, so
+    it is not lost when no rule fires there again; the atom harvest is
+    equal, since a node the query's pass does not touch keeps the label
+    the base harvested; and every later pass runs on the same state.
+    When the told ABox clashes by itself the run records the base's
+    harvest only: K̄ is then inconsistent, and the oracle's
+    consistency-transition guard decides what a delta retains. *)
 
 val fresh_prov : unit -> prov
 
@@ -133,22 +154,49 @@ val prov_union : into:prov -> prov -> unit
     blocking-strategy signals depend only on the KB, not on the query —
     a {!prep} computes them once so repeated tableau runs (every verdict
     of a reasoning session) stop paying them.  An ABox delta refreshes
-    only the ABox signals; a TBox delta prepares the TBox again. *)
+    only the ABox signals; a TBox delta prepares the TBox again.
+
+    A prep also keeps its {e base}: the state the deterministic,
+    non-generating rules reach from the told ABox (K̄'s ABox without a
+    query's assertions), checked clash-free, or the fact that it
+    clashes.  The first run that needs it builds it; every run then
+    starts from it and adds only its query's assertions.  This is exact:
+    saturation reads the TBox preprocessing only, never the blocking
+    strategy or the query, so the base depends on the prep alone;
+    saturating the base and then the query's assertions reaches the
+    state one pass over both would (the rules have one fixpoint, and the
+    told individuals keep their node ids), so the search branches in the
+    same order (a node the base makes for a nominal [{o}] no told
+    assertion names comes before the query's individuals, which can
+    reorder branching but not change an answer); and a run checks for
+    clashes only the nodes its own passes touch, which suffices because
+    the base is clash-free and a node the query never touches keeps its
+    base label (an asserted [a ≠ b] touches the neighbours of both,
+    whose ≤-restrictions it can close).  A prep with no base built
+    (every verdict routed to the completion engine, say) never builds
+    one. *)
 
 type prep
 
 val prepare : Axiom.kb -> prep
+(** A prep with no base built. *)
 
 val prep_kb : prep -> Axiom.kb
 
 val prep_with_abox : prep -> Axiom.abox_axiom list -> prep
-(** Replace the base ABox (rescans only the ABox blocking signals; all
-    TBox preprocessing is reused). *)
+(** Replace the told ABox (rescans only the ABox blocking signals; all
+    TBox preprocessing is reused).  The new prep has no base. *)
+
+val prep_add_abox : prep -> Axiom.abox_axiom list -> prep
+(** Append ABox additions: scans the blocking signals of the additions
+    only, and keeps a built base, which the next run extends by the
+    additions alone.  A prep with no base built keeps none. *)
 
 val prep_add_tbox : prep -> Axiom.tbox_axiom list -> prep
 (** Append monotone TBox additions: {!prepare} over the concatenated
     TBox, since an addition that gives a negatively absorbed name a
-    positive rule changes the direction of that name. *)
+    positive rule changes the direction of that name.  The new prep has
+    no base. *)
 
 val absorbable_lhs : prep -> Axiom.tbox_axiom -> string option
 (** The atomic left-hand side under which {!prep_add_tbox} would absorb
@@ -166,8 +214,12 @@ val prepared_satisfiable :
 (** [prepared_satisfiable prep extra] decides satisfiability of the
     prepared KB extended with the [extra] ABox assertions (the query).
     Equivalent to {!kb_satisfiable} on the merged KB, without re-running
-    preprocessing.  Blocking signals of [extra] are scanned per call and
-    joined with the cached ones, so the strategy choice is identical.
+    preprocessing or re-saturating the told ABox: the run starts from
+    [prep]'s base, building or extending it first when it has to (a
+    trip meanwhile leaves [prep] as it was), and answers unsat at once
+    when the base clashes.  Blocking signals of [extra] are scanned per
+    call and joined with the cached ones, so the strategy choice is
+    identical.
     @raise Resource_limit as {!kb_satisfiable}. *)
 
 val prepared_model :

@@ -42,7 +42,23 @@ let tests =
           "classically inconsistent" false
           (Tableau.kb_satisfiable kb);
         let t = Para.create (Kb4.of_classical kb) in
-        Alcotest.(check bool) "4-sat" true (Para.satisfiable t))
+        Alcotest.(check bool) "4-sat" true (Para.satisfiable t));
+    Alcotest.test_case "example1.dl4's audit creates its told nodes once"
+      `Quick (fun () ->
+        (* the census pins every verdict to the tableau: 14 runs over
+           three told individuals, which share one saturated base
+           instead of each building the three nodes again *)
+        let kb =
+          Surface.parse_kb4_exn (read (Filename.concat kb_dir "example1.dl4"))
+        in
+        let t = Para.create kb in
+        ignore (Audit.census t : Audit.census);
+        let work = (Session.cost_totals t).Oracle.work in
+        Alcotest.(check (list int))
+          "runs, nodes created, branches" [ 14; 3; 26 ]
+          [ work.Tableau.runs;
+            work.Tableau.nodes_created;
+            work.Tableau.branches_explored ])
   ]
 
 let () = Alcotest.run "kb-files" [ ("examples/kb", tests) ]

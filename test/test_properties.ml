@@ -526,6 +526,120 @@ let absorption_tests =
         && ((not sat) || Tableau.kb_model kb <> None)) ]
 
 (* ------------------------------------------------------------------ *)
+(* The saturated base.  A reasoner saturates its told ABox once and
+   starts every run from that base, extending it on additions and
+   dropping it on retractions.  One reasoner is put through queries
+   with ABox additions and retractions between them, and each query is
+   compared with a fresh [kb_satisfiable] over the merged KB, which
+   saturates everything in one pass: the verdicts must be equal, and
+   when the told ABox is satisfiable the fresh provenance must be a
+   subset of the reasoner's.  The count is sized so that a base carried
+   across a retraction, and a base whose own clash check is skipped,
+   each fail at every seed they were tried with (CHANGES.md lists
+   them). *)
+
+type base_op =
+  | Query of Axiom.abox_axiom list
+  | Add of Axiom.abox_axiom
+  | Retract of int  (* the told assertion at this index, modulo *)
+
+let gen_base_concept =
+  let open Gen in
+  let r = Role.name "r" in
+  frequency
+    [ (4, gen_small_concept);
+      (1, map (fun c -> Concept.Exists (r, c)) gen_literal);
+      (1, map (fun c -> Concept.Forall (r, c)) gen_literal);
+      (1, return (Concept.At_most (1, r))) ]
+
+let base_individuals = [ "x"; "y"; "z" ]
+
+let gen_told =
+  let open Gen in
+  let ind = oneofl base_individuals in
+  frequency
+    [ (6, map2 (fun a c -> Axiom.Instance_of (a, c)) ind gen_base_concept);
+      (2, map2 (fun a b -> Axiom.Role_assertion (a, Role.name "r", b)) ind ind);
+      (1, map2 (fun a b -> Axiom.Same (a, b)) ind ind);
+      (1, map2 (fun a b -> Axiom.Different (a, b)) ind ind) ]
+
+let gen_base_case =
+  let open Gen in
+  let* n_tbox = int_bound 3 in
+  let* tbox =
+    list_repeat n_tbox
+      (map2 (fun c d -> Axiom.Concept_sub (c, d)) gen_small_concept
+         gen_base_concept)
+  in
+  let* n_abox = int_range 1 4 in
+  let* abox = list_repeat n_abox gen_told in
+  let* n_ops = int_range 2 7 in
+  let* ops =
+    list_repeat n_ops
+      (frequency
+         [ ( 3,
+             map2
+               (fun a c -> Query [ Axiom.Instance_of (a, c) ])
+               (oneofl ("q:fresh" :: base_individuals))
+               gen_base_concept );
+           (2, map (fun ax -> Add ax) gen_told);
+           (2, map (fun i -> Retract i) nat) ])
+  in
+  return (Axiom.make ~tbox ~abox, ops)
+
+let print_base_case (kb, ops) =
+  let ax a = Format.asprintf "%a" Axiom.pp_abox_axiom a in
+  print_kb kb ^ "\n"
+  ^ String.concat "\n"
+      (List.map
+         (function
+           | Query q -> "? " ^ String.concat ", " (List.map ax q)
+           | Add a -> "+ " ^ ax a
+           | Retract i -> Printf.sprintf "- #%d" i)
+         ops)
+
+let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
+
+(* [None] when a run blew the budget *)
+let base_case_agrees (kb, ops) =
+  let r = Reasoner.create ~max_nodes ~max_branches kb in
+  let step ok op =
+    match (ok, op) with
+    | Some false, _ | None, _ -> ok
+    | Some true, Add a ->
+        Reasoner.apply_delta r ~add_abox:[ a ] ~retract_abox:[] ~add_tbox:[];
+        ok
+    | Some true, Retract i ->
+        let abox = (Reasoner.kb r).Axiom.abox in
+        if abox <> [] then
+          Reasoner.apply_delta r ~add_abox:[]
+            ~retract_abox:[ List.nth abox (i mod List.length abox) ]
+            ~add_tbox:[];
+        ok
+    | Some true, Query q ->
+        with_budget (fun () ->
+            let told = Reasoner.kb r in
+            let memo = Tableau.fresh_prov () and fresh = Tableau.fresh_prov () in
+            let v = Reasoner.consistent_with ~prov:memo r q in
+            let v' =
+              Tableau.kb_satisfiable ~max_nodes ~max_branches ~prov:fresh
+                { told with Axiom.abox = told.Axiom.abox @ q }
+            in
+            Bool.equal v v'
+            && ((not (Tableau.kb_satisfiable ~max_nodes ~max_branches told))
+               || subset (Tableau.prov_individuals fresh)
+                    (Tableau.prov_individuals memo)
+                  && subset (Tableau.prov_concepts fresh)
+                       (Tableau.prov_concepts memo)))
+  in
+  List.fold_left step (Some true) ops
+
+let base_tests =
+  [ budgeted_test ~count:300 ~max_skip_share:0.05
+      ~name:"a reasoner's saturated base agrees with a fresh run"
+      ~print:print_base_case gen_base_case base_case_agrees ]
+
+(* ------------------------------------------------------------------ *)
 (* Baseline invariants *)
 
 let baseline_tests =
@@ -706,7 +820,7 @@ let () =
       ("decomposition", to_alcotest decomposition_tests);
       ("theorem6", to_alcotest theorem6_tests);
       ("parser", to_alcotest parser_tests);
-      ("differential", differential_tests @ absorption_tests);
+      ("differential", differential_tests @ absorption_tests @ base_tests);
       ("native4", native_tests);
       ("prop4", to_alcotest prop4_tests);
       ("baselines", to_alcotest baseline_tests);

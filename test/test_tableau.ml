@@ -256,6 +256,8 @@ let abox_tests =
          ());
     check_sat "a != a is unsatisfiable" false
       (sat ~abox:[ Axiom.Different ("a", "a") ] ());
+    check_sat "a != a stays unsatisfiable merged into b" false
+      (sat ~abox:[ Axiom.Different ("a", "a"); Axiom.Same ("b", "a") ] ());
     check_sat "a = b with a != b unsatisfiable" false
       (sat ~abox:[ Axiom.Same ("a", "b"); Axiom.Different ("a", "b") ] ());
     check_sat "equality closes role paths" false
@@ -660,6 +662,130 @@ let stress_tests =
          ())
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The base: a prep's told ABox saturated once, by the first run that
+   needs it, and shared by the runs after it *)
+
+let base_tests =
+  let checkb = Alcotest.(check bool) and checki = Alcotest.(check int) in
+  let kb abox = Axiom.make ~tbox:[ Axiom.Concept_sub (atom, b) ] ~abox in
+  let x_a = Axiom.Instance_of ("x", atom) in
+  let delta text =
+    match Delta.parse text with Ok d -> d | Error e -> Alcotest.fail e
+  in
+  [ Alcotest.test_case "a told ABox that clashes by itself answers unsat"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, told) ->
+            let t = Reasoner.create (kb (x_a :: told)) in
+            let answers =
+              [ Reasoner.is_consistent t;
+                Reasoner.concept_satisfiable t Top;
+                Reasoner.consistent_with t [ Axiom.Instance_of ("x", b) ];
+                Reasoner.consistent_with t [ Axiom.Instance_of ("y", c) ] ]
+            in
+            Alcotest.(check (list bool)) name [ false; false; false; false ]
+              answers;
+            checki (name ^ ": every run counted") 4
+              (Reasoner.stats t).Tableau.runs)
+          [ ("a = b, a != b", [ Axiom.Same ("a", "b"); Axiom.Different ("a", "b") ]);
+            ("a != b, a = b", [ Axiom.Different ("a", "b"); Axiom.Same ("a", "b") ])
+          ]);
+    Alcotest.test_case "a node budget below the told individuals trips \
+                        every run" `Quick (fun () ->
+        let p =
+          Tableau.prepare
+            (kb
+               [ x_a;
+                 Axiom.Instance_of ("y", atom);
+                 Axiom.Instance_of ("z", atom) ])
+        in
+        let stats = Tableau.fresh_stats () in
+        let run max_nodes =
+          Tableau.prepared_satisfiable ~max_nodes ~stats p
+            [ Axiom.Instance_of ("x", Not b) ]
+        in
+        let trips max_nodes =
+          match run max_nodes with
+          | exception Tableau.Resource_limit _ -> true
+          | (_ : bool) -> false
+        in
+        checkb "the first run trips" true (trips 2);
+        checkb "so does the second" true (trips 2);
+        (* each run built two of the three told nodes again: a trip
+           leaves no base behind *)
+        checki "nodes" 4 stats.Tableau.nodes_created;
+        checkb "a run with room answers" false (run 20_000);
+        checki "and builds the base" 7 stats.Tableau.nodes_created;
+        checkb "a smaller budget still trips" true (trips 2);
+        checki "on the base, creating nothing" 7 stats.Tableau.nodes_created;
+        checkb "the base serves a later run" false (run 20_000);
+        checki "nodes after it" 7 stats.Tableau.nodes_created;
+        checki "runs" 5 stats.Tableau.runs);
+    Alcotest.test_case "deltas after the base is built are seen" `Quick
+      (fun () ->
+        let t = Reasoner.create (kb [ x_a; Axiom.Instance_of ("y", c) ]) in
+        let entailed () = Reasoner.instance_of t "x" b in
+        checkb "x : B" true (entailed ());
+        Reasoner.apply_delta t ~add_abox:[] ~retract_abox:[ x_a ] ~add_tbox:[];
+        checkb "x : B once x : A is retracted" false (entailed ());
+        Reasoner.apply_delta t ~add_abox:[ x_a ] ~retract_abox:[] ~add_tbox:[];
+        checkb "x : B once it is added back" true (entailed ()));
+    Alcotest.test_case "an added a != b closes a neighbour's <= 1" `Quick
+      (fun () ->
+        (* the extension's pass touches a and b only; x, whose two
+           r-successors they are, must be checked again too *)
+        let t =
+          Reasoner.create
+            (kb
+               [ Axiom.Instance_of ("x", At_most (1, r));
+                 Axiom.Role_assertion ("x", r, "a");
+                 Axiom.Role_assertion ("x", r, "b") ])
+        in
+        checkb "consistent: a and b can be one" true (Reasoner.is_consistent t);
+        Reasoner.apply_delta t
+          ~add_abox:[ Axiom.Different ("a", "b") ]
+          ~retract_abox:[] ~add_tbox:[];
+        checkb "inconsistent once they are distinct" false
+          (Reasoner.is_consistent t));
+    Alcotest.test_case "an addition whose extension clashes flips \
+                        consistency and flushes" `Quick (fun () ->
+        let o = Oracle.of_config Oracle.default_config
+            (Surface.parse_kb4_exn "a != b.\nx : A.\ny : B.\n")
+        in
+        checkb "consistent" true (Oracle.check o Oracle.Consistent);
+        checkb "x : A" true (Oracle.check o (Oracle.Instance ("x", atom)));
+        checkb "y : B" true (Oracle.check o (Oracle.Instance ("y", b)));
+        let s = Oracle.apply o (delta "+ a = b.\n") in
+        checkb "flipped" true s.Oracle.consistency_flipped;
+        checkb "flushed" true s.Oracle.flushed;
+        checki "only the consistency bit is kept" 1 s.Oracle.retained;
+        checkb "inconsistent" false (Oracle.check o Oracle.Consistent));
+    Alcotest.test_case "a tripped script rolled back answers the old KB"
+      `Quick (fun () ->
+        (* two told individuals fit a budget of three nodes; the second
+           delta's third individual does not *)
+        let o =
+          Oracle.of_config
+            { Oracle.default_config with Oracle.max_nodes = 3 }
+            (Surface.parse_kb4_exn "x : A.\ny : B.\n")
+        in
+        let z_c = Oracle.Instance ("z", c) in
+        let ckb0 = Oracle.classical_kb o in
+        checkb "x : A" true (Oracle.check o (Oracle.Instance ("x", atom)));
+        (match
+           Oracle.atomically o (fun () ->
+               ignore (Oracle.apply o (delta "+ z : C.\n") : Oracle.apply_stats);
+               checkb "z : C inside the script" true (Oracle.check o z_c);
+               Oracle.apply o (delta "+ w : C.\n"))
+         with
+        | _ -> Alcotest.fail "the second delta must trip"
+        | exception Tableau.Resource_limit _ -> ());
+        checkb "the classical KB is the old one" true
+          (Oracle.classical_kb o = ckb0);
+        checkb "z : C no longer" false (Oracle.check o z_c);
+        checkb "x : A still" true (Oracle.check o (Oracle.Instance ("x", atom)))) ]
+
 let () =
   Alcotest.run "tableau"
     [ ("basic", basic_tests);
@@ -675,4 +801,5 @@ let () =
       ("models", model_tests);
       ("absorption", absorption_tests);
       ("resources", resource_tests);
+      ("base", base_tests);
       ("stress", stress_tests) ]
