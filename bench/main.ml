@@ -13,7 +13,13 @@
       answer quality under growing inconsistency, inclusion-kind ablation),
       one Test.make per series point.
 
-   Run with:  dune exec bench/main.exe *)
+   S5-S6 compare engines; S7 and S9-S12 time one fast path against its
+   slow twin each and check the ratio against a bound.  The answer and
+   count invariants on their KBs are tier-1 tests (test_obs, test_diag,
+   test_delta, test_store, test_serve, test_backend, test_telemetry,
+   test_planner, test_audit).
+
+   Run with:  dune exec bench/main.exe   (exit 1 when a bound fails) *)
 
 open Bechamel
 open Toolkit
@@ -50,49 +56,28 @@ let run_group ~name tests =
 
 let bench name f = Test.make ~name (Staged.stage f)
 
-(* Bench artifacts (BENCH_*.json) are written under [--out DIR] (default:
-   the current directory) so `dune runtest` / ad-hoc runs from the repo
-   root do not dirty the work tree unless asked to. *)
-let out_dir =
-  let rec scan = function
-    | "--out" :: dir :: _ -> dir
-    | _ :: rest -> scan rest
-    | [] -> "."
+(* The wall-clock bounds.  Each experiment checks its ratio where it
+   measures it; the run ends with one PASS/FAIL line per bound and exits
+   1 if any failed.  Answer and count invariants are tier-1 tests, not
+   bounds here: a ratio is taken only between paths whose answers agree,
+   which each experiment asserts first. *)
+let bound_lines = ref []
+
+let check_bound name value bound =
+  let ok, rel, limit =
+    match bound with
+    | `At_most l -> (value <= l, "<=", l)
+    | `At_least l -> (value >= l, ">=", l)
   in
-  scan (Array.to_list Sys.argv)
+  bound_lines :=
+    (ok, Printf.sprintf "%s %s %.3f %s %g" (if ok then "PASS" else "FAIL")
+           name value rel limit)
+    :: !bound_lines
 
-let out_path name = Filename.concat out_dir name
-
-let write_artifact name contents =
-  let path = out_path name in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Printf.printf "  wrote %s\n" path
-
-(* Unified bench-artifact envelope (PR 5): every BENCH_*.json carries the
-   same top level — a schema tag, a timestamp and a flat numeric
-   [metrics] object — so bench/check_regress can gate any experiment
-   without per-experiment parsers.  Experiment-specific structure lives
-   under [detail].  [metrics] values are pre-rendered JSON numbers;
-   booleans are encoded as 0/1 so gates stay uniform comparisons. *)
-let write_bench name ~experiment ~metrics ~detail =
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"dl4-bench/1\",\n\
-      \  \"experiment\": \"%s\",\n\
-      \  \"generated_unix\": %.0f,\n\
-      \  \"metrics\": {\n%s\n  },\n\
-      \  \"detail\": %s\n\
-       }\n"
-      experiment (Unix.time ())
-      (String.concat ",\n"
-         (List.map (fun (k, v) -> Printf.sprintf "    \"%s\": %s" k v) metrics))
-      detail
-  in
-  write_artifact name json
+let wall f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  (x, Unix.gettimeofday () -. t0)
 
 let section title =
   let line = String.make 72 '=' in
@@ -429,8 +414,8 @@ let report_engine_cache () =
    minima's ratio read 1-20% over 30 rounds of unchanged code where the
    paired median read 2-4%.
 
-   Answers must be byte-identical either way; the taxonomy is asserted
-   equal across regimes before any number is reported. *)
+   The taxonomy is asserted equal across regimes before any number is
+   reported; test_obs checks the same on this KB on every test run. *)
 
 let report_obs_overhead () =
   section "S7: Dl_obs overhead (disabled guard cost, enabled wall cost)";
@@ -444,11 +429,6 @@ let report_obs_overhead () =
         n_abox = 24;
         max_depth = 1;
         inconsistency_rate = 0.1 }
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
   in
   let rounds = 15 in
   let classify_once () = Session.classify (Session.create kb) in
@@ -490,7 +470,6 @@ let report_obs_overhead () =
       taxonomies := tax :: !taxonomies
     done
   done;
-  let flight_events = Flight.events_recorded () in
   Flight.reset ();
   Obs.set_enabled was_enabled;
   (match !taxonomies with
@@ -538,331 +517,131 @@ let report_obs_overhead () =
   in
   let enabled_overhead_pct = overhead_pct 2 in
   let flight_overhead_pct = overhead_pct 1 in
-  let flight_events_per_run = flight_events / rounds in
   Printf.printf
     "  classify (seed-29 KB), %d interleaved rounds: minimum, and the \
      median paired overhead\n"
     rounds;
   Printf.printf "    disabled      %8.4fs\n" t_off;
-  Printf.printf "    flight armed  %8.4fs   (+%.1f%%, %d events/run)\n"
-    t_flight flight_overhead_pct flight_events_per_run;
+  Printf.printf "    flight armed  %8.4fs   (+%.1f%%)\n" t_flight
+    flight_overhead_pct;
   Printf.printf "    enabled       %8.4fs   (+%.1f%%)\n" t_on
     enabled_overhead_pct;
   Printf.printf "  guard (if !Obs.on) cost:      %6.2f ns/op\n" guard_ns;
   Printf.printf "  guard (if !Flight.on) cost:   %6.2f ns/op\n" flight_guard_ns;
   Printf.printf "  hook crossings per run:       %6d counter ops, %d spans\n"
     ops_per_run spans_per_run;
-  Printf.printf "  disabled-path overhead:       %6.3f%% of run time%s\n"
-    disabled_overhead_pct
-    (if disabled_overhead_pct <= 3.0 then "  (within 3% budget)"
-     else "  (EXCEEDS 3% budget)");
-  Printf.printf "  flight-armed overhead:        %6.3f%% of run time%s\n"
-    flight_overhead_pct
-    (if flight_overhead_pct <= 5.0 then "  (within 5% budget)"
-     else "  (EXCEEDS 5% budget)");
-  Printf.printf "  answers identical on/off:     true\n";
-  write_bench "BENCH_obs.json" ~experiment:"S7_obs_overhead"
-    ~metrics:
-      [ ("rounds", string_of_int rounds);
-        ("min_seconds_disabled", Printf.sprintf "%.6f" t_off);
-        ("min_seconds_flight_armed", Printf.sprintf "%.6f" t_flight);
-        ("min_seconds_enabled", Printf.sprintf "%.6f" t_on);
-        ("enabled_overhead_pct", Printf.sprintf "%.3f" enabled_overhead_pct);
-        ("flight_overhead_pct", Printf.sprintf "%.3f" flight_overhead_pct);
-        ("flight_overhead_budget_pct", "5.0");
-        ("flight_events_per_run", string_of_int flight_events_per_run);
-        ("flight_guard_ns_per_op", Printf.sprintf "%.3f" flight_guard_ns);
-        ("guard_ns_per_op", Printf.sprintf "%.3f" guard_ns);
-        ("counter_ops_per_enabled_run", string_of_int ops_per_run);
-        ("spans_per_enabled_run", string_of_int spans_per_run);
-        ("disabled_overhead_pct", Printf.sprintf "%.4f" disabled_overhead_pct);
-        ("disabled_overhead_budget_pct", "3.0");
-        ("answers_identical", "1") ]
-    ~detail:
-      "{\"kb\": {\"seed\": 29, \"concepts\": 14, \"individuals\": 10, \
-       \"tbox\": 20, \"abox\": 24}, \"workload\": \"classify\",\n\
-      \  \"overhead\": \"median over interleaved rounds of the regime's \
-       time over the same round's disabled time\"}"
+  Printf.printf "  disabled-path overhead:       %6.3f%% of run time\n"
+    disabled_overhead_pct;
+  Printf.printf "  flight-armed overhead:        %6.3f%% of run time\n"
+    flight_overhead_pct;
+  check_bound "S7 disabled_overhead_pct" disabled_overhead_pct (`At_most 3.0);
+  check_bound "S7 flight_overhead_pct" flight_overhead_pct (`At_most 5.0)
 
 (* ------------------------------------------------------------------ *)
-(* S8: incremental deltas vs from-scratch rebuild.  One evolving KB, a
-   fixed delta script (new components, an in-place assertion, a
-   retraction), and after every delta the full contradiction grid is
-   re-answered two ways:
+(* S9 and S11 serve the full atomic grid of one seeded KB from a warm
+   session: the warming [dl4 snapshot] performs (consistency, the grid
+   in both polarities, classification). *)
 
-   - rebuild: a fresh session over the delta-applied KB (the only option
-     before Session.apply existed) — every verdict pays its tableau call
-     again;
-   - incremental: one live session, Session.apply per delta — verdicts
-     whose provenance avoids the touched components survive and answer
-     from cache.
+let serve_kb =
+  Gen.kb4
+    { Gen.default with
+      seed = 41;
+      n_concepts = 10;
+      n_individuals = 8;
+      n_tbox = 14;
+      n_abox = 18;
+      max_depth = 1;
+      inconsistency_rate = 0.1 }
 
-   Grids must be identical at every step; the incremental protocol must
-   pay strictly fewer tableau calls in total. *)
+let serve_requests =
+  let signature = Kb4.signature serve_kb in
+  List.concat_map
+    (fun a ->
+      List.map
+        (fun c ->
+          Printf.sprintf {|{"op":"query","individual":"%s","concept":"%s"}|}
+            a c)
+        signature.Axiom.concepts)
+    signature.Axiom.individuals
 
-let report_incremental () =
-  section "S8: incremental deltas vs rebuild -> BENCH_delta.json";
-  let kb =
-    Gen.kb4
-      { Gen.default with
-        seed = 31;
-        n_concepts = 10;
-        n_individuals = 8;
-        n_tbox = 14;
-        n_abox = 18;
-        max_depth = 1;
-        inconsistency_rate = 0.1 }
-  in
-  let abox_delta add retract =
-    { Delta.add_abox = add; retract_abox = retract; add_tbox = [] }
-  in
-  let deltas =
-    [ (* a fresh two-individual component *)
-      abox_delta
-        [ Axiom.Instance_of ("u0", Concept.Atom "C0");
-          Axiom.Role_assertion ("u0", Role.name "r0", "u1") ]
-        [];
-      (* another isolated newcomer *)
-      abox_delta [ Axiom.Instance_of ("u2", Concept.Atom "C1") ] [];
-      (* touch an existing individual's component *)
-      abox_delta [ Axiom.Instance_of ("a0", Concept.Atom "C2") ] [];
-      (* retract a told assertion *)
-      abox_delta [] [ List.hd kb.Kb4.abox ] ]
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  let grid t = (Para.satisfiable t, Para.contradictions t) in
-  (* incremental protocol: one session, apply + re-query per step *)
-  let s = Session.create kb in
-  let p = Para.of_session s in
-  let calls () = Oracle.tableau_calls (Session.oracle s) in
-  let _, warm_dt = wall (fun () -> grid p) in
-  Printf.printf "  warm-up grid: %.3fs, %d tableau calls\n%!" warm_dt (calls ());
-  let incremental =
-    List.map
-      (fun d ->
-        let c0 = calls () in
-        let (st, answers), dt =
-          wall (fun () ->
-              let st = Session.apply s d in
-              (st, grid p))
-        in
-        (answers, calls () - c0, dt, st))
-      deltas
-  in
-  (* rebuild protocol: fresh stack over the accumulated KB at each step *)
-  let rebuild =
-    let acc = ref kb in
-    List.map
-      (fun d ->
-        acc := Delta.apply_kb4 !acc d;
-        let t = Para.create !acc in
-        let answers, dt = wall (fun () -> grid t) in
-        let calls = Oracle.tableau_calls (Session.oracle t) in
-        (answers, calls, dt))
-      deltas
-  in
-  let rows = List.combine incremental rebuild in
-  List.iteri
-    (fun i ((ia, ic, idt, st), (ra, rc, rdt)) ->
-      if ia <> ra then
-        failwith
-          (Printf.sprintf "S8: delta %d: incremental answers differ from \
-                           rebuild" (i + 1));
-      Printf.printf
-        "  delta %d: rebuild %4d calls %8.4fs | incremental %4d calls \
-         %8.4fs  (%d evicted, %d retained)\n%!"
-        (i + 1) rc rdt ic idt st.Oracle.evicted st.Oracle.retained)
-    rows;
-  let total f = List.fold_left (fun n r -> n + f r) 0 rows in
-  let ic_total = total (fun ((_, ic, _, _), _) -> ic)
-  and rc_total = total (fun (_, (_, rc, _)) -> rc) in
-  Printf.printf "  total tableau calls: rebuild %d, incremental %d%s\n" rc_total
-    ic_total
-    (if ic_total < rc_total then "  (incremental strictly fewer)"
-     else "  (NO SAVING)");
-  if ic_total >= rc_total then
-    failwith "S8: incremental protocol did not save tableau calls";
-  let detail =
-    Printf.sprintf
-      "{\n\
-      \  \"kb\": {\"seed\": 31, \"concepts\": 10, \"individuals\": 8, \
-       \"tbox\": 14, \"abox\": 18},\n\
-      \  \"workload\": \"satisfiability + contradiction grid per delta\",\n\
-      \  \"steps\": [\n%s\n  ]\n\
-       }"
-      (String.concat ",\n"
-         (List.mapi
-            (fun i ((_, ic, idt, st), (_, rc, rdt)) ->
-              Printf.sprintf
-                "    {\"delta\": %d, \"rebuild_calls\": %d, \
-                 \"rebuild_seconds\": %.6f, \"incremental_calls\": %d, \
-                 \"incremental_seconds\": %.6f, \"evicted\": %d, \
-                 \"retained\": %d, \"flushed\": %b}"
-                (i + 1) rc rdt ic idt st.Oracle.evicted st.Oracle.retained
-                st.Oracle.flushed)
-            rows))
-  in
-  write_bench "BENCH_delta.json" ~experiment:"S8_incremental_deltas"
-    ~metrics:
-      [ ("total_tableau_calls_rebuild", string_of_int rc_total);
-        ("total_tableau_calls_incremental", string_of_int ic_total);
-        ("incremental_strictly_fewer", if ic_total < rc_total then "1" else "0");
-        ("answers_identical", "1") ]
-    ~detail
+let warm_session () =
+  let s = Session.create serve_kb in
+  ignore (Para.satisfiable s : bool);
+  ignore (Para.contradictions s : (string * string) list);
+  ignore (Session.classification s : Classify.t);
+  s
+
+(* the truth value of one [Serve.handle] query round trip *)
+let serve_truth srv req =
+  let resp = Serve.handle srv req in
+  match
+    Option.bind
+      (Result.to_option (Json_lite.parse resp))
+      (fun j -> Option.bind (Json_lite.member "truth" j) Json_lite.to_str)
+  with
+  | Some t -> t
+  | None -> failwith ("serve response lacks a truth value: " ^ resp)
 
 (* ------------------------------------------------------------------ *)
-(* S9: persistent snapshots and the warm server vs cold per-query
-   sessions.  Three ways to answer the same atomic query grid:
+(* S9: the warm server vs cold per-query sessions.  Two ways to answer
+   the same atomic query grid:
 
    - cold: a fresh Session per query — what every separate `dl4 query`
      CLI invocation pays (minus process start-up, which only widens the
      gap in the daemon's favour);
-   - snapshot: serialize a warm session through the dl4-snap codec,
-     decode + restore, re-answer the grid — must pay ZERO tableau calls
-     because every atomic verdict travels in the snapshot;
    - serve: NDJSON round trips through [Serve.handle] on a warm daemon
      state — the in-process core of a `dl4 serve` socket round trip.
 
-   All three must produce identical truth values; the serve round trip
-   must beat the cold path by >= 10x (gated in GATES.json). *)
+   Both must produce identical truth values, and the serve round trip
+   must beat the cold path by >= 10x.  test_store and test_serve check
+   the answers on this KB, and that a snapshot-restored session answers
+   them with zero tableau calls. *)
 
 let report_serve () =
-  section "S9: snapshot restore + warm serve vs cold sessions -> BENCH_serve.json";
-  let kb =
-    Gen.kb4
-      { Gen.default with
-        seed = 41;
-        n_concepts = 10;
-        n_individuals = 8;
-        n_tbox = 14;
-        n_abox = 18;
-        max_depth = 1;
-        inconsistency_rate = 0.1 }
-  in
-  let signature = Kb4.signature kb in
+  section "S9: warm serve vs cold sessions";
   let queries =
+    let signature = Kb4.signature serve_kb in
     List.concat_map
       (fun a -> List.map (fun c -> (a, c)) signature.Axiom.concepts)
       signature.Axiom.individuals
   in
   let n = List.length queries in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  (* the warming [dl4 snapshot] performs: consistency, the full atomic
-     grid (both polarities), classification *)
-  let warm_session () =
-    let s = Session.create kb in
-    let p = Para.of_session s in
-    ignore (Para.satisfiable p : bool);
-    ignore (Para.contradictions p : (string * string) list);
-    ignore (Session.classification s : Classify.t);
-    s
-  in
   let cold_answers, cold_total =
     wall (fun () ->
         List.map
           (fun (a, c) ->
-            let p = Para.of_session (Session.create kb) in
-            Truth.to_string (Para.instance_truth p a (Concept.Atom c)))
+            Truth.to_string
+              (Para.instance_truth (Session.create serve_kb) a
+                 (Concept.Atom c)))
           queries)
   in
-  (* snapshot round trip through the real codec, then the grid again *)
-  let warm = warm_session () in
-  let bytes_, snap_dt = wall (fun () -> Store.to_string (Store.capture warm)) in
-  let restored, restore_dt =
-    wall (fun () ->
-        match Store.of_string bytes_ with
-        | Error e -> failwith ("S9: decode: " ^ Store.error_to_string e)
-        | Ok snap -> (
-            match Store.restore ~kb snap with
-            | Ok s -> s
-            | Error e -> failwith ("S9: restore: " ^ Store.error_to_string e)))
-  in
-  let snap_answers, snap_total =
-    wall (fun () ->
-        let p = Para.of_session restored in
-        List.map
-          (fun (a, c) ->
-            Truth.to_string (Para.instance_truth p a (Concept.Atom c)))
-          queries)
-  in
-  let snap_calls = Oracle.tableau_calls (Session.oracle restored) in
-  (* warm serve: protocol round trips against the daemon's handler *)
   let srv = Serve.create (warm_session ()) in
   let serve_answers, serve_total =
-    wall (fun () ->
-        List.map
-          (fun (a, c) ->
-            let req =
-              Printf.sprintf
-                {|{"op":"query","individual":"%s","concept":"%s"}|} a c
-            in
-            let resp = Serve.handle srv req in
-            match Json_lite.parse resp with
-            | Error e -> failwith ("S9: serve response unparsable: " ^ e)
-            | Ok j -> (
-                match
-                  Option.bind (Json_lite.member "truth" j) Json_lite.to_str
-                with
-                | Some t -> t
-                | None -> failwith ("S9: serve response lacks truth: " ^ resp)))
-          queries)
+    wall (fun () -> List.map (serve_truth srv) serve_requests)
   in
-  let identical = cold_answers = snap_answers && cold_answers = serve_answers in
-  if not identical then failwith "S9: answers differ across cold/snapshot/serve";
-  if snap_calls <> 0 then
-    failwith
-      (Printf.sprintf "S9: snapshot-restored grid paid %d tableau calls"
-         snap_calls);
+  if cold_answers <> serve_answers then
+    failwith "S9: answers differ between cold sessions and serve";
   let per_q total = total /. float_of_int n *. 1000. in
   let cold_ms = per_q cold_total in
   let warm_roundtrip_ms = per_q serve_total in
   let warm_speedup = cold_ms /. Float.max warm_roundtrip_ms 1e-9 in
-  Printf.printf "  %d queries (full atomic grid), snapshot %d bytes\n" n
-    (String.length bytes_);
+  Printf.printf "  %d queries (full atomic grid)\n" n;
   Printf.printf "  cold session per query:   %8.4f ms\n" cold_ms;
-  Printf.printf "  snapshot encode/decode+restore: %.4fs / %.4fs;  grid \
-                 %8.4f ms/q, %d tableau calls\n"
-    snap_dt restore_dt (per_q snap_total) snap_calls;
   Printf.printf "  warm serve round trip:    %8.4f ms  (speedup %.0fx)\n"
     warm_roundtrip_ms warm_speedup;
-  Printf.printf "  answers identical across the three paths: %b\n" identical;
-  write_bench "BENCH_serve.json" ~experiment:"S9_snapshot_serve"
-    ~metrics:
-      [ ("queries", string_of_int n);
-        ("cold_ms", Printf.sprintf "%.4f" cold_ms);
-        ("warm_roundtrip_ms", Printf.sprintf "%.4f" warm_roundtrip_ms);
-        ("warm_speedup", Printf.sprintf "%.1f" warm_speedup);
-        ("warm_snapshot_tableau_calls", string_of_int snap_calls);
-        ("snapshot_bytes", string_of_int (String.length bytes_));
-        ("answers_identical", if identical then "1" else "0") ]
-    ~detail:
-      (Printf.sprintf
-         "{\"kb\": {\"seed\": 41, \"concepts\": 10, \"individuals\": 8, \
-          \"tbox\": 14, \"abox\": 18},\n\
-         \  \"workload\": \"full atomic instance-truth grid\",\n\
-         \  \"snapshot_encode_seconds\": %.6f,\n\
-         \  \"snapshot_restore_seconds\": %.6f,\n\
-         \  \"snapshot_grid_ms_per_query\": %.4f}"
-         snap_dt restore_dt (per_q snap_total))
+  check_bound "S9 warm_speedup" warm_speedup (`At_least 10.)
 
 (* ------------------------------------------------------------------ *)
-(* S10: pluggable backends on a Horn-heavy workload.  The same
-   classification plus instance-grid workload runs three times — backend
-   pinned to the tableau, pinned to the Horn/EL completion engine, and
-   under the auto router.  Answers must be identical; auto must send at
-   least 90% of the computed verdicts to the completion backend and beat
-   the pinned tableau (both gated in GATES.json). *)
+(* S10: the auto router on a Horn-heavy workload.  The same
+   classification plus instance-grid workload runs twice — backend
+   pinned to the tableau, and under the auto router, which sends what
+   the Horn/EL fragment covers to the completion engine.  Answers must
+   be identical, and auto must beat the pinned tableau by >= 1.3x.
+   test_backend checks all three backends' answers, auto's route share
+   and the tableau's verdict count on this KB. *)
 
 let report_backends () =
-  section "S10: tableau vs horn vs auto on a Horn workload -> BENCH_backend.json";
+  section "S10: tableau vs auto on a Horn workload";
   (* a pure concept tree (squarely in the fragment) plus a handful of
      leaf memberships so the instance grid is exercised too *)
   let kb =
@@ -885,74 +664,33 @@ let report_backends () =
         List.map (fun c -> (a, Concept.Atom c)) signature.Axiom.concepts)
       signature.Axiom.individuals
   in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
   let run backend =
     let s =
       Session.create
         ~config:{ Session.default_config with backend } kb
     in
-    let out, dt =
-      wall (fun () ->
-          let tax = Session.classify s in
-          let truths =
-            List.map (fun (a, c) -> Para.instance_truth s a c) grid
-          in
-          (tax, truths))
-    in
-    (out, dt, (Session.cost_totals s).Oracle.backends)
+    wall (fun () ->
+        let tax = Session.classify s in
+        let truths =
+          List.map (fun (a, c) -> Para.instance_truth s a c) grid
+        in
+        (tax, truths))
   in
-  let tab_out, tab_dt, tab_st = run Backend.Tableau in
-  let horn_out, horn_dt, _ = run Backend.Horn in
-  let auto_out, auto_dt, auto_st = run Backend.Auto in
-  let identical = tab_out = horn_out && tab_out = auto_out in
-  if not identical then
-    failwith "S10: answers differ across tableau/horn/auto";
-  let count routes b =
-    List.assoc_opt b routes |> Option.value ~default:0
-  in
-  let horn_routed = count auto_st "horn" in
-  let total_routed =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 auto_st
-  in
-  let fraction =
-    if total_routed = 0 then 0.
-    else float_of_int horn_routed /. float_of_int total_routed
-  in
+  let tab_out, tab_dt = run Backend.Tableau in
+  let auto_out, auto_dt = run Backend.Auto in
+  if tab_out <> auto_out then failwith "S10: answers differ tableau vs auto";
   let speedup = tab_dt /. Float.max auto_dt 1e-9 in
   Printf.printf
-    "  %d concepts, %d grid cells;  tableau %.3fs  horn %.3fs  auto %.3fs\n"
+    "  %d concepts, %d grid cells;  tableau %.3fs  auto %.3fs  (speedup \
+     %.1fx)\n"
     (List.length signature.Axiom.concepts)
-    (List.length grid) tab_dt horn_dt auto_dt;
-  Printf.printf "  auto routed %d/%d verdicts to horn (%.1f%%), speedup %.1fx\n"
-    horn_routed total_routed (100. *. fraction) speedup;
-  Printf.printf "  answers identical across the three backends: %b\n" identical;
-  write_bench "BENCH_backend.json" ~experiment:"S10_backends"
-    ~metrics:
-      [ ("answers_identical", if identical then "1" else "0");
-        ("horn_route_fraction", Printf.sprintf "%.4f" fraction);
-        ("speedup_auto_vs_tableau", Printf.sprintf "%.2f" speedup);
-        ("tableau_verdicts", string_of_int (count tab_st "tableau"));
-        ("tableau_seconds", Printf.sprintf "%.4f" tab_dt);
-        ("horn_seconds", Printf.sprintf "%.4f" horn_dt);
-        ("auto_seconds", Printf.sprintf "%.4f" auto_dt) ]
-    ~detail:
-      (Printf.sprintf
-         "{\"kb\": \"taxonomy depth 4 branching 3 + 4 leaf assertions\",\n\
-         \  \"workload\": \"classify + full atomic instance-truth grid\",\n\
-         \  \"auto_routes\": {%s}}"
-         (String.concat ", "
-            (List.map
-               (fun (b, n) -> Printf.sprintf "\"%s\": %d" b n)
-               auto_st)))
+    (List.length grid) tab_dt auto_dt speedup;
+  check_bound "S10 speedup_auto_vs_tableau" speedup (`At_least 1.3)
 
 (* ------------------------------------------------------------------ *)
 (* S11: what does the PR 8 telemetry plane cost per request?
 
-   Two measurements combine into the gated ratio:
+   Two measurements combine into the bounded ratio:
 
    - the *marginal* cost of arming: the same warm atomic grid runs
      through [Serve.handle] on a disarmed daemon ([~telemetry:false])
@@ -971,59 +709,21 @@ let report_backends () =
    ~1 us marginal.  The ratio of a paired in-process diff to a single
    daemon's absolute round trip is what a client actually experiences
    and is reproducible.  Answers must be identical armed vs disarmed
-   and the ratio must stay within 5% (gated in GATES.json). *)
+   and the ratio must stay within 5%.  test_telemetry checks the
+   answers, and that the armed daemon writes its access log, on this
+   KB. *)
 
 let report_telemetry () =
-  section "S11: telemetry-armed vs disarmed serve round trips -> BENCH_telemetry.json";
-  let kb =
-    Gen.kb4
-      { Gen.default with
-        seed = 41;
-        n_concepts = 10;
-        n_individuals = 8;
-        n_tbox = 14;
-        n_abox = 18;
-        max_depth = 1;
-        inconsistency_rate = 0.1 }
-  in
-  let signature = Kb4.signature kb in
-  let reqs =
-    List.concat_map
-      (fun a ->
-        List.map
-          (fun c ->
-            Printf.sprintf
-              {|{"op":"query","individual":"%s","concept":"%s"}|} a c)
-          signature.Axiom.concepts)
-      signature.Axiom.individuals
-  in
-  let n = List.length reqs in
-  let warm_session () =
-    let s = Session.create kb in
-    let p = Para.of_session s in
-    ignore (Para.satisfiable p : bool);
-    ignore (Para.contradictions p : (string * string) list);
-    ignore (Session.classification s : Classify.t);
-    s
-  in
-  let truth_of resp =
-    match Json_lite.parse resp with
-    | Error e -> failwith ("S11: serve response unparsable: " ^ e)
-    | Ok j -> (
-        match Option.bind (Json_lite.member "truth" j) Json_lite.to_str with
-        | Some t -> t
-        | None -> failwith ("S11: serve response lacks truth: " ^ resp))
-  in
-  let grid srv = List.map (fun req -> truth_of (Serve.handle srv req)) reqs in
+  section "S11: telemetry-armed vs disarmed serve round trips";
+  let n = List.length serve_requests in
+  let grid srv = List.map (serve_truth srv) serve_requests in
   let rounds = 100 in
   let access = Filename.temp_file "dl4_bench_s11" ".access.jsonl" in
   let disarmed = Serve.create ~telemetry:false (warm_session ()) in
   let armed = Serve.create ~access_log:access (warm_session ()) in
   (* warm both verdict caches before timing anything *)
-  let off_answers = grid disarmed in
-  let on_answers = grid armed in
-  let identical = off_answers = on_answers in
-  if not identical then failwith "S11: answers differ armed vs disarmed";
+  if grid disarmed <> grid armed then
+    failwith "S11: answers differ armed vs disarmed";
   let timed srv =
     let t0 = Unix.gettimeofday () in
     ignore (grid srv : string list);
@@ -1052,7 +752,7 @@ let report_telemetry () =
   let sock_grid () =
     List.iter
       (fun req -> ignore (Serve.request ~socket_path:sock req : string))
-      reqs
+      serve_requests
   in
   sock_grid ();
   let rt_dt = ref Float.infinity in
@@ -1063,19 +763,9 @@ let report_telemetry () =
   done;
   ignore (Serve.request ~socket_path:sock {|{"op":"shutdown"}|} : string);
   Thread.join th;
+  Sys.remove access;
   let roundtrip_us = per_q !rt_dt in
   let overhead_pct = Float.max 0. marginal_us /. roundtrip_us *. 100. in
-  (* the armed daemons must have left access-log lines behind *)
-  let access_lines =
-    let ic = open_in access in
-    let rec count k =
-      match input_line ic with
-      | _ -> count (k + 1)
-      | exception End_of_file -> close_in ic; k
-    in
-    count 0
-  in
-  Sys.remove access;
   Printf.printf "  %d warm queries/round, marginal from %d interleaved rounds\n"
     n rounds;
   Printf.printf "  in-process handle: disarmed %8.3f us/q, armed %8.3f us/q\n"
@@ -1083,31 +773,7 @@ let report_telemetry () =
   Printf.printf "  marginal cost of arming: %+.3f us/q\n" marginal_us;
   Printf.printf "  socket round trip (armed daemon): %8.3f us/q\n" roundtrip_us;
   Printf.printf "  client-visible overhead: %.2f%%\n" overhead_pct;
-  Printf.printf "  access-log lines from the armed runs: %d\n" access_lines;
-  Printf.printf "  answers identical armed vs disarmed: %b\n" identical;
-  write_bench "BENCH_telemetry.json" ~experiment:"S11_telemetry_overhead"
-    ~metrics:
-      [ ("queries", string_of_int n);
-        ("rounds", string_of_int rounds);
-        ("disarmed_us_per_query", Printf.sprintf "%.3f" (per_q !off_dt));
-        ("armed_us_per_query", Printf.sprintf "%.3f" (per_q !on_dt));
-        ("marginal_us_per_query", Printf.sprintf "%.3f" marginal_us);
-        ("socket_roundtrip_us", Printf.sprintf "%.3f" roundtrip_us);
-        ("telemetry_overhead_pct", Printf.sprintf "%.2f" overhead_pct);
-        ("access_log_lines", string_of_int access_lines);
-        ("answers_identical", if identical then "1" else "0") ]
-    ~detail:
-      (Printf.sprintf
-         "{\"kb\": {\"seed\": 41, \"concepts\": 10, \"individuals\": 8, \
-          \"tbox\": 14, \"abox\": 18},\n\
-         \  \"marginal\": \"armed minus disarmed Serve.handle us/query, \
-          interleaved min of %d rounds each\",\n\
-         \  \"roundtrip\": \"Serve.request vs one armed daemon thread, \
-          connect per request, min of 15 rounds\",\n\
-         \  \"overhead\": \"max(0, marginal) / roundtrip\",\n\
-         \  \"armed\": \"registry + trace IDs + deferred-render access log\",\n\
-         \  \"disarmed\": \"Serve.create ~telemetry:false\"}"
-         rounds)
+  check_bound "S11 telemetry_overhead_pct" overhead_pct (`At_most 5.0)
 
 (* ------------------------------------------------------------------ *)
 (* S12: cost-based CQ planner vs syntactic atom order *)
@@ -1116,11 +782,12 @@ let report_telemetry () =
    common one (40), a sparse role between them — and a query whose body
    is written in the pessimal order (common atom first), so the
    syntactic baseline pays a full [common × individuals] role grid
-   while the cost plan starts from the rare side.  Probe counts are
-   deterministic (fresh cold session per measured run), so
-   they double as regression anchors. *)
+   while the cost plan starts from the rare side.  Answers must be
+   identical, and the cost plan must be >= 1.2x faster.  test_planner
+   checks the answers against the naive reference, and the probe
+   counts, on this KB. *)
 let report_planner () =
-  section "S12: cost-based CQ planner vs syntactic order -> BENCH_planner.json";
+  section "S12: cost-based CQ planner vs syntactic order";
   let n_common = 40 in
   let kb =
     let base =
@@ -1145,210 +812,27 @@ let report_planner () =
     in
     { base with Kb4.abox = base.Kb4.abox @ commons @ rares @ links }
   in
-  let parse_cq src =
-    match Cq.parse src with
-    | Ok q -> q
-    | Error msg -> failwith ("S12: bad cq " ^ src ^ ": " ^ msg)
-  in
   (* body written common-first: the worst order a naive planner inherits *)
-  let q = parse_cq "?x, ?y <- Common(?x), links(?x, ?y), Rare(?y)" in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  (* each measured run pays its probes from a cold cache: fresh session,
-     compile (probe-free) outside the timed region *)
-  let measure ?threshold ?force ~order qry =
-    let s = Session.create kb in
-    let p = Para.of_session s in
-    let plan = Cq.compile ?threshold ?force ~order p qry in
-    let answers, dt = wall (fun () -> Cq.run plan) in
-    let totals = Session.cost_totals s in
-    let probes = totals.Oracle.verdicts + totals.Oracle.cache_served in
-    (answers, dt, probes, Cq.strategy_counts plan)
-  in
-  let plan_ans, plan_dt, plan_probes, _ = measure ~order:`Cost q in
-  let syn_ans, syn_dt, syn_probes, _ = measure ~order:`Syntactic q in
-  (* reference: the naive cross product on its own fresh session *)
-  let ref_ans = Cq.answers_naive (Para.of_session (Session.create kb)) q in
-  let identical = plan_ans = syn_ans && plan_ans = ref_ans in
-  if not identical then failwith "S12: answers differ across plans";
-  (* a 3-atom chain with shared join keys: fan-in makes the hash side
-     strictly cheaper, so the adaptive pick lands on hash_join once the
-     threshold admits it — and answers must not move *)
-  let q3 = parse_cq "?x <- Rare(?z), links(?y, ?z), links(?x, ?y)" in
-  let hash_ans, _, _, hash_strategies = measure ~threshold:2 ~order:`Cost q3 in
-  let nested_ans, _, _, _ =
-    measure ~force:Cq.Plan.Nested_loop ~order:`Cost q3
-  in
-  let hash_picks =
-    List.assoc_opt "hash_join" hash_strategies |> Option.value ~default:0
-  in
-  let identical3 = hash_ans = nested_ans in
-  if not identical3 then failwith "S12: answers differ hash vs nested";
-  let probe_speedup = float_of_int syn_probes /. float_of_int (max 1 plan_probes) in
-  let wall_speedup = syn_dt /. Float.max plan_dt 1e-9 in
-  Printf.printf "  %d individuals, %d designated answers\n"
-    (n_common + 2) (List.length plan_ans);
-  Printf.printf "  probes: cost plan %d, syntactic %d (%.1fx fewer)\n"
-    plan_probes syn_probes probe_speedup;
-  Printf.printf "  wall:   cost plan %.4fs, syntactic %.4fs (%.1fx faster)\n"
-    plan_dt syn_dt wall_speedup;
-  Printf.printf "  hash_join picks on the fan-in chain: %d\n" hash_picks;
-  Printf.printf "  answers identical across plans and reference: %b\n"
-    (identical && identical3);
-  write_bench "BENCH_planner.json" ~experiment:"S12_cq_planner"
-    ~metrics:
-      [ ("answers_identical",
-         if identical && identical3 then "1" else "0");
-        ("planner_probes", string_of_int plan_probes);
-        ("syntactic_probes", string_of_int syn_probes);
-        ("probe_speedup", Printf.sprintf "%.2f" probe_speedup);
-        ("wall_speedup", Printf.sprintf "%.2f" wall_speedup);
-        ("hash_join_picks", string_of_int hash_picks);
-        ("planner_seconds", Printf.sprintf "%.4f" plan_dt);
-        ("syntactic_seconds", Printf.sprintf "%.4f" syn_dt) ]
-    ~detail:
-      (Printf.sprintf
-         "{\"kb\": \"2 Rare + %d Common individuals, 6 told links pairs\",\n\
-         \  \"query\": \"?x, ?y <- Common(?x), links(?x, ?y), Rare(?y)\",\n\
-         \  \"chain_query\": \"?x <- Rare(?z), links(?y, ?z), links(?x, ?y)\",\n\
-         \  \"probes\": \"oracle verdicts + cache-served checks on a fresh \
-          cold session per run\",\n\
-         \  \"reference\": \"Cq.answers_naive on its own fresh session\"}"
-         n_common)
-
-(* ------------------------------------------------------------------ *)
-(* S13: the audit plane — census cost vs the per-fact naive reference,
-   and exactly-B CQ answers through the plan path vs the naive sweep *)
-
-let report_audit () =
-  section "S13: inconsistency census + exactly-B queries -> BENCH_audit.json";
-  (* synthetic mixed-consistency KB: a broad Common population, a few
-     Rare individuals, told links, and every 7th individual poisoned
-     with Common & ~Common — so the census sees all of t/f/B/N *)
-  let n = 30 in
-  let kb =
-    let base =
-      Kb4.of_classical ~inclusion:Kb4.Internal
-        (Axiom.make
-           ~tbox:
-             [ Axiom.Concept_sub (Concept.Atom "Rare", Concept.Atom "Flagged") ]
-           ~abox:[])
-    in
-    let commons =
-      List.init n (fun i ->
-          Axiom.Instance_of (Printf.sprintf "c%d" i, Concept.Atom "Common"))
-    in
-    let poisons =
-      List.filteri (fun i _ -> i mod 7 = 0) commons
-      |> List.map (function
-           | Axiom.Instance_of (a, c) -> Axiom.Instance_of (a, Concept.Not c)
-           | ax -> ax)
-    in
-    let rares =
-      [ Axiom.Instance_of ("r0", Concept.Atom "Rare");
-        Axiom.Instance_of ("r1", Concept.Atom "Rare") ]
-    in
-    let links =
-      List.map
-        (fun (a, b) -> Axiom.Role_assertion (a, Role.name "links", b))
-        [ ("c0", "r0"); ("c0", "r1"); ("c1", "r0");
-          ("c1", "r1"); ("c2", "r0"); ("c3", "r1") ]
-    in
-    { base with
-      Kb4.abox = base.Kb4.abox @ commons @ poisons @ rares @ links }
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  (* every measured run pays from a cold cache: fresh session, probes =
-     verdicts + cache-served checks *)
-  let fresh () =
-    let s = Session.create kb in
-    (s, Para.of_session s)
-  in
-  let budget s =
-    let totals = Session.cost_totals s in
-    ( totals.Oracle.verdicts + totals.Oracle.cache_served,
-      totals.Oracle.work.Tableau.runs )
-  in
-  (* census: batched grids vs the per-fact reference *)
-  let s1, p1 = fresh () in
-  let census, census_dt = wall (fun () -> Audit.census p1) in
-  let census_probes, census_tableau = budget s1 in
-  let s2, p2 = fresh () in
-  let naive, naive_dt = wall (fun () -> Audit.census_naive p2) in
-  let naive_probes, _ = budget s2 in
-  let render (cs : Audit.census) =
-    List.map
-      (fun (f, v) -> Audit.fact_to_string f ^ "=" ^ Truth.to_string v)
-      cs.Audit.cs_entries
-  in
-  let census_identical = render census = render naive in
-  if not census_identical then failwith "S13: census differs from naive";
-  (* exactly-B answers: plan path (batched joins dedupe probes) vs the
-     naive per-binding sweep *)
   let q =
     match Cq.parse "?x, ?y <- Common(?x), links(?x, ?y), Rare(?y)" with
     | Ok q -> q
-    | Error msg -> failwith ("S13: bad cq: " ^ msg)
+    | Error msg -> failwith ("S12: bad cq: " ^ msg)
   in
-  let values = [ Truth.Both; Truth.Neither ] in
-  let s3, p3 = fresh () in
-  let plan = Cq.compile ~order:`Cost p3 q in
-  let plan_ans, plan_dt = wall (fun () -> Cq.run_exactly plan ~values) in
-  let plan_probes, _ = budget s3 in
-  let s4, p4 = fresh () in
-  let naive_ans, naive_exact_dt =
-    wall (fun () -> Cq.answers_exactly_naive p4 ~values q)
+  (* each measured run pays its probes from a cold cache: fresh session,
+     compile (probe-free) outside the timed region *)
+  let measure order =
+    let plan = Cq.compile ~order (Session.create kb) q in
+    wall (fun () -> Cq.run plan)
   in
-  let naive_exact_probes, _ = budget s4 in
-  let exact_identical = plan_ans = naive_ans in
-  if not exact_identical then failwith "S13: exactly answers differ";
-  let probe_speedup =
-    float_of_int naive_exact_probes /. float_of_int (max 1 plan_probes)
-  in
-  let wall_speedup = naive_exact_dt /. Float.max plan_dt 1e-9 in
-  Printf.printf "  census: %d facts (%d B, ratio %.3f) in %.4fs, %d probes \
-                 (%d tableau calls); naive %.4fs, %d probes\n"
-    (List.length census.Audit.cs_entries)
-    (Audit.count census Truth.Both)
-    (Audit.inconsistency_ratio census)
-    census_dt census_probes census_tableau naive_dt naive_probes;
-  Printf.printf "  exactly-{B,N}: %d answers; plan %d probes %.4fs, naive \
-                 sweep %d probes %.4fs (%.1fx fewer probes, %.1fx faster)\n"
-    (List.length plan_ans) plan_probes plan_dt naive_exact_probes
-    naive_exact_dt probe_speedup wall_speedup;
-  write_bench "BENCH_audit.json" ~experiment:"S13_audit"
-    ~metrics:
-      [ ("census_identical", if census_identical then "1" else "0");
-        ("answers_identical", if exact_identical then "1" else "0");
-        ("census_facts", string_of_int (List.length census.Audit.cs_entries));
-        ("census_b_count", string_of_int (Audit.count census Truth.Both));
-        ("census_probes", string_of_int census_probes);
-        ("census_tableau_calls", string_of_int census_tableau);
-        ("naive_census_probes", string_of_int naive_probes);
-        ("census_seconds", Printf.sprintf "%.4f" census_dt);
-        ("naive_census_seconds", Printf.sprintf "%.4f" naive_dt);
-        ("exact_plan_probes", string_of_int plan_probes);
-        ("exact_naive_probes", string_of_int naive_exact_probes);
-        ("exact_probe_speedup", Printf.sprintf "%.2f" probe_speedup);
-        ("exact_wall_speedup", Printf.sprintf "%.2f" wall_speedup) ]
-    ~detail:
-      (Printf.sprintf
-         "{\"kb\": \"%d Common individuals (every 7th also ~Common), 2 \
-          Rare, 6 links pairs\",\n\
-         \  \"census\": \"individuals x atomic concepts grid + told role \
-          assertions, batched vs per-fact naive, fresh cold session per \
-          run\",\n\
-         \  \"query\": \"?x, ?y <- Common(?x), links(?x, ?y), Rare(?y) \
-          with --exactly B,N\",\n\
-         \  \"probes\": \"oracle verdicts + cache-served checks\"}"
-         n)
+  let plan_ans, plan_dt = measure `Cost in
+  let syn_ans, syn_dt = measure `Syntactic in
+  if plan_ans <> syn_ans then failwith "S12: answers differ across plans";
+  let wall_speedup = syn_dt /. Float.max plan_dt 1e-9 in
+  Printf.printf "  %d individuals, %d designated answers\n"
+    (n_common + 2) (List.length plan_ans);
+  Printf.printf "  wall:   cost plan %.4fs, syntactic %.4fs (%.1fx faster)\n"
+    plan_dt syn_dt wall_speedup;
+  check_bound "S12 wall_speedup" wall_speedup (`At_least 1.2)
 
 (* ------------------------------------------------------------------ *)
 (* Timing benches *)
@@ -1543,12 +1027,10 @@ let () =
   report_engine_classification ();
   report_engine_cache ();
   report_obs_overhead ();
-  report_incremental ();
   report_serve ();
   report_backends ();
   report_telemetry ();
   report_planner ();
-  report_audit ();
   section "timing series (S1-S4)";
   run_group ~name:"paper" (paper_benches ());
   run_group ~name:"scale_transform" (transform_benches ());
@@ -1558,4 +1040,8 @@ let () =
   run_group ~name:"classification" (engine_classification_benches ());
   run_group ~name:"verdict_cache" (engine_cache_benches ());
   run_group ~name:"ablation" (ablation_benches ());
-  Printf.printf "\ndone.\n"
+  section "wall-clock bounds (S7, S9-S12)";
+  let bounds = List.rev !bound_lines in
+  List.iter (fun (_, line) -> Printf.printf "  %s\n" line) bounds;
+  Printf.printf "\ndone.\n";
+  if List.exists (fun (ok, _) -> not ok) bounds then exit 1

@@ -705,24 +705,44 @@ let models_cmd =
       value & opt int 10
       & info [ "limit" ] ~docv:"N" ~doc:"Maximum number of models to print.")
   in
+  (* 4^12 is tweety's space at --extra 0; past it a search can walk for
+     minutes before its first model *)
+  let max_space = 12 in
   let run file extra limit =
     require_non_negative "limit" limit;
     require_non_negative "extra" extra;
     let kb = load_kb4 file in
-    let count = ref 0 in
-    Seq.iter
-      (fun m ->
-        incr count;
-        Format.printf "--- model %d ---@.%a@." !count Interp4.pp m)
-      (Seq.take limit (Enum.models4 ~extra kb));
-    if !count = 0 then Format.printf "no four-valued model over this domain@.";
-    0
+    let space =
+      Enum.interps4_space ~signature:(Kb4.signature kb) ~extra
+        ~data_domain:(Enum.kb_data_values kb.Kb4.abox) ()
+    in
+    if space > max_space then begin
+      Format.eprintf
+        "dl4 models: resource limit: 4^%d interpretations to search, over \
+         4^%d@."
+        space max_space;
+      3
+    end
+    else begin
+      let count = ref 0 in
+      Seq.iter
+        (fun m ->
+          incr count;
+          Format.printf "--- model %d ---@.%a@." !count Interp4.pp m)
+        (Seq.take limit (Enum.models4 ~extra kb));
+      (* fewer models than asked for: the enumeration ran to its end *)
+      if !count = 0 && limit > 0 then
+        Format.printf "no four-valued model over this domain@.";
+      0
+    end
   in
   Cmd.v
     (Cmd.info "models"
        ~doc:
          "Enumerate four-valued models over the KB's individuals (plus \
-          --extra anonymous elements).  Exponential; small KBs only.")
+          --extra anonymous elements).  Exponential; small KBs only: a \
+          search over more than 4^12 interpretations stops before it \
+          starts, as a resource limit (exit 3).")
     Term.(const run $ file_arg $ extra $ limit)
 
 let retrieve_cmd =

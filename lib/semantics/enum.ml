@@ -63,6 +63,14 @@ let interps4 ~(signature : Axiom.signature) ?(extra = 0) ?(data_domain = []) () 
         (assignments signature.roles rexts))
     (assignments signature.concepts cexts)
 
+let interps4_space ~(signature : Axiom.signature) ?(extra = 0)
+    ?(data_domain = []) () =
+  let elements, _ = pinned_domain ~signature ~extra in
+  let n = List.length elements in
+  (List.length signature.concepts * n)
+  + (List.length signature.roles * n * n)
+  + (List.length signature.data_roles * n * List.length data_domain)
+
 let interps2 ~(signature : Axiom.signature) ?(extra = 0) ?(data_domain = []) () =
   let elements, individuals = pinned_domain ~signature ~extra in
   let pairs = List.concat_map (fun x -> List.map (fun y -> (x, y)) elements) elements in

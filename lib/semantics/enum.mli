@@ -24,6 +24,18 @@ val interps4 :
 (** All four-valued interpretations of the signature over the pinned
     domain. *)
 
+val interps4_space :
+  signature:Axiom.signature ->
+  ?extra:int ->
+  ?data_domain:Datatype.value list ->
+  unit ->
+  int
+(** The exponent [e] of the [4^e] interpretations {!interps4} walks:
+    [|C|·n + |R|·n² + |U|·n·|D|] for [n] domain elements (the individuals
+    plus [extra]), [C], [R] and [U] the signature's concepts, roles and
+    data roles and [D] the data domain.  Each concept, role and data
+    role takes a pair of subsets per element, pair or data pair. *)
+
 val interps2 :
   signature:Axiom.signature ->
   ?extra:int ->

@@ -34,9 +34,22 @@ let census_lines (cs : Audit.census) =
        (fun (f, v) -> Audit.fact_to_string f ^ " = " ^ Truth.to_string v)
        cs.Audit.cs_entries
 
-let check_census ?(config = Session.default_config) name kb =
+(* a cold session's probes: oracle verdicts plus cache-served checks *)
+let probes s =
+  let t = Session.cost_totals s in
+  t.Oracle.verdicts + t.Oracle.cache_served
+
+(* [max_probes] bounds the batched census's probes; it runs on a cold
+   session, so the count is deterministic *)
+let check_census ?(config = Session.default_config) ?max_probes name kb =
   let para = Para.create ~config kb in
   let cs = Audit.census para in
+  Option.iter
+    (fun bound ->
+      let n = probes para in
+      checkb (Printf.sprintf "%s: %d census probes <= %g" name n bound) true
+        (float_of_int n <= bound))
+    max_probes;
   (* a second Para over a fresh session: the naive reference must not
      share the batched sweep's warm cache *)
   let cs_naive = Audit.census_naive (Para.create ~config kb) in
@@ -58,6 +71,11 @@ let random_kb ~seed ~allow_negation =
         allow_negation }
   in
   if allow_negation then Gen.inject_contradictions ~seed ~count:2 kb else kb
+
+(* 30 Common individuals, every 7th also ~Common, so the census sees
+   all of t/f/B/N *)
+let common_rare_kb =
+  Bench_kb.common_rare ~commons:30 ~poisoned:(fun i -> i mod 7 = 0)
 
 let census_tests =
   List.map
@@ -91,7 +109,11 @@ let census_tests =
             "horn-fragment/horn" kb);
       Alcotest.test_case "random out-of-fragment" `Quick (fun () ->
           check_census "out-of-fragment"
-            (random_kb ~seed:42 ~allow_negation:true)) ]
+            (random_kb ~seed:42 ~allow_negation:true));
+      (* baseline 204 probes, bounded at +5% *)
+      Alcotest.test_case "common/rare" `Quick (fun () ->
+          check_census ~max_probes:(204. *. 1.05) "common/rare"
+            common_rare_kb) ]
 
 (* ------------------------------------------------------------------ *)
 (* Derived health numbers on the paper's Example 1: john is the one
@@ -226,7 +248,7 @@ let queries_over kb =
                 [ Cq.Concept_atom (c 0, Cq.Var "x");
                   Cq.Role_atom (r 0, Cq.Var "x", Cq.Var "y") ] ])
 
-let check_exactly name kb =
+let check_exactly ?(queries = []) name kb =
   let para = Para.create kb in
   List.iter
     (fun q ->
@@ -242,7 +264,26 @@ let check_exactly name kb =
                 (Cq.run_exactly plan ~values))
             regimes)
         value_sets)
-    (queries_over kb)
+    (queries_over kb @ queries)
+
+(* The plan path against the naive sweep on one query and value set,
+   each on its own cold session: no verdict has been timed, so the plan
+   and both probe counts are deterministic. *)
+let check_exact_probes name kb q ~values ~max_plan ~max_naive ~min_ratio =
+  let plan_s = Session.create kb in
+  let plan_ans = Cq.run_exactly (Cq.compile ~order:`Cost plan_s q) ~values in
+  let naive_s = Session.create kb in
+  let naive_ans = Cq.answers_exactly_naive naive_s ~values q in
+  Alcotest.check answers_t (name ^ "/cold plan = naive") naive_ans plan_ans;
+  let p = probes plan_s and n = probes naive_s in
+  checkb (Printf.sprintf "%s: %d plan probes <= %g" name p max_plan) true
+    (float_of_int p <= max_plan);
+  checkb (Printf.sprintf "%s: %d naive probes <= %g" name n max_naive) true
+    (float_of_int n <= max_naive);
+  checkb
+    (Printf.sprintf "%s: naive/plan probes %d/%d >= %g" name n p min_ratio)
+    true
+    (float_of_int n >= min_ratio *. float_of_int (max 1 p))
 
 let exactly_tests =
   List.map
@@ -253,7 +294,18 @@ let exactly_tests =
       ("tweety.dl4", load_example "tweety.dl4");
       ("branchy.dl4", load_example "branchy.dl4");
       ("random out-of-fragment", random_kb ~seed:42 ~allow_negation:true) ]
-  @ [ Alcotest.test_case "example1: john is the exactly-B doctor" `Quick
+  @ [ Alcotest.test_case "common/rare" `Quick (fun () ->
+        let q =
+          match Cq.parse "?x, ?y <- Common(?x), links(?x, ?y), Rare(?y)" with
+          | Ok q -> q
+          | Error e -> Alcotest.fail e
+        in
+        check_exactly ~queries:[ q ] "common/rare" common_rare_kb;
+        (* baselines 4,160 plan and 6,144 naive probes, bounded at +5% *)
+        check_exact_probes "common/rare" common_rare_kb q
+          ~values:[ Truth.Both; Truth.Neither ] ~max_plan:(4160. *. 1.05)
+          ~max_naive:(6144. *. 1.05) ~min_ratio:1.2);
+      Alcotest.test_case "example1: john is the exactly-B doctor" `Quick
         (fun () ->
           let para = Para.create Paper_examples.example1 in
           let q =
@@ -361,12 +413,11 @@ let drift_tests =
             "john : Doctor.\nmary : Patient.\nhasPatient(john, mary).\n"
         in
         let s = Session.create kb in
-        let para = Para.of_session s in
-        let before = Audit.census para in
+        let before = Audit.census s in
         (match Delta.parse_script "+ john : ~Doctor.\n" with
         | Ok [ d ] -> ignore (Session.apply s d : Oracle.apply_stats)
         | _ -> Alcotest.fail "delta parse");
-        let after = Audit.census para in
+        let after = Audit.census s in
         (match Audit.diff before after with
         | [ tr ] ->
             checks "fact" "Doctor(john)" (Audit.fact_to_string tr.Audit.tr_fact);

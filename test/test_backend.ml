@@ -11,7 +11,7 @@
      paper examples, the shipped KB files and random small KBs.
    - Routing: on a Horn-fragment classification workload, --backend auto
      sends at least 90% of the computed verdicts to the completion
-     backend (the ISSUE acceptance bar). *)
+     backend. *)
 
 (* the workload generators: [open QCheck2] below shadows their [Gen] *)
 module Workload_gen = Gen
@@ -205,9 +205,11 @@ let differential_tests =
     (fixtures ())
 
 (* ------------------------------------------------------------------ *)
-(* Routing: the ISSUE acceptance bar.  A pure-taxonomy classification is
-   squarely in the Horn fragment, so auto must send ≥ 90% of the computed
-   verdicts to the completion backend. *)
+(* Routing.  A pure-taxonomy classification is squarely in the Horn
+   fragment, so auto must send ≥ 90% of the computed verdicts to the
+   completion backend: on a depth-3 taxonomy, and on bench S10's depth-4
+   workload, where the three backends must also agree and the pinned
+   tableau's verdict count stays within 5% of its baseline. *)
 
 let routing_tests =
   [ Alcotest.test_case "auto routes >= 90% of a Horn classification to horn"
@@ -230,7 +232,62 @@ let routing_tests =
         Alcotest.(check bool)
           (Printf.sprintf "horn fraction %d/%d >= 0.9" horn total)
           true
-          (float_of_int horn >= 0.9 *. float_of_int total));
+          (float_of_int horn >= 0.9 *. float_of_int total);
+        (* bench S10's workload: a depth-4 taxonomy plus four leaf
+           assertions, classified and asked its whole atomic grid under
+           each backend *)
+        let kb =
+          let base =
+            Kb4.of_classical ~inclusion:Kb4.Internal
+              (Workload_gen.taxonomy ~depth:4 ~branching:3)
+          in
+          { base with
+            Kb4.abox =
+              base.Kb4.abox
+              @ [ Axiom.Instance_of ("i0", Concept.Atom "C4_0");
+                  Axiom.Instance_of ("i1", Concept.Atom "C4_40");
+                  Axiom.Instance_of ("i2", Concept.Atom "C4_80");
+                  Axiom.Instance_of ("i2", Concept.Not (Concept.Atom "C0_0"))
+                ] }
+        in
+        let signature = Kb4.signature kb in
+        let grid =
+          List.concat_map
+            (fun a ->
+              List.map (fun c -> (a, Concept.Atom c)) signature.Axiom.concepts)
+            signature.Axiom.individuals
+        in
+        let run backend =
+          let s =
+            Session.create ~config:{ Session.default_config with backend } kb
+          in
+          let tax = Session.classify s in
+          let truths =
+            List.map (fun (a, c) -> Para.instance_truth s a c) grid
+          in
+          ((tax, truths), (Session.cost_totals s).Oracle.backends)
+        in
+        let tab_out, tab_routes = run Backend.Tableau in
+        let horn_out, _ = run Backend.Horn in
+        let auto_out, auto_routes = run Backend.Auto in
+        Alcotest.(check bool) "horn answers = tableau answers" true
+          (horn_out = tab_out);
+        Alcotest.(check bool) "auto answers = tableau answers" true
+          (auto_out = tab_out);
+        let count routes b =
+          List.assoc_opt b routes |> Option.value ~default:0
+        in
+        let horn = count auto_routes "horn" in
+        let total = List.fold_left (fun n (_, k) -> n + k) 0 auto_routes in
+        Alcotest.(check bool)
+          (Printf.sprintf "S10 horn fraction %d/%d >= 0.9" horn total)
+          true
+          (total > 0 && float_of_int horn >= 0.9 *. float_of_int total);
+        let verdicts = count tab_routes "tableau" in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d tableau verdicts <= 1698 * 1.05" verdicts)
+          true
+          (float_of_int verdicts <= 1698. *. 1.05));
     Alcotest.test_case "tableau pin computes every verdict on the tableau"
       `Quick (fun () ->
         let kb = clinic_kb in

@@ -9,6 +9,9 @@
      full (individual x atom) Belnap grid, retrieval and classification
      must agree at every step, and the classical KB maintained by the
      incremental reasoner prep must equal the from-scratch transform.
+     On a fixed delta script over a seed-31 KB the live session also
+     pays strictly fewer tableau calls than the rebuilds, within 5% of
+     their baselines.
    - Retention: on a KB of two disconnected components, a delta touching
      one component keeps the other component's warm verdicts — re-asking
      them pays zero new tableau calls, proven on the oracle's call
@@ -188,8 +191,7 @@ let differential_case ?(config = Session.default_config) label kb seed =
       let rng = Random.State.make [| seed |] in
       let deltas = gen_deltas rng kb 4 in
       let session = Session.create ~config kb in
-      let live = Para.of_session session in
-      ignore (snapshot live kb);
+      ignore (snapshot session kb);
       let acc = ref kb in
       List.iteri
         (fun i d ->
@@ -208,11 +210,75 @@ let differential_case ?(config = Session.default_config) label kb seed =
             (pp_axioms (Transform.kb !acc))
             (pp_axioms (Oracle.classical_kb (Session.oracle session)));
           let fresh = Para.create !acc in
-          let inc = snapshot live !acc and ref_ = snapshot fresh !acc in
+          let inc = snapshot session !acc and ref_ = snapshot fresh !acc in
           checkb
             (Format.asprintf "%s step %d: answers identical" label i)
             true (inc = ref_))
         deltas)
+
+(* A fixed delta script on a seed-31 KB: after each delta the
+   satisfiability and contradiction grid is answered by the live session
+   and by a fresh one over the delta-applied KB.  Answers must agree, and
+   the live session must pay strictly fewer tableau calls in total than
+   the rebuilds.  Both totals are deterministic and may exceed their
+   baselines, 274 and 778 calls, by at most 5%. *)
+let script_case =
+  Alcotest.test_case "gen31: deltas pay fewer tableau calls than rebuilds"
+    `Quick (fun () ->
+      let kb =
+        Gen.kb4
+          { Gen.default with
+            seed = 31;
+            n_concepts = 10;
+            n_individuals = 8;
+            n_tbox = 14;
+            n_abox = 18;
+            max_depth = 1;
+            inconsistency_rate = 0.1 }
+      in
+      let abox_delta add retract =
+        { Delta.add_abox = add; retract_abox = retract; add_tbox = [] }
+      in
+      let deltas =
+        [ (* a fresh two-individual component *)
+          abox_delta
+            [ Axiom.Instance_of ("u0", Concept.Atom "C0");
+              Axiom.Role_assertion ("u0", Role.name "r0", "u1") ]
+            [];
+          (* another isolated newcomer *)
+          abox_delta [ Axiom.Instance_of ("u2", Concept.Atom "C1") ] [];
+          (* touch an existing individual's component *)
+          abox_delta [ Axiom.Instance_of ("a0", Concept.Atom "C2") ] [];
+          (* retract a told assertion *)
+          abox_delta [] [ List.hd kb.Kb4.abox ] ]
+      in
+      let grid t = (Para.satisfiable t, Para.contradictions t) in
+      let calls s = Oracle.tableau_calls (Session.oracle s) in
+      let live = Session.create kb in
+      ignore (grid live);
+      let acc = ref kb and incremental = ref 0 and rebuild = ref 0 in
+      List.iteri
+        (fun i d ->
+          let c0 = calls live in
+          ignore (Session.apply live d : Oracle.apply_stats);
+          let answers = grid live in
+          incremental := !incremental + calls live - c0;
+          acc := Delta.apply_kb4 !acc d;
+          let fresh = Session.create !acc in
+          checkb
+            (Format.asprintf "delta %d: answers identical" (i + 1))
+            true (answers = grid fresh);
+          rebuild := !rebuild + calls fresh)
+        deltas;
+      checkb
+        (Format.asprintf "incremental %d < rebuild %d" !incremental !rebuild)
+        true (!incremental < !rebuild);
+      checkb
+        (Format.asprintf "rebuild %d <= 778 * 1.05" !rebuild)
+        true (float !rebuild <= 778. *. 1.05);
+      checkb
+        (Format.asprintf "incremental %d <= 274 * 1.05" !incremental)
+        true (float !incremental <= 274. *. 1.05))
 
 let gen_kb seed =
   Gen.kb4
@@ -272,6 +338,7 @@ let differential_tests =
     differential_case "example4" Paper_examples.example4 4;
     differential_case "gen41" (gen_kb 41) 5;
     differential_case "gen43" (gen_kb 43) 6;
+    script_case;
     (* a tiny cache interleaves LRU capacity evictions with deltas, so
        the provenance/index lifetime must track cache residency for the
        invariant to hold *)
@@ -315,14 +382,13 @@ let retention_tests =
                 Axiom.Instance_of ("b", Concept.Atom "B") ]
         in
         let s = Session.create kb in
-        let p = Para.of_session s in
         let calls () =
           Oracle.tableau_calls (Session.oracle s)
         in
         (* warm b's verdicts and global consistency *)
-        checkb "satisfiable" true (Para.satisfiable p);
-        let vb = Para.instance_truth p "b" (Concept.Atom "B") in
-        let vbd = Para.instance_truth p "b" (Concept.Atom "D") in
+        checkb "satisfiable" true (Para.satisfiable s);
+        let vb = Para.instance_truth s "b" (Concept.Atom "B") in
+        let vbd = Para.instance_truth s "b" (Concept.Atom "D") in
         checkb "warm-up paid tableau calls" true (calls () > 0);
         (* b's provenance demonstrably excludes a *)
         (match
@@ -351,13 +417,13 @@ let retention_tests =
         let after_apply = calls () in
         (* re-asking b's verdicts is pure cache traffic *)
         checkb "b : B unchanged" true
-          (Para.instance_truth p "b" (Concept.Atom "B") = vb);
+          (Para.instance_truth s "b" (Concept.Atom "B") = vb);
         checkb "b : D unchanged" true
-          (Para.instance_truth p "b" (Concept.Atom "D") = vbd);
+          (Para.instance_truth s "b" (Concept.Atom "D") = vbd);
         checki "zero new tableau calls for the untouched component"
           after_apply (calls ());
         (* a's verdicts were evicted and do pay *)
-        ignore (Para.instance_truth p "a" (Concept.Atom "C"));
+        ignore (Para.instance_truth s "a" (Concept.Atom "C"));
         checkb "a's re-ask pays the tableau" true (calls () > after_apply)) ]
 
 (* ------------------------------------------------------------------ *)
@@ -423,10 +489,9 @@ C < Bottom.
 x : D.
 " in
         let s = Session.create kb in
-        let p = Para.of_session s in
         let e = Concept.Atom "E" in
         check Alcotest.string "x : E before" "N"
-          (Truth.short_string (Para.instance_truth p "x" e));
+          (Truth.short_string (Para.instance_truth s "x" e));
         let d = ok_parse "+ B -> A.
 " in
         let st = Session.apply s d in
@@ -434,9 +499,9 @@ x : D.
         let fresh = Para.create (Delta.apply_kb4 kb d) in
         check Alcotest.string "incremental = rebuild"
           (Truth.short_string (Para.instance_truth fresh "x" e))
-          (Truth.short_string (Para.instance_truth p "x" e));
+          (Truth.short_string (Para.instance_truth s "x" e));
         check Alcotest.string "x : E after" "t"
-          (Truth.short_string (Para.instance_truth p "x" e))) ]
+          (Truth.short_string (Para.instance_truth s "x" e))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Provenance lifetime tracks cache residency *)
@@ -508,9 +573,8 @@ let residency_tests =
             ~config:{ Session.default_config with cache_capacity = 0 }
             Paper_examples.example1
         in
-        let p = Para.of_session s in
-        ignore (Para.satisfiable p);
-        ignore (Para.instance_truth p "bill" (Concept.Atom "Doctor"));
+        ignore (Para.satisfiable s);
+        ignore (Para.instance_truth s "bill" (Concept.Atom "Doctor"));
         checki "nothing recorded" 0
           (List.length (Oracle.provenances (Session.oracle s))));
     Alcotest.test_case "a consistency flip keeps only the bit, uncosted"
@@ -613,18 +677,16 @@ let config_tests =
         let config = { Session.default_config with cache_capacity = 64 } in
         let s = Session.create ~config kb in
         checki "cache_capacity" 64 (Session.config s).Session.cache_capacity;
-        let via_session = Para.of_session s in
         let legacy = Para.create ~config:{ Oracle.default_config with Oracle.cache_capacity = 64 } kb in
         checkb "same satisfiability" true
-          (Para.satisfiable via_session = Para.satisfiable legacy);
+          (Para.satisfiable s = Para.satisfiable legacy);
         checkb "same contradictions" true
-          (Para.contradictions via_session = Para.contradictions legacy));
+          (Para.contradictions s = Para.contradictions legacy));
     Alcotest.test_case "apply_all on an empty list reports retained" `Quick
       (fun () ->
         let s = Session.create Paper_examples.example1 in
-        let p = Para.of_session s in
-        ignore (Para.satisfiable p);
-        ignore (Para.instance_truth p "bill" (Concept.Atom "Doctor"));
+        ignore (Para.satisfiable s);
+        ignore (Para.instance_truth s "bill" (Concept.Atom "Doctor"));
         let size = (Oracle.cache_stats (Session.oracle s)).Verdict_cache.size in
         checkb "warm-up cached verdicts" true (size > 0);
         let st = Session.apply_all s [] in

@@ -209,6 +209,15 @@ let flight_tests =
         in
         Alcotest.(check bool) "run.start seen" true
           (List.mem "run.start" kinds);
+        (* bench S7's KB: one classify records 31,189 events *)
+        Flight.reset ();
+        Flight.arm ();
+        ignore (Session.classify (Session.create (Bench_kb.s7 ())));
+        Flight.disarm ();
+        let events = Flight.events_recorded () in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d events in one classify >= 1000" events)
+          true (events >= 1000);
         Flight.reset ());
     Alcotest.test_case "disarmed recorder stays silent" `Quick (fun () ->
         Flight.disarm ();
@@ -408,8 +417,7 @@ let cost_tests =
     Alcotest.test_case "deltas drop per-key costs, keep totals" `Quick
       (fun () ->
         let s = Session.create Paper_examples.example1 in
-        let p = Para.of_session s in
-        ignore (Para.contradictions p);
+        ignore (Para.contradictions s);
         let before = (Session.cost_totals s).Oracle.verdicts in
         Alcotest.(check bool) "work done" true (before > 0);
         let d =
@@ -475,9 +483,8 @@ let registry_tests =
       (fun () ->
         with_obs_state true (fun () ->
             let s = tableau_session Paper_examples.example1 in
-            let p = Para.of_session s in
-            ignore (Para.satisfiable p : bool);
-            ignore (Para.contradictions p : (string * string) list);
+            ignore (Para.satisfiable s : bool);
+            ignore (Para.contradictions s : (string * string) list);
             ignore (Session.classification s : Classify.t);
             let st = cells s in
             Alcotest.(check bool) "runs happened" true (st.Tableau.runs > 0);
@@ -489,10 +496,9 @@ let registry_tests =
         with_obs_state true (fun () ->
             (* branchy.dl4's largest single run explores 8 branches *)
             let s = tableau_session ~max_branches:5 (branchy ()) in
-            let p = Para.of_session s in
             (match
-               ignore (Para.satisfiable p : bool);
-               ignore (Para.contradictions p : (string * string) list)
+               ignore (Para.satisfiable s : bool);
+               ignore (Para.contradictions s : (string * string) list)
              with
             | () -> Alcotest.fail "branchy.dl4 did not trip max_branches"
             | exception Tableau.Resource_limit _ -> ());
@@ -539,7 +545,7 @@ let gauge_tests =
     Alcotest.test_case "delta counters reach the registry" `Quick (fun () ->
         with_obs_state true (fun () ->
             let s = Session.create Paper_examples.example1 in
-            ignore (Para.satisfiable (Para.of_session s));
+            ignore (Para.satisfiable s);
             let d =
               { Delta.add_abox =
                   [ Axiom.Instance_of ("zz", Concept.Atom "Doctor") ];

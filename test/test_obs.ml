@@ -15,7 +15,9 @@
      provenance entry lists a subset of the KB's named individuals,
      jointly covering all of them (the contradiction grid queries every
      individual) — paper Examples 1-4; Example 5 shares Example 3's KB.
-   - Invariance: answers are identical with tracing on or off. *)
+   - Invariance: answers are identical with tracing on, with the flight
+     recorder armed and with both off — on paper Examples 1-4 and on the
+     classification bench S7 times. *)
 
 let read path =
   let ic = open_in_bin path in
@@ -224,18 +226,33 @@ let trace_tests =
 (* ------------------------------------------------------------------ *)
 (* Invariance: tracing never changes an answer *)
 
+let invariance_case label answers =
+  Alcotest.test_case (label ^ " answers invariant under tracing") `Quick
+    (fun () ->
+      let baseline = with_obs_state false answers in
+      let traced = with_obs_state true answers in
+      Alcotest.(check bool) (label ^ ": tracing on") true (traced = baseline);
+      (* the flight recorder armed with every Obs sink off: the
+         always-on diagnostic regime *)
+      let flown =
+        with_obs_state false (fun () ->
+            Flight.arm ();
+            Fun.protect
+              ~finally:(fun () ->
+                Flight.disarm ();
+                Flight.reset ())
+              answers)
+      in
+      Alcotest.(check bool)
+        (label ^ ": flight recorder armed") true (flown = baseline))
+
 let invariance_tests =
   List.map
-    (fun (label, kb) ->
-      Alcotest.test_case (label ^ " answers invariant under tracing")
-        `Quick (fun () ->
-          let baseline =
-            with_obs_state false (fun () -> snd (workload kb))
-          in
-          let traced = with_obs_state true (fun () -> snd (workload kb)) in
-          Alcotest.(check bool)
-            (label ^ ": tracing on") true (traced = baseline)))
+    (fun (label, kb) -> invariance_case label (fun () -> snd (workload kb)))
     examples
+  @ [ (* bench S7's workload: one classify of its seed-29 KB *)
+      invariance_case "gen29" (fun () ->
+          Session.classify (Session.create (Bench_kb.s7 ()))) ]
 
 let () =
   Alcotest.run "obs"

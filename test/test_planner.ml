@@ -176,7 +176,52 @@ let adaptivity_tests =
         Alcotest.(check (list (pair string int)))
           "one hash-join pick"
           [ ("hash_join", 1) ]
-          (Cq.strategy_counts plan)) ]
+          (Cq.strategy_counts plan));
+    Alcotest.test_case "skewed KB: the cost plan pays fewer probes" `Quick
+      (fun () ->
+        let kb = Bench_kb.common_rare ~commons:40 ~poisoned:(fun _ -> false) in
+        let parse src =
+          match Cq.parse src with Ok q -> q | Error e -> Alcotest.fail e
+        in
+        (* written common-first, the worst order a naive planner inherits;
+           and a chain whose fan-in makes the hash side cheaper *)
+        let q = parse "?x, ?y <- Common(?x), links(?x, ?y), Rare(?y)" in
+        let chain = parse "?x <- Rare(?z), links(?y, ?z), links(?x, ?y)" in
+        (* every run on a cold session: no verdict has been timed, so
+           every probe costs the fixed fallback and the plan and its
+           probe count are deterministic *)
+        let run ?threshold ?force order query =
+          let s = Session.create kb in
+          let plan = Cq.compile ?threshold ?force ~order s query in
+          let answers = Cq.run plan in
+          let t = Session.cost_totals s in
+          (answers, t.Oracle.verdicts + t.Oracle.cache_served,
+           Cq.strategy_counts plan)
+        in
+        let plan_ans, plan_probes, _ = run `Cost q in
+        let syn_ans, syn_probes, _ = run `Syntactic q in
+        Alcotest.check answers_t "cost = naive"
+          (Cq.answers_naive (Session.create kb) q) plan_ans;
+        Alcotest.check answers_t "syntactic = naive" plan_ans syn_ans;
+        Alcotest.(check bool)
+          (Printf.sprintf "%d syntactic probes <= 3456 * 1.05" syn_probes)
+          true
+          (float_of_int syn_probes <= 3456. *. 1.05);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d cost-plan probes <= 264 * 1.05" plan_probes)
+          true
+          (float_of_int plan_probes <= 264. *. 1.05);
+        Alcotest.(check bool)
+          (Printf.sprintf "syntactic/cost probes %d/%d >= 1.3" syn_probes
+             plan_probes)
+          true
+          (float_of_int syn_probes >= 1.3 *. float_of_int (max 1 plan_probes));
+        let hash_ans, _, strategies = run ~threshold:2 `Cost chain in
+        let nested_ans, _, _ = run ~force:Cq.Plan.Nested_loop `Cost chain in
+        Alcotest.check answers_t "hash join = nested loop" nested_ans hash_ans;
+        Alcotest.(check bool) "the adaptive pick lands on hash_join" true
+          (Option.value ~default:0 (List.assoc_opt "hash_join" strategies)
+           >= 1)) ]
 
 let parse_tests =
   [ Alcotest.test_case "parse with head" `Quick (fun () ->

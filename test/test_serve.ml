@@ -35,11 +35,10 @@ let ok j =
 
 let cost_tableau_calls j = int_field "tableau_calls" (mem "cost" j)
 
-let warm_server ?access_log () =
-  let s = Session.create Paper_examples.example3 in
-  let p = Para.of_session s in
-  ignore (Para.satisfiable p : bool);
-  ignore (Para.contradictions p : (string * string) list);
+let warm_server ?access_log ?(kb = Paper_examples.example3) () =
+  let s = Session.create kb in
+  ignore (Para.satisfiable s : bool);
+  ignore (Para.contradictions s : (string * string) list);
   ignore (Session.classification s : Classify.t);
   Serve.create ?access_log s
 
@@ -116,6 +115,27 @@ let protocol_tests =
         (* the envelope's cache counters moved: the warm query was hits *)
         checkb "served from cache" true
           (int_field "cache_served" (mem "cost" r2) > 0));
+    Alcotest.test_case "a warm daemon answers the atomic grid as cold sessions"
+      `Quick (fun () ->
+        let kb = Bench_kb.s9 () in
+        let t = warm_server ~kb () in
+        let sg = Kb4.signature kb in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun c ->
+                let r =
+                  ask t
+                    (Printf.sprintf
+                       {|{"op":"query","individual":"%s","concept":"%s"}|} a c)
+                in
+                checks (a ^ " : " ^ c)
+                  (Truth.to_string
+                     (Para.instance_truth (Session.create kb) a
+                        (Concept.Atom c)))
+                  (str "truth" r))
+              sg.Axiom.concepts)
+          sg.Axiom.individuals);
     Alcotest.test_case "retrieve and classify answer" `Quick (fun () ->
         let t = warm_server () in
         let r = ask t {|{"op":"retrieve","concept":"Bird"}|} in

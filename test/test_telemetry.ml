@@ -40,11 +40,11 @@ let read_lines path =
   in
   go []
 
-let warm_server ?access_log ?access_log_max_bytes () =
-  let s = Session.create Paper_examples.example3 in
-  let p = Para.of_session s in
-  ignore (Para.satisfiable p : bool);
-  Serve.create ?access_log ?access_log_max_bytes s
+let warm_server ?telemetry ?access_log ?access_log_max_bytes
+    ?(kb = Paper_examples.example3) () =
+  let s = Session.create kb in
+  ignore (Para.satisfiable s : bool);
+  Serve.create ?telemetry ?access_log ?access_log_max_bytes s
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -307,10 +307,9 @@ let propagation_tests =
               { Session.default_config with Session.backend = Backend.Horn }
             kb
         in
-        let p = Para.of_session s in
         let tid = "feedcafe00000002" in
         Obs.with_trace_id tid (fun () ->
-            ignore (Para.instance_truth p "tweety" (Concept.Atom "Fly")
+            ignore (Para.instance_truth s "tweety" (Concept.Atom "Fly")
                     : Truth.t));
         let horn =
           List.filter
@@ -335,7 +334,37 @@ let propagation_tests =
         checkb "metrics op refused" true
           (match Json_lite.member "ok" (parse (Serve.handle t {|{"op":"metrics"}|})) with
           | Some (Json_lite.Bool false) -> true
-          | _ -> false)) ]
+          | _ -> false);
+        (* bench S11's KB: a disarmed and an armed daemon answer its
+           atomic grid alike, and the armed one logs the requests *)
+        let kb = Bench_kb.s9 () in
+        let sg = Kb4.signature kb in
+        let grid t =
+          List.concat_map
+            (fun a ->
+              List.map
+                (fun c ->
+                  str "truth"
+                    (parse
+                       (Serve.handle t
+                          (Printf.sprintf
+                             {|{"op":"query","individual":"%s","concept":"%s"}|}
+                             a c))))
+                sg.Axiom.concepts)
+            sg.Axiom.individuals
+        in
+        let access = tmp ".access.jsonl" in
+        let armed = warm_server ~access_log:access ~kb () in
+        Alcotest.(check (list string))
+          "armed answers = disarmed answers"
+          (grid (warm_server ~telemetry:false ~kb ()))
+          (grid armed);
+        Serve.sync armed;
+        let lines = List.length (read_lines access) in
+        checkb
+          (Printf.sprintf "%d access-log lines >= 1" lines)
+          true (lines >= 1);
+        Sys.remove access) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve metrics plane: the metrics/stats ops and the access log *)
