@@ -141,8 +141,15 @@ let satisfies_abox i = function
   | Axiom.Same (a, b) -> individual i a = individual i b
   | Axiom.Different (a, b) -> individual i a <> individual i b
 
+(* [individual] raises on a name [i] does not interpret, and an
+   interpretation that leaves one of [kb]'s individuals out is not one
+   of its models *)
 let is_model i (kb : Axiom.kb) =
-  List.for_all (satisfies_tbox i) kb.tbox && List.for_all (satisfies_abox i) kb.abox
+  match
+    List.for_all (satisfies_tbox i) kb.tbox && List.for_all (satisfies_abox i) kb.abox
+  with
+  | b -> b
+  | exception Not_found -> false
 
 let pp ppf i =
   Format.fprintf ppf "@[<v>domain = {%a}@,"

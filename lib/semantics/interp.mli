@@ -50,5 +50,7 @@ val eval : t -> Concept.t -> ESet.t
 val satisfies_tbox : t -> Axiom.tbox_axiom -> bool
 val satisfies_abox : t -> Axiom.abox_axiom -> bool
 val is_model : t -> Axiom.kb -> bool
+(** False, not [Not_found], when the interpretation does not name an
+    individual the KB mentions (in an assertion or a nominal). *)
 
 val pp : Format.formatter -> t -> unit

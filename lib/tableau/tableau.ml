@@ -1328,14 +1328,31 @@ type prep = {
   p_kb : Axiom.kb;
   p_tbox : tbox_prep;
   p_abox_sig : signals;
+  p_roles : NSet.t Lazy.t;  (* the roles a concept of K̄ mentions *)
   mutable p_base : memo;
       (* the one mutable cell: written by the run that builds or
          extends the base, and only with a whole one *)
 }
 
+let concept_roles acc c =
+  List.fold_left (fun acc r -> NSet.add r acc) acc (Concept.role_names c)
+
 (* The one constructor: [memo] must describe [kb]'s told ABox. *)
 let make_prep p_tbox (p_kb : Axiom.kb) p_abox_sig p_base =
-  { p_kb; p_tbox; p_abox_sig; p_base }
+  let p_roles =
+    lazy
+      (List.fold_left
+         (fun acc (ax : Axiom.abox_axiom) ->
+           match ax with Instance_of (_, c) -> concept_roles acc c | _ -> acc)
+         (List.fold_left
+            (fun acc (ax : Axiom.tbox_axiom) ->
+              match ax with
+              | Concept_sub (c, d) -> concept_roles (concept_roles acc c) d
+              | Role_sub _ | Data_role_sub _ | Transitive _ -> acc)
+            NSet.empty p_kb.tbox)
+         p_kb.abox)
+  in
+  { p_kb; p_tbox; p_abox_sig; p_roles; p_base }
 
 let prep_kb p = p.p_kb
 
@@ -1393,6 +1410,15 @@ let absorbable_lhs p (ax : Axiom.tbox_axiom) =
       | Some (a, _) when not (SMap.mem a p.p_tbox.t_unfold_neg) -> Some a
       | _ -> None)
   | Axiom.Role_sub _ | Axiom.Data_role_sub _ | Axiom.Transitive _ -> None
+
+(* Adding [r(a, b)] to a model of K̄ and closing the edge upwards keeps
+   it a model when no super-role of [r] is mentioned by a concept or is
+   transitive: no concept extension and no closure changes. *)
+let role_inert p r =
+  let h = p.p_tbox.t_h and roles = Lazy.force p.p_roles in
+  Role.Set.for_all
+    (fun s -> not (NSet.mem (Role.base s) roles || Hierarchy.transitive h s))
+    (Hierarchy.supers h r)
 
 (* [b] with the told assertions [axs] added and settled, harvesting
    into a copy of its provenance.  [saturate] reads the TBox half of
@@ -1522,20 +1548,18 @@ let completed_state_prep ?(max_nodes = 20_000) ?(max_branches = max_int)
       Obs.exit_timed sp h_run;
       raise e
 
-let completed_state ?max_nodes ?max_branches ?stats ?prov (kb : Axiom.kb) =
-  let ctx, _, outcome =
-    completed_state_prep ?max_nodes ?max_branches ?stats ?prov (prepare kb) []
-  in
-  (ctx, outcome)
+(* A run's complete clash-free graph, with what reading a model from it
+   needs: the TBox half of its context (never its provenance sink) and
+   the KB it ran on, query included. *)
+type graph = { g_ctx : ctx; g_kb : Axiom.kb; g_state : state }
 
-let prepared_satisfiable ?max_nodes ?max_branches ?stats ?prov prep extra =
-  let _, _, outcome =
-    completed_state_prep ?max_nodes ?max_branches ?stats ?prov prep extra
-  in
-  Option.is_some outcome
+let prepared_run ?max_nodes ?max_branches ?stats ?prov prep extra =
+  match completed_state_prep ?max_nodes ?max_branches ?stats ?prov prep extra with
+  | _, _, None -> None
+  | ctx, kb, Some st -> Some { g_ctx = { ctx with prov = None }; g_kb = kb; g_state = st }
 
 let kb_satisfiable ?max_nodes ?max_branches ?stats ?prov kb =
-  Option.is_some (snd (completed_state ?max_nodes ?max_branches ?stats ?prov kb))
+  Option.is_some (prepared_run ?max_nodes ?max_branches ?stats ?prov (prepare kb) [])
 
 (* ------------------------------------------------------------------ *)
 (* Model extraction.
@@ -1757,12 +1781,9 @@ let extract_model ctx (kb : Axiom.kb) st =
       in
       if Interp.is_model candidate kb then Some candidate else None
 
-let kb_model ?max_nodes ?max_branches ?stats ?prov kb =
-  match completed_state ?max_nodes ?max_branches ?stats ?prov kb with
-  | _, None -> None
-  | ctx, Some st -> extract_model ctx kb st
+let graph_model g = extract_model g.g_ctx g.g_kb g.g_state
 
-let prepared_model ?max_nodes ?max_branches ?stats ?prov prep extra =
-  match completed_state_prep ?max_nodes ?max_branches ?stats ?prov prep extra with
-  | _, _, None -> None
-  | ctx, kb, Some st -> extract_model ctx kb st
+let kb_model ?max_nodes ?max_branches ?stats ?prov kb =
+  Option.bind
+    (prepared_run ?max_nodes ?max_branches ?stats ?prov (prepare kb) [])
+    graph_model

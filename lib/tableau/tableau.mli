@@ -208,12 +208,18 @@ val absorbable_lhs : prep -> Axiom.tbox_axiom -> string option
     invalidation layer uses this exact test to decide whether a TBox
     addition is local to one atom. *)
 
-val prepared_satisfiable :
+type graph
+(** A complete, clash-free completion graph: what a satisfiable run
+    leaves behind, with the KB it ran on (its query's assertions
+    included).  Immutable. *)
+
+val prepared_run :
   ?max_nodes:int -> ?max_branches:int -> ?stats:stats -> ?prov:prov ->
-  prep -> Axiom.abox_axiom list -> bool
-(** [prepared_satisfiable prep extra] decides satisfiability of the
-    prepared KB extended with the [extra] ABox assertions (the query).
-    Equivalent to {!kb_satisfiable} on the merged KB, without re-running
+  prep -> Axiom.abox_axiom list -> graph option
+(** [prepared_run prep extra] decides satisfiability of the prepared KB
+    extended with the [extra] ABox assertions (the query), handing back
+    the run's complete graph when it is satisfiable.  Equivalent to
+    {!kb_satisfiable} on the merged KB, without re-running
     preprocessing or re-saturating the told ABox: the run starts from
     [prep]'s base, building or extending it first when it has to (a
     trip meanwhile leaves [prep] as it was), and answers unsat at once
@@ -222,10 +228,18 @@ val prepared_satisfiable :
     identical.
     @raise Resource_limit as {!kb_satisfiable}. *)
 
-val prepared_model :
-  ?max_nodes:int -> ?max_branches:int -> ?stats:stats -> ?prov:prov ->
-  prep -> Axiom.abox_axiom list -> Interp.t option
-(** Prepared counterpart of {!kb_model}. *)
+val graph_model : graph -> Interp.t option
+(** The finite model a graph gives, read as {!kb_model} reads it and
+    {e verified} with {!Interp.is_model} against the graph's KB, query
+    included.  [None] when the candidate fails verification (the [SHIN]
+    family lacks the finite model property).  Reading touches no stats
+    cell and no provenance sink. *)
+
+val role_inert : prep -> Role.t -> bool
+(** No super-role of the role, itself included, occurs in either
+    direction in a concept of the prep's KB, TBox or told ABox, and none
+    is transitive.  Then [K ∪ {R(a, b)}] is satisfiable iff [K] is: a model
+    of [K] with the edge added, and closed upwards, is still one. *)
 
 val kb_satisfiable :
   ?max_nodes:int -> ?max_branches:int -> ?stats:stats -> ?prov:prov ->

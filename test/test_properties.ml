@@ -640,6 +640,224 @@ let base_tests =
       ~print:print_base_case gen_base_case base_case_agrees ]
 
 (* ------------------------------------------------------------------ *)
+(* The witness.  A tableau-pinned oracle answers a non-entailment from
+   the one verified model of K̄ its reasoner keeps, and keeps that model
+   across deltas it can patch and verify.  One oracle is put through
+   random sequences of the six query shapes and of deltas (ABox
+   additions, atomic ones included so that patches happen, retractions,
+   TBox additions), over concepts with ∀, ≥ n, ≤ n, inverse roles and
+   nominals, one of which names an individual no told assertion does;
+   each verdict, computed or served from the cache, must equal one
+   decided by runs alone on a fresh reasoner over the current K̄, and
+   the witness, when there is one, must be a model of that K̄.  The
+   share of computed verdicts that took no run is printed when the suite
+   ends and must not be 0.  It runs under the budgeted tests' budget;
+   CHANGES.md lists the mutants it fails on. *)
+
+let gen_witness_concept =
+  let open Gen in
+  let leaf =
+    frequency
+      [ (6, gen_literal);
+        (1, map (fun a -> Concept.One_of [ a ]) (oneofl ("c" :: base_individuals))) ]
+  in
+  let node self =
+    frequency
+      [ (3, leaf);
+        (1, map2 (fun a b -> Concept.And (a, b)) self self);
+        (1, map2 (fun a b -> Concept.Or (a, b)) self self);
+        (2, map2 (fun r c -> Concept.Exists (r, c)) gen_role leaf);
+        (2, map2 (fun r c -> Concept.Forall (r, c)) gen_role leaf);
+        (1, map2 (fun k r -> Concept.At_least (k, r)) (int_range 1 2) gen_role);
+        (1, map2 (fun k r -> Concept.At_most (k, r)) (int_bound 1) gen_role) ]
+  in
+  node leaf
+
+let gen_witness_tbox =
+  let open Gen in
+  frequency
+    [ ( 5,
+        map3
+          (fun k c d -> Kb4.Concept_inclusion (k, c, d))
+          (frequencyl [ (3, Kb4.Material); (1, Kb4.Internal); (1, Kb4.Strong) ])
+          (frequency [ (2, gen_atom); (1, gen_witness_concept) ])
+          gen_witness_concept );
+      (1, map3 (fun k r s -> Kb4.Role_inclusion (k, r, s)) gen_inclusion gen_role gen_role);
+      (1, map (fun r -> Kb4.Transitive r) (oneofl role_names)) ]
+
+let gen_witness_abox =
+  let open Gen in
+  let ind = oneofl base_individuals in
+  frequency
+    [ (3, map2 (fun a c -> Axiom.Instance_of (a, c)) ind gen_literal);
+      (2, map2 (fun a c -> Axiom.Instance_of (a, c)) ind gen_witness_concept);
+      (2, map3 (fun a r b -> Axiom.Role_assertion (a, r, b)) ind gen_role ind) ]
+
+type witness_op =
+  | Ask of Backend.query
+  | Change of Delta.t
+  | Drop of int  (* retract the told assertion at this index, modulo *)
+
+(* [probes] are concepts every element satisfies in every model of the
+   case's K̄, one per material inclusion [C ↦ D] of its TBox: K̄ holds
+   [¬C⁻ ⊑ D⁺], which is [(¬C ⊔ D)⁺].  Asked at a named individual and
+   at its neighbours along every role, they reach the anonymous part of
+   a witness, where a candidate that fails verification breaks. *)
+let here_and_around c =
+  Concept.conj
+    (c
+    :: List.concat_map
+         (fun r -> [ Concept.Forall (Role.Name r, c); Concept.Forall (Role.Inv r, c) ])
+         role_names)
+
+let gen_witness_query probes =
+  let open Gen in
+  let ind = oneofl base_individuals in
+  let probe =
+    match probes with
+    | [] -> []
+    | _ ->
+        [ ( 1,
+            map2
+              (fun a c -> Backend.Instance (a, here_and_around c))
+              ind (oneofl probes) ) ]
+  in
+  frequency
+    @@ probe
+    @ [ (1, return Backend.Consistent);
+      ( 1,
+        map (fun c -> Backend.Concept_sat (Transform.concept_pos c))
+          gen_witness_concept );
+      (3, map2 (fun a c -> Backend.Instance (a, c)) ind gen_witness_concept);
+      (3, map2 (fun a c -> Backend.Not_instance (a, c)) ind gen_witness_concept);
+      (3, map3 (fun a r b -> Backend.Role_pos (a, r, b)) ind gen_role ind);
+      (2, map3 (fun a r b -> Backend.Role_neg (a, r, b)) ind gen_role ind) ]
+
+let gen_witness_case =
+  let open Gen in
+  let* n_tbox = int_bound 3 in
+  let* tbox = list_repeat n_tbox gen_witness_tbox in
+  let* n_abox = int_range 1 5 in
+  let* abox = list_repeat n_abox gen_witness_abox in
+  let probes =
+    List.filter_map
+      (function
+        | Kb4.Concept_inclusion (Kb4.Material, c, d) ->
+            Some (Concept.Or (Concept.Not c, d))
+        | _ -> None)
+      tbox
+  in
+  let* n_ops = int_range 4 12 in
+  let add ax = { Delta.empty with Delta.add_abox = [ ax ] } in
+  let* ops =
+    list_repeat n_ops
+      (frequency
+         [ (8, map (fun q -> Ask q) (gen_witness_query probes));
+           (2, map (fun ax -> Change (add ax)) gen_witness_abox);
+           (1, map (fun i -> Drop i) nat);
+           ( 1,
+             map
+               (fun ax -> Change { Delta.empty with Delta.add_tbox = [ ax ] })
+               gen_witness_tbox ) ])
+  in
+  return (Kb4.make ~tbox ~abox, ops)
+
+let print_witness_case (kb, ops) =
+  Surface.kb4_to_string kb ^ "\n"
+  ^ String.concat "\n"
+      (List.map
+         (function
+           | Ask q -> "? " ^ Backend.query_to_string q
+           | Change d ->
+               "+ "
+               ^ Surface.kb4_to_string (Kb4.make ~tbox:d.add_tbox ~abox:d.add_abox)
+           | Drop i -> Printf.sprintf "- #%d" i)
+         ops)
+
+(* The verdict of runs alone: a fresh reasoner has no witness, and
+   [consistent_with] is always a run. *)
+let verdict_by_runs kb (q : Backend.query) =
+  let r = Reasoner.create ~max_nodes ~max_branches kb in
+  let sat extra = Reasoner.consistent_with r extra in
+  match q with
+  | Consistent -> sat []
+  | Concept_sat c -> sat [ Axiom.Instance_of ("q:fresh", c) ]
+  | Instance (a, c) -> not (sat [ Transform.instance_query c a ])
+  | Not_instance (a, c) -> not (sat [ Transform.negative_instance_query c a ])
+  | Role_pos (a, r, b) ->
+      not
+        (sat
+           [ Axiom.Instance_of (b, Concept.Atom "q:marker");
+             Axiom.Instance_of
+               (a, Concept.Forall (Transform.plus_role r, Concept.Not (Concept.Atom "q:marker")))
+           ])
+  | Role_neg (a, r, b) ->
+      not (sat [ Axiom.Role_assertion (a, Transform.eq_role r, b) ])
+
+let witness_computed = ref 0
+let witness_decided = ref 0
+
+let witness_case_agrees (kb, ops) =
+  let o =
+    Oracle.of_config
+      { Oracle.default_config with max_nodes; max_branches; backend = Backend.Tableau }
+      kb
+  in
+  let runs () = (Reasoner.stats (Oracle.reasoner o)).Tableau.runs in
+  let step ok op =
+    match ok with
+    | Some false | None -> ok
+    | Some true ->
+        with_budget (fun () ->
+            match op with
+            | Ask q ->
+                let calls0 = Oracle.tableau_calls o and runs0 = runs () in
+                let v = Oracle.check o q in
+                if Oracle.tableau_calls o > calls0 then begin
+                  incr witness_computed;
+                  if runs () = runs0 then incr witness_decided
+                end;
+                let kbar = Oracle.classical_kb o in
+                Bool.equal v (verdict_by_runs kbar q)
+                && Option.fold ~none:true
+                     ~some:(fun w -> Interp.is_model w kbar)
+                     (Reasoner.witness (Oracle.reasoner o))
+            | Change d ->
+                ignore (Oracle.apply o d : Oracle.apply_stats);
+                true
+            | Drop i ->
+                let abox = (Oracle.kb o).Kb4.abox in
+                if abox <> [] then
+                  ignore
+                    (Oracle.apply o
+                       { Delta.empty with
+                         Delta.retract_abox = [ List.nth abox (i mod List.length abox) ] }
+                      : Oracle.apply_stats);
+                true)
+  in
+  List.fold_left step (Some true) ops
+
+let () =
+  at_exit (fun () ->
+      if !witness_computed > 0 then
+        Printf.printf "\nwitness path: %d of %d computed verdicts took no run\n"
+          !witness_decided !witness_computed)
+
+(* worst measured: 18 of 300 over seeds 1-60 *)
+let witness_tests =
+  let name, speed, run =
+    budgeted_test ~count:300 ~max_skip_share:0.15
+      ~name:"a tableau-pinned oracle's witness verdicts agree with fresh runs"
+      ~print:print_witness_case gen_witness_case witness_case_agrees
+  in
+  [ ( name,
+      speed,
+      fun () ->
+        run ();
+        if !witness_decided = 0 then
+          Alcotest.fail "no verdict was decided by the witness" ) ]
+
+(* ------------------------------------------------------------------ *)
 (* Baseline invariants *)
 
 let baseline_tests =
@@ -820,7 +1038,8 @@ let () =
       ("decomposition", to_alcotest decomposition_tests);
       ("theorem6", to_alcotest theorem6_tests);
       ("parser", to_alcotest parser_tests);
-      ("differential", differential_tests @ absorption_tests @ base_tests);
+      ("differential",
+        differential_tests @ absorption_tests @ base_tests @ witness_tests);
       ("native4", native_tests);
       ("prop4", to_alcotest prop4_tests);
       ("baselines", to_alcotest baseline_tests);

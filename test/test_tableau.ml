@@ -702,8 +702,9 @@ let base_tests =
         in
         let stats = Tableau.fresh_stats () in
         let run max_nodes =
-          Tableau.prepared_satisfiable ~max_nodes ~stats p
-            [ Axiom.Instance_of ("x", Not b) ]
+          Option.is_some
+            (Tableau.prepared_run ~max_nodes ~stats p
+               [ Axiom.Instance_of ("x", Not b) ])
         in
         let trips max_nodes =
           match run max_nodes with
@@ -786,6 +787,184 @@ let base_tests =
         checkb "z : C no longer" false (Oracle.check o z_c);
         checkb "x : A still" true (Oracle.check o (Oracle.Instance ("x", atom)))) ]
 
+(* ------------------------------------------------------------------ *)
+(* The witness: one verified model of K̄ per prep, read from the first
+   satisfiable run, that decides non-entailments without a run.  Each
+   case is checked against runs alone on a fresh reasoner. *)
+
+(* What runs alone answer on a fresh reasoner, query by query. *)
+let by_runs kbar (q : Backend.query) =
+  let sat extra = Reasoner.consistent_with (Reasoner.create kbar) extra in
+  match q with
+  | Consistent -> sat []
+  | Concept_sat c -> sat [ Axiom.Instance_of ("q:fresh", c) ]
+  | Instance (a, c) -> not (sat [ Transform.instance_query c a ])
+  | Not_instance (a, c) -> not (sat [ Transform.negative_instance_query c a ])
+  | Role_pos (a, r, b) ->
+      Reasoner.role_entailed (Reasoner.create kbar) a (Transform.plus_role r) b
+  | Role_neg (a, r, b) ->
+      not (sat [ Axiom.Role_assertion (a, Transform.eq_role r, b) ])
+
+let witness_tests =
+  let checkb = Alcotest.(check bool) and checki = Alcotest.(check int) in
+  let oracle text =
+    Oracle.of_config Oracle.default_config (Surface.parse_kb4_exn text)
+  in
+  (* the verdict, the fresh one, and the runs its cost record holds *)
+  let ask o q =
+    let v = Oracle.check o q in
+    checkb (Backend.query_to_string q ^ " = runs alone") (by_runs (Oracle.classical_kb o) q) v;
+    let runs =
+      match Oracle.cost o q with
+      | Some c -> c.Oracle.c_work.Tableau.runs
+      | None -> Alcotest.fail "no cost record"
+    in
+    (v, runs)
+  in
+  let x = "x" and y = "y" in
+  [ Alcotest.test_case "a verdict the witness decides costs 0 runs" `Quick
+      (fun () ->
+        let o = oracle "x : A.\ny : B.\nr(x, z).\n" in
+        checkb "y : A not entailed, by a run" false
+          (fst (ask o (Oracle.Instance (y, atom))));
+        let v, runs = ask o (Oracle.Instance (x, b)) in
+        checkb "x : B not entailed" false v;
+        checki "no run" 0 runs;
+        let v, runs = ask o (Oracle.Instance (x, atom)) in
+        checkb "an entailment is a run" true (v && runs = 1);
+        let v, runs = ask o (Oracle.Role_pos (x, r, y)) in
+        checkb "r(x, y) not entailed, by the witness" true ((not v) && runs = 0);
+        let v, runs = ask o (Oracle.Role_pos (x, r, "z")) in
+        checkb "r(x, z) entailed, by a run" true (v && runs = 1);
+        let v, runs = ask o (Oracle.Role_neg (x, r, y)) in
+        checkb "not r(x, y) not entailed, r inert" true ((not v) && runs = 0);
+        let v, runs = ask o Oracle.Consistent in
+        checkb "consistent, by the witness" true (v && runs = 0));
+    Alcotest.test_case "a disjunct the witness chose falls back to a run"
+      `Quick (fun () ->
+        let o = oracle "x : A | B.\n" in
+        ignore (ask o Oracle.Consistent : bool * int);
+        let w = Option.get (Reasoner.witness (Oracle.reasoner o)) in
+        checkb "the witness chose A" true
+          (Interp.satisfies_abox w
+             (Axiom.Instance_of (x, Transform.concept_pos atom)));
+        let v, runs = ask o (Oracle.Instance (x, atom)) in
+        checkb "x : A not entailed, by a run" true ((not v) && runs = 1);
+        let v, runs = ask o (Oracle.Not_instance (x, atom)) in
+        checkb "x : ~A not entailed, by the witness" true ((not v) && runs = 0);
+        Alcotest.(check string) "x : A is N" "N"
+          (Truth.short_string
+             (Para.instance_truth (Para.create (Oracle.kb o)) x atom)));
+    Alcotest.test_case "<= 1 r puts r= in a concept: not r(a, b) runs" `Quick
+      (fun () ->
+        List.iter
+          (fun (text, expected) ->
+            let o = oracle text in
+            ignore (ask o (Oracle.Instance (y, atom)) : bool * int);
+            checkb "a witness" true (Reasoner.witness (Oracle.reasoner o) <> None);
+            let v, runs = ask o (Oracle.Role_neg (x, r, y)) in
+            checkb (text ^ ": not r(x, y)") expected v;
+            checki (text ^ ": runs") 1 runs)
+          [ ("A < <= 1 r.\nx : A.\nr(x, z).\n", false);
+            ("A < <= 0 r.\nx : A.\n", true) ]);
+    Alcotest.test_case "no witness when the candidate fails verification"
+      `Quick (fun () ->
+        (* the blocked node mirrors its witness's outgoing s-edge, so
+           its parent is left without the s-predecessor A asks for *)
+        let text = "A < some s^-.A.\nx : A.\ny : B.\nr(x, y).\n" in
+        let kbar = Transform.kb (Surface.parse_kb4_exn text) in
+        checkb "satisfiable" true (Tableau.kb_satisfiable kbar);
+        checkb "no model read" true (Tableau.kb_model kbar = None);
+        let o = oracle text in
+        List.iter
+          (fun q -> ignore (ask o q : bool * int))
+          [ Oracle.Consistent;
+            Oracle.Instance (x, b);
+            Oracle.Not_instance (y, atom);
+            Oracle.Role_pos (y, r, x);
+            Oracle.Role_neg (x, r, y);
+            Oracle.Concept_sat (Transform.concept_pos (And (atom, b))) ];
+        checkb "no witness" true (Reasoner.witness (Oracle.reasoner o) = None));
+    Alcotest.test_case "deltas patch, keep and drop the witness" `Quick
+      (fun () ->
+        let kbar = Axiom.make ~tbox:[] ~abox:[ Axiom.Instance_of (x, atom) ] in
+        let t = Reasoner.create kbar in
+        checkb "consistent" true (Reasoner.is_consistent t);
+        let w0 = Option.get (Reasoner.witness t) in
+        (* K̄ ⊨ C(x) as the tableau backend decides it: the witness
+           first, then a run; and as a fresh reasoner does *)
+        let agrees name =
+          List.iter
+            (fun c ->
+              let refuted =
+                Reasoner.witness_holds t (fun w ->
+                    Interp.satisfies_abox w (Axiom.Instance_of (x, Not c)))
+              in
+              checkb name
+                (Reasoner.instance_of (Reasoner.create (Reasoner.kb t)) x c)
+                ((not refuted) && Reasoner.instance_of t x c))
+            [ atom; b; c ]
+        in
+        let kept w = match Reasoner.witness t with Some w' -> w' == w | None -> false in
+        let c_x = Axiom.Instance_of (x, c) in
+        Reasoner.apply_delta t ~add_abox:[ c_x ] ~retract_abox:[] ~add_tbox:[];
+        let w1 = Option.get (Reasoner.witness t) in
+        checkb "+ x : C patched in" true (Interp.satisfies_abox w1 c_x);
+        checkb "and verified" true (Interp.is_model w1 (Reasoner.kb t));
+        checkb "a new model" true (w1 != w0);
+        agrees "after + x : C";
+        Reasoner.apply_delta t ~add_abox:[] ~retract_abox:[ c_x ] ~add_tbox:[];
+        checkb "a retraction keeps it" true (kept w1);
+        agrees "after - x : C";
+        Reasoner.apply_delta t ~add_abox:[] ~retract_abox:[]
+          ~add_tbox:[ Axiom.Concept_sub (b, c) ];
+        checkb "a TBox axiom it satisfies keeps it" true (kept w1);
+        Reasoner.apply_delta t ~add_abox:[] ~retract_abox:[]
+          ~add_tbox:[ Axiom.Concept_sub (atom, b) ];
+        checkb "one it violates drops it" true (Reasoner.witness t = None);
+        agrees "after A < B";
+        checkb "x : B entailed" true (Reasoner.instance_of t x b));
+    Alcotest.test_case "an addition naming an individual the witness lacks"
+      `Quick (fun () ->
+        (* [c] first occurs in the added axiom, so the witness cannot
+           check it: the delta drops the witness, the update applies,
+           and every verdict after it is a rebuilt oracle's *)
+        let t = Reasoner.create (Axiom.make ~tbox:[] ~abox:[ Axiom.Instance_of (x, atom) ]) in
+        checkb "consistent" true (Reasoner.is_consistent t);
+        checkb "a witness" true (Reasoner.witness t <> None);
+        Reasoner.apply_delta t ~add_abox:[] ~retract_abox:[]
+          ~add_tbox:[ Axiom.Concept_sub (atom, One_of [ "c" ]) ];
+        checkb "A < {c} drops it" true (Reasoner.witness t = None);
+        checkb "still consistent" true (Reasoner.is_consistent t);
+        List.iter
+          (fun script ->
+            let o = oracle "x : A.\ny : B.\n" in
+            ignore (ask o Oracle.Consistent : bool * int);
+            ignore (ask o (Oracle.Instance (x, b)) : bool * int);
+            checkb "a witness" true (Reasoner.witness (Oracle.reasoner o) <> None);
+            let delta = Result.get_ok (Delta.parse script) in
+            ignore (Oracle.apply o delta : Oracle.apply_stats);
+            checkb (script ^ ": any witness models the new K̄") true
+              (match Reasoner.witness (Oracle.reasoner o) with
+              | Some w -> Interp.is_model w (Oracle.classical_kb o)
+              | None -> true);
+            let fresh = oracle "x : A.\ny : B.\n" in
+            ignore (Oracle.apply fresh delta : Oracle.apply_stats);
+            let rebuilt = Oracle.of_config Oracle.default_config (Oracle.kb fresh) in
+            List.iter
+              (fun q ->
+                let v, _ = ask o q in
+                checkb (script ^ ": " ^ Backend.query_to_string q ^ " = rebuilt")
+                  (Oracle.check rebuilt q) v)
+              [ Oracle.Consistent;
+                Oracle.Instance (x, atom);
+                Oracle.Instance (x, b);
+                Oracle.Not_instance (y, atom);
+                Oracle.Instance ("c", atom);
+                Oracle.Role_pos (x, r, y);
+                Oracle.Role_neg (x, r, y) ])
+          [ "+ A < {c}."; "+ B < ~{c}."; "+ c : A." ]) ]
+
 let () =
   Alcotest.run "tableau"
     [ ("basic", basic_tests);
@@ -802,4 +981,5 @@ let () =
       ("absorption", absorption_tests);
       ("resources", resource_tests);
       ("base", base_tests);
+      ("witness", witness_tests);
       ("stress", stress_tests) ]
